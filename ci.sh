@@ -15,6 +15,11 @@ cargo build --workspace --release
 echo "==> tests"
 cargo test --workspace --quiet
 
+echo "==> benchmark package tests (a package of its own, outside the workspace run above;"
+echo "    one checks every registered experiment sits in exactly one Full workload or in"
+echo "    untimed_at_full)"
+cargo test --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
 echo "==> SPSC channel smoke (single-threaded runner: producer/consumer get the scheduler)"
 cargo test --quiet -p simcore spsc -- --test-threads=1
 

@@ -15,7 +15,8 @@
 //! All flags are parsed into one [`RunConfig`] before any scenario runs —
 //! flag order never matters, and `--serial`/`--no-coalescing` are plain
 //! config fields (results are identical either way; timing A/B only).
-//! Unknown or duplicate flags exit 2.
+//! Unknown or duplicate flags, and a scenario file the parser rejects,
+//! exit 2.
 
 use ibwan_core::runner;
 use ibwan_core::scenario::{example_scenario, Scenario};
@@ -103,8 +104,10 @@ fn main() {
     for file in &files {
         let text =
             std::fs::read_to_string(file).unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
-        let scenario =
-            Scenario::from_json(&text).unwrap_or_else(|e| panic!("cannot parse {file}: {e}"));
+        let scenario = Scenario::from_json(&text).unwrap_or_else(|e| {
+            eprintln!("ibwan-sim: cannot parse {file}: {e}");
+            std::process::exit(2);
+        });
         let variants: Vec<Scenario> = if sweep {
             ibwan_core::PAPER_DELAYS_US
                 .iter()

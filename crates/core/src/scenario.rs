@@ -143,6 +143,90 @@ pub enum Workload {
     },
 }
 
+/// The names a string-valued workload field accepts, and what each means.
+struct Names<T: 'static> {
+    field: &'static str,
+    what: &'static str,
+    table: &'static [(&'static str, T)],
+}
+
+impl<T: Copy> Names<T> {
+    /// The meaning of `value`, or an error naming the field.
+    fn get(&self, value: &str) -> Result<T, String> {
+        self.table
+            .iter()
+            .find(|(name, _)| *name == value)
+            .map(|&(_, v)| v)
+            .ok_or_else(|| {
+                let (field, what) = (self.field, self.what);
+                format!("workload: unknown {what} {value:?} in field {field:?}")
+            })
+    }
+
+    /// `value`, once [`Names::get`] accepts it.
+    fn check(&self, value: String) -> Result<String, String> {
+        self.get(&value).map(|_| value)
+    }
+
+    /// [`Names::get`] for [`Scenario::run`]: a `Workload` built in code
+    /// skips the parser, so a bad name still panics there.
+    fn must(&self, value: &str) -> T {
+        self.get(value).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+const LATENCY_MODES: Names<LatMode> = Names {
+    field: "mode",
+    what: "latency mode",
+    table: &[
+        ("send_rc", LatMode::SendRc),
+        ("send_ud", LatMode::SendUd),
+        ("write_rc", LatMode::WriteRc),
+    ],
+};
+/// Maps each verbs transport to "is it UD".
+const VERBS_TRANSPORTS: Names<bool> = Names {
+    field: "transport",
+    what: "transport",
+    table: &[("ud", true), ("rc", false)],
+};
+const IPOIB_MODES: Names<IpoibMode> = Names {
+    field: "mode",
+    what: "IPoIB mode",
+    table: &[("ud", IpoibMode::Ud), ("rc", IpoibMode::Rc)],
+};
+/// The empty name is the default, RPUT.
+const RNDV_PROTOCOLS: Names<RndvProtocol> = Names {
+    field: "rndv_protocol",
+    what: "rendezvous protocol",
+    table: &[
+        ("", RndvProtocol::Rput),
+        ("rput", RndvProtocol::Rput),
+        ("rget", RndvProtocol::Rget),
+        ("r3", RndvProtocol::R3),
+    ],
+};
+const NAS_BENCHMARKS: Names<NasBenchmark> = Names {
+    field: "benchmark",
+    what: "NAS benchmark",
+    table: &[
+        ("is", NasBenchmark::Is),
+        ("ft", NasBenchmark::Ft),
+        ("cg", NasBenchmark::Cg),
+        ("ep", NasBenchmark::Ep),
+        ("mg", NasBenchmark::Mg),
+    ],
+};
+const NFS_TRANSPORTS: Names<NfsTransport> = Names {
+    field: "transport",
+    what: "NFS transport",
+    table: &[
+        ("rdma", NfsTransport::Rdma),
+        ("ipoib_rc", NfsTransport::IpoibRc),
+        ("ipoib_ud", NfsTransport::IpoibUd),
+    ],
+};
+
 impl Workload {
     /// Serialize to the internally-tagged JSON layout (`"kind"` tag,
     /// snake_case variant names) scenario files use.
@@ -284,17 +368,17 @@ impl Workload {
             .ok_or("workload: missing \"kind\" tag")?;
         match kind {
             "verbs_latency" => Ok(Workload::VerbsLatency {
-                mode: text("mode")?,
+                mode: LATENCY_MODES.check(text("mode")?)?,
                 size: num("size")? as u32,
                 iters: num("iters")? as u32,
             }),
             "verbs_bandwidth" => Ok(Workload::VerbsBandwidth {
-                transport: text("transport")?,
+                transport: VERBS_TRANSPORTS.check(text("transport")?)?,
                 size: num("size")? as u32,
                 iters: num("iters")?,
             }),
             "ipoib" => Ok(Workload::Ipoib {
-                mode: text("mode")?,
+                mode: IPOIB_MODES.check(text("mode")?)?,
                 mtu: num("mtu")? as u32,
                 window: num("window")?,
                 streams: num("streams")? as usize,
@@ -311,7 +395,7 @@ impl Workload {
                 eager_threshold: num_or("eager_threshold", 0)? as u32,
                 rndv_protocol: match v.get("rndv_protocol") {
                     None => String::new(),
-                    Some(p) => p.as_str().ok_or("workload: bad rndv_protocol")?.to_string(),
+                    Some(_) => RNDV_PROTOCOLS.check(text("rndv_protocol")?)?,
                 },
             }),
             "mpi_bcast" => Ok(Workload::MpiBcast {
@@ -326,10 +410,18 @@ impl Workload {
                 window: num("window")? as u32,
                 iters: num("iters")? as u32,
             }),
-            "nas" => Ok(Workload::Nas {
-                benchmark: text("benchmark")?,
-                ranks_per_cluster: num("ranks_per_cluster")? as usize,
-            }),
+            "nas" => {
+                let benchmark = text("benchmark")?;
+                let bench = NAS_BENCHMARKS.get(&benchmark)?;
+                let ranks_per_cluster = num("ranks_per_cluster")? as usize;
+                nasbench::check_ranks(bench, 2 * ranks_per_cluster).map_err(|e| {
+                    format!("workload: field \"ranks_per_cluster\" is {ranks_per_cluster}: {e}")
+                })?;
+                Ok(Workload::Nas {
+                    benchmark,
+                    ranks_per_cluster,
+                })
+            }
             "mpi_pattern" => Ok(Workload::MpiPattern {
                 ranks_per_cluster: num("ranks_per_cluster")? as usize,
                 spec: mpisim::patterns::Pattern::from_value(
@@ -337,7 +429,7 @@ impl Workload {
                 )?,
             }),
             "nfs" => Ok(Workload::Nfs {
-                transport: text("transport")?,
+                transport: NFS_TRANSPORTS.check(text("transport")?)?,
                 threads: num("threads")? as usize,
                 file_mib: num("file_mib")?,
                 write: flag("write")?,
@@ -479,12 +571,7 @@ impl Scenario {
         };
         match &self.workload {
             Workload::VerbsLatency { mode, size, iters } => {
-                let m = match mode.as_str() {
-                    "send_rc" => LatMode::SendRc,
-                    "send_ud" => LatMode::SendUd,
-                    "write_rc" => LatMode::WriteRc,
-                    other => panic!("unknown latency mode {other:?}"),
-                };
+                let m = LATENCY_MODES.must(mode);
                 let mk = |init| Box::new(PingPong::new(m, init, *size, *iters));
                 let (mut f, a, b) = build_pair(
                     cfg,
@@ -527,11 +614,7 @@ impl Scenario {
                 size,
                 iters,
             } => {
-                let ud = match transport.as_str() {
-                    "ud" => true,
-                    "rc" => false,
-                    other => panic!("unknown transport {other:?}"),
-                };
+                let ud = VERBS_TRANSPORTS.must(transport);
                 let (mut f, a, b) = build_pair(
                     cfg,
                     self.seed,
@@ -567,10 +650,9 @@ impl Scenario {
                 bytes_per_stream,
             } => {
                 assert_eq!(loss, 0, "IPoIB workload models a pristine WAN");
-                let ipoib = match mode.as_str() {
-                    "ud" => IpoibConfig::ud(),
-                    "rc" => IpoibConfig::rc(*mtu),
-                    other => panic!("unknown IPoIB mode {other:?}"),
+                let ipoib = match IPOIB_MODES.must(mode) {
+                    IpoibMode::Ud => IpoibConfig::ud(),
+                    IpoibMode::Rc => IpoibConfig::rc(*mtu),
                 };
                 let mut tcp = TcpConfig::for_mtu(ipoib.mtu).with_window(*window);
                 tcp.init_cwnd_segments = 1 << 20;
@@ -617,12 +699,7 @@ impl Scenario {
                 if *eager_threshold > 0 {
                     mpi.eager_threshold = *eager_threshold;
                 }
-                mpi.rndv_protocol = match rndv_protocol.as_str() {
-                    "" | "rput" => RndvProtocol::Rput,
-                    "rget" => RndvProtocol::Rget,
-                    "r3" => RndvProtocol::R3,
-                    other => panic!("unknown rendezvous protocol {other:?}"),
-                };
+                mpi.rndv_protocol = RNDV_PROTOCOLS.must(rndv_protocol);
                 let spec = contextualize(JobSpec::two_clusters(1, 1, delay).with_mpi(mpi));
                 result(
                     "bandwidth",
@@ -667,14 +744,7 @@ impl Scenario {
                 ranks_per_cluster,
             } => {
                 assert_eq!(loss, 0, "NAS workloads model a pristine WAN");
-                let bench = match benchmark.as_str() {
-                    "is" => NasBenchmark::Is,
-                    "ft" => NasBenchmark::Ft,
-                    "cg" => NasBenchmark::Cg,
-                    "ep" => NasBenchmark::Ep,
-                    "mg" => NasBenchmark::Mg,
-                    other => panic!("unknown NAS benchmark {other:?}"),
-                };
+                let bench = NAS_BENCHMARKS.must(benchmark);
                 let spec = contextualize(JobSpec::two_clusters(
                     *ranks_per_cluster,
                     *ranks_per_cluster,
@@ -721,12 +791,7 @@ impl Scenario {
                 write,
             } => {
                 assert_eq!(loss, 0, "NFS workloads model a pristine WAN");
-                let t = match transport.as_str() {
-                    "rdma" => NfsTransport::Rdma,
-                    "ipoib_rc" => NfsTransport::IpoibRc,
-                    "ipoib_ud" => NfsTransport::IpoibUd,
-                    other => panic!("unknown NFS transport {other:?}"),
-                };
+                let t = NFS_TRANSPORTS.must(transport);
                 let mut s = NfsSetup::scaled(t, *threads, Some(delay));
                 s.file_size = file_mib << 20;
                 s.write = *write;
@@ -997,6 +1062,46 @@ mod tests {
             (
                 r#"{ "kind": "mpi_pattern", "ranks_per_cluster": 4, "spec": { "pattern": "moebius" } }"#,
                 "moebius",
+            ),
+            // Names no run accepts.
+            (
+                r#"{ "kind": "verbs_latency", "mode": "send_xrc", "size": 4, "iters": 5 }"#,
+                r#""mode""#,
+            ),
+            (
+                r#"{ "kind": "verbs_bandwidth", "transport": "uc", "size": 4, "iters": 5 }"#,
+                r#""transport""#,
+            ),
+            (
+                r#"{ "kind": "ipoib", "mode": "cm", "mtu": 2048, "window": 65536, "streams": 1, "bytes_per_stream": 1024 }"#,
+                r#""mode""#,
+            ),
+            (
+                r#"{ "kind": "mpi_bandwidth", "size": 4, "window": 1, "iters": 1, "rndv_protocol": "rdma" }"#,
+                r#""rndv_protocol""#,
+            ),
+            (
+                r#"{ "kind": "nas", "benchmark": "lu", "ranks_per_cluster": 4 }"#,
+                r#""benchmark""#,
+            ),
+            (
+                r#"{ "kind": "nfs", "transport": "udp", "threads": 1, "file_mib": 8 }"#,
+                r#""transport""#,
+            ),
+            // NAS rank counts the skeletons cannot run: none at all, a
+            // total that is not a power of two (recursive-doubling
+            // allreduce), and CG on a grid that is not square (16+16).
+            (
+                r#"{ "kind": "nas", "benchmark": "is", "ranks_per_cluster": 0 }"#,
+                r#""ranks_per_cluster""#,
+            ),
+            (
+                r#"{ "kind": "nas", "benchmark": "ft", "ranks_per_cluster": 3 }"#,
+                r#""ranks_per_cluster""#,
+            ),
+            (
+                r#"{ "kind": "nas", "benchmark": "cg", "ranks_per_cluster": 16 }"#,
+                r#""ranks_per_cluster""#,
             ),
         ];
         for (json, expect) in cases {

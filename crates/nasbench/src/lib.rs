@@ -185,8 +185,30 @@ fn transpose_partner(rank: usize, side: usize) -> usize {
     col * side + row
 }
 
-/// Build the per-rank script for `bench` on `nranks` ranks.
+/// Whether [`program`] can run `bench` on `nranks` ranks: every code's
+/// recursive-doubling allreduce needs a power of two, and CG's transpose
+/// exchange a square process grid.
+pub fn check_ranks(bench: NasBenchmark, nranks: usize) -> Result<(), String> {
+    let p = NasParams::class_b(bench);
+    let name = bench.name();
+    if p.allreduces_per_iter > 0 && !nranks.is_power_of_two() {
+        return Err(format!(
+            "{name} needs a power-of-two rank count, not {nranks}"
+        ));
+    }
+    let side = (nranks as f64).sqrt() as usize;
+    if p.exchange_len > 0 && side * side != nranks {
+        return Err(format!("{name} needs a square rank count, not {nranks}"));
+    }
+    Ok(())
+}
+
+/// Build the per-rank script for `bench` on `nranks` ranks. Panics when
+/// [`check_ranks`] rejects `nranks`.
 pub fn program(bench: NasBenchmark, rank: usize, nranks: usize) -> Vec<Op> {
+    if let Err(e) = check_ranks(bench, nranks) {
+        panic!("{e}");
+    }
     let p = NasParams::class_b(bench);
     let mut tags = TagAlloc::default();
     let mut ops = vec![Op::Mark { id: 0 }];
@@ -235,7 +257,6 @@ pub fn program(bench: NasBenchmark, rank: usize, nranks: usize) -> Vec<Op> {
         }
         if p.exchange_len > 0 {
             let side = (nranks as f64).sqrt() as usize;
-            assert_eq!(side * side, nranks, "CG needs a square process grid");
             let partner = transpose_partner(rank, side);
             for _ in 0..p.exchanges_per_iter {
                 let tag = tags.take();

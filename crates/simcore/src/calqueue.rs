@@ -117,7 +117,9 @@ impl Warmup {
 struct Calendar {
     /// Circular bucket array; bucket `i` holds keys with
     /// `(t / width) & mask == i`. Buckets are unsorted except the cursor
-    /// bucket, which is sorted descending (min at the tail) on arrival.
+    /// bucket, which is sorted descending (min at the tail) when the cursor
+    /// first reaches it and then kept sorted: a push into it is inserted at
+    /// its place by binary search instead of appended and re-sorted.
     buckets: Vec<Vec<HeapKey>>,
     /// One bit per bucket; lets the cursor skip runs of empty buckets a
     /// word at a time.
@@ -129,6 +131,10 @@ struct Calendar {
     /// Low time edge (ns) of the cursor bucket; always a multiple of
     /// `width`. The horizon covers `[cursor_start, cursor_start + n*width)`.
     cursor_start: u64,
+    /// The cursor bucket is in descending order. Starts clear, so the keys a
+    /// graduating heap migrates in are appended and sorted once by the
+    /// first pop; cleared again only by a reseed, which parks the cursor on
+    /// an unsorted bucket.
     cursor_sorted: bool,
     /// Keys in `buckets` (the fallback heap holds `EventQueue::len` minus
     /// this many).
@@ -148,7 +154,7 @@ impl Calendar {
             width,
             cursor: 0,
             cursor_start: 0,
-            cursor_sorted: true,
+            cursor_sorted: false,
             bucket_items: 0,
             overflow: BinaryHeap::new(),
         };
@@ -175,12 +181,18 @@ impl Calendar {
             return;
         }
         let idx = ((t / self.width) as usize) & self.mask;
-        self.buckets[idx].push(key);
+        let b = &mut self.buckets[idx];
+        if idx == self.cursor && self.cursor_sorted {
+            // Keep the sorted cursor bucket sorted: a re-sort would pay a
+            // full O(k log k) for one key. Near-term keys land near the
+            // tail, so the shift is short.
+            let at = b.partition_point(|k| *k > key);
+            b.insert(at, key);
+        } else {
+            b.push(key);
+        }
         self.occ[idx >> 6] |= 1 << (idx & 63);
         self.bucket_items += 1;
-        if idx == self.cursor {
-            self.cursor_sorted = false;
-        }
     }
 
     /// First occupied bucket at or after `from` in rotation order (rotation
@@ -258,9 +270,9 @@ impl Calendar {
     }
 
     /// Sort the cursor bucket descending so `pop()` is `Vec::pop`. `record`
-    /// is set on first arrival at a bucket (not on re-sorts forced by pushes
-    /// into the live bucket) so the occupancy histogram counts each visited
-    /// bucket once.
+    /// is set when the cursor advances onto a bucket, not when it sorts the
+    /// bucket it was parked on (after graduation or a reseed), so the
+    /// occupancy histogram counts each visited bucket once.
     fn sort_cursor(&mut self, counters: &mut EngineCounters, record: bool) {
         let b = &mut self.buckets[self.cursor];
         if record {
@@ -482,12 +494,38 @@ mod tests {
         HeapKey::new(Time::from_ns(at_ns), seq, idx)
     }
 
+    /// The cursor bucket of a forced-calendar queue: its epoch
+    /// `[start, end)`, whether it is sorted, and its minimum time.
+    fn cursor_bucket(q: &EventQueue) -> (u64, u64, bool, Option<u64>) {
+        let Mode::Calendar(c) = &q.mode else {
+            unreachable!("forced-calendar queue")
+        };
+        let min = c.buckets[c.cursor].iter().min().map(|k| k.at().as_ns());
+        (
+            c.cursor_start,
+            c.cursor_start + c.width,
+            c.cursor_sorted,
+            min,
+        )
+    }
+
     /// Drive the same randomized insert/pop workload — duplicate timestamps
     /// with distinct seqs, upper-half arrival seqs, past-cursor and
     /// beyond-horizon times — through a forced-calendar queue and a plain
     /// binary heap; the pop sequences must be identical, element for
-    /// element.
-    fn check_against_heap(seed: u64, width: u64, nbuckets: usize, ops: usize) {
+    /// element. `cursor_pct` percent of the pushes aim inside the cursor
+    /// bucket's current epoch, the in-place insert path: ties with the last
+    /// pop and with the bucket's minimum, and times before and after that
+    /// minimum. A quarter of the pops are `pop_before` with a deadline one
+    /// nanosecond either side of the minimum, or on it. Returns how many
+    /// pushes landed in a sorted cursor bucket.
+    fn check_against_heap(
+        seed: u64,
+        width: u64,
+        nbuckets: usize,
+        ops: usize,
+        cursor_pct: u32,
+    ) -> usize {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut cal = EventQueue::with_calendar(width, nbuckets);
         let mut heap: BinaryHeap<Reverse<HeapKey>> = BinaryHeap::new();
@@ -495,17 +533,35 @@ mod tests {
         let mut seq = 0u64;
         let mut idx = 0u32;
         let mut last_pop_ns = 0u64;
+        let mut inserts = 0;
 
         for _ in 0..ops {
             if rng.gen_range(0..100u32) < 55 || heap.is_empty() {
-                // Mostly future times near the cursor; occasionally far
-                // beyond the horizon (timers) or dead on a previous pop time
-                // (zero-delay self-sends).
-                let t = match rng.gen_range(0..10u32) {
-                    0 => last_pop_ns,                               // same-instant tie, seq breaks it
-                    1 => last_pop_ns + width * nbuckets as u64 * 4, // far future
-                    _ => last_pop_ns + rng.gen_range(0..width * 16),
+                let (start, end, sorted, min) = cursor_bucket(&cal);
+                let t = if rng.gen_range(0..100u32) < cursor_pct {
+                    // Nothing queued is older than the last pop, so the
+                    // epoch's live part starts there.
+                    let lo = last_pop_ns.clamp(start, end - 1);
+                    let min = min.unwrap_or(lo);
+                    match rng.gen_range(0..5u32) {
+                        0 => lo,                         // tie with the last pop
+                        1 => min,                        // tie with the bucket minimum
+                        2 => rng.gen_range(lo..min + 1), // at or before the minimum
+                        _ => rng.gen_range(min..end),    // at or after the minimum
+                    }
+                } else {
+                    // Mostly future times near the cursor; occasionally far
+                    // beyond the horizon (timers) or dead on a previous pop
+                    // time (zero-delay self-sends).
+                    match rng.gen_range(0..10u32) {
+                        0 => last_pop_ns,                               // same-instant tie, seq breaks it
+                        1 => last_pop_ns + width * nbuckets as u64 * 4, // far future
+                        _ => last_pop_ns + rng.gen_range(0..width * 16),
+                    }
                 };
+                if sorted && (start..end).contains(&t) {
+                    inserts += 1;
+                }
                 // Arrival keys live in the upper half of the seq space.
                 let s = if rng.gen_range(0..5u32) == 0 {
                     (1 << 63) | (7u64 << 40) | seq
@@ -517,11 +573,19 @@ mod tests {
                 cal.push(key(t, s, idx));
                 heap.push(Reverse(key(t, s, idx)));
             } else {
-                let got = cal.pop(&mut counters).expect("model non-empty");
-                let Reverse(want) = heap.pop().expect("model non-empty");
-                assert_eq!(got, want, "pop order diverged from the heap");
-                assert_eq!(got.idx, want.idx, "payload index diverged");
-                last_pop_ns = got.at().as_ns();
+                let got = if rng.gen_range(0..4u32) == 0 {
+                    let Reverse(min) = heap.peek().expect("model non-empty");
+                    let deadline = (min.at().as_ns() + rng.gen_range(0..3u64)).saturating_sub(1);
+                    cal.pop_before(Time::from_ns(deadline), &mut counters)
+                } else {
+                    Some(cal.pop(&mut counters).expect("model non-empty"))
+                };
+                if let Some(got) = got {
+                    let Reverse(want) = heap.pop().expect("model non-empty");
+                    assert_eq!(got, want, "pop order diverged from the heap");
+                    assert_eq!(got.idx, want.idx, "payload index diverged");
+                    last_pop_ns = got.at().as_ns();
+                }
             }
             assert_eq!(cal.len(), heap.len());
         }
@@ -531,31 +595,70 @@ mod tests {
             assert_eq!(got, want, "drain order diverged from the heap");
         }
         assert!(cal.pop(&mut counters).is_none());
+        inserts
+    }
+
+    /// Run every seed twice: with the push mix above alone, and with most
+    /// pushes aimed inside the cursor bucket's epoch.
+    fn check_layout(seeds: std::ops::Range<u64>, width: u64, nbuckets: usize, ops: usize) {
+        for seed in seeds {
+            check_against_heap(seed, width, nbuckets, ops, 0);
+            let inserts = check_against_heap(seed, width, nbuckets, ops, 80);
+            assert!(
+                inserts > ops / 4,
+                "seed {seed}: only {inserts} pushes landed in a sorted cursor bucket"
+            );
+        }
     }
 
     #[test]
     fn calendar_matches_heap_on_randomized_workloads() {
-        for seed in 0..8 {
-            check_against_heap(seed, 64, 256, 4000);
-        }
+        check_layout(0..8, 64, 256, 4000);
     }
 
     #[test]
     fn calendar_matches_heap_with_tiny_buckets() {
         // Width 1 with few buckets forces constant horizon overflow — the
         // exact-fallback path carries most of the load and must stay exact.
-        for seed in 0..4 {
-            check_against_heap(seed, 1, 64, 2000);
-        }
+        check_layout(0..4, 1, 64, 2000);
     }
 
     #[test]
     fn calendar_matches_heap_with_huge_buckets() {
-        // Everything collapses into one or two buckets: the in-bucket sort
+        // Everything collapses into one or two buckets: the in-bucket order
         // carries the ordering.
-        for seed in 0..4 {
-            check_against_heap(100 + seed, 1 << 20, 256, 2000);
+        check_layout(100..104, 1 << 20, 256, 2000);
+    }
+
+    #[test]
+    fn pushes_into_the_sorted_cursor_bucket_keep_it_sorted() {
+        let mut q = EventQueue::with_calendar(1000, 64);
+        let mut counters = EngineCounters::default();
+        for (i, t) in [500, 100, 900, 300].into_iter().enumerate() {
+            q.push(key(t, i as u64, i as u32));
         }
+        // The first pop reaches bucket 0 and sorts it.
+        assert_eq!(q.pop(&mut counters).unwrap().at(), Time::from_ns(100));
+        let arrival = (1 << 63) | (7u64 << 40);
+        q.push(key(200, 4, 4)); // before the minimum
+        q.push(key(300, 5, 5)); // tie with the minimum, later seq
+        q.push(key(300, arrival, 6)); // tie, upper-half arrival seq
+        q.push(key(600, 7, 7)); // between two keys
+        q.push(key(999, 8, 8)); // after the maximum, last ns of the epoch
+        let Mode::Calendar(c) = &q.mode else {
+            unreachable!("forced-calendar queue")
+        };
+        assert!(c.cursor_sorted, "a push into the epoch unsorted the bucket");
+        let b = &c.buckets[c.cursor];
+        assert_eq!(b.len(), 8);
+        assert!(
+            b.windows(2).all(|w| w[0] > w[1]),
+            "cursor bucket not strictly descending: {b:?}"
+        );
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop(&mut counters))
+            .map(|k| k.idx)
+            .collect();
+        assert_eq!(order, [4, 3, 5, 6, 0, 7, 2, 8]);
     }
 
     #[test]
