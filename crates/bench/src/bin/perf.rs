@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! perf [--quick] [--json PATH] [--baseline PATH] [--repeat N]
-//!      [--assert-parallel MIN] [--assert-serial MIN]
+//!      [--assert-serial MIN]
 //!
 //!   --quick          time only the Quick-fidelity subset (CI smoke)
 //!   --json PATH      write the result document (default BENCH_engine.json)
@@ -15,34 +15,22 @@
 //!                    computed, and the run exits nonzero if any subset
 //!                    entry regresses >10% (plus 50 ms absolute slack)
 //!   --repeat N       median-of-N timing per experiment (default 3 quick / 1 full)
-//!   --assert-parallel MIN
-//!                    exit nonzero unless every partitioned subset entry
-//!                    reaches `parallel_speedup >= MIN`; skips cleanly (with
-//!                    a message) when fewer than 2 cores are available, so
-//!                    CI can invoke it unconditionally
 //!   --assert-serial MIN
-//!                    exit nonzero unless the serial subset total at the
-//!                    run's top fidelity reaches `baseline_total / total >=
-//!                    MIN` — the serial analogue of --assert-parallel;
+//!                    exit nonzero unless the subset total at the run's top
+//!                    fidelity reaches `baseline_total / total >= MIN`;
 //!                    requires --baseline
 //! ```
 //!
-//! Every experiment is timed twice through [`ibwan_core::runner::run_one`]:
-//! once on the serial engine (a [`RunConfig`] with `PartitionMode::Off`) and
-//! once with WAN-boundary partitioning forced (`PartitionMode::Force`) — two
-//! config values, no process-global engine state. The serial median is the
-//! `secs` field the baseline gate compares — it isolates single-thread
-//! engine regressions from scheduling noise — while `secs_parallel` and
-//! `parallel_speedup` track what the domain engine buys on this machine
-//! (nothing on a 1-core box, where two domain threads time-share one CPU).
-//! Per-experiment domain stats (`domains`, `sync_rounds`,
-//! `events_per_domain`) and the fragment-coalescing tally (trains emitted,
-//! fragments that rode inside a train, the event-reduction ratio) come from
-//! the provenance each `run_one` captures.
+//! Every experiment is timed through [`ibwan_core::runner::run_one`] on the
+//! calling thread, its sweep running one worker per core, as `perf`'s
+//! timings always have. The median is the `secs` field the baseline gate
+//! compares. The fragment-coalescing tally (trains emitted, fragments that
+//! rode inside a train, the event-reduction ratio) comes from the
+//! provenance each `run_one` captures.
 
 use bench::catalog;
 use ibwan_core::runner::run_one;
-use ibwan_core::{Fidelity, PartitionMode, RunConfig};
+use ibwan_core::{Fidelity, RunConfig};
 use minijson::{obj, Value};
 use simcore::stats::median;
 
@@ -54,27 +42,11 @@ const SUBSET: [&str; 3] = ["fig5a", "fig8a", "fig13a"];
 struct Timing {
     id: &'static str,
     fidelity: Fidelity,
-    /// Serial-engine median — the number the baseline gate compares.
+    /// Median wall seconds — the number the baseline gate compares.
     secs: f64,
-    /// Median with partitioning forced at WAN boundaries.
-    secs_parallel: f64,
-    /// `secs / secs_parallel` (1.0 when the experiment never partitions).
-    parallel_speedup: f64,
-    /// Endpoint count of the largest fabric the experiment built — with
-    /// `domains`, the scale column: how many hosts the sweep simulates and
-    /// how wide the engine split them.
+    /// Endpoint count of the largest fabric the experiment built: the scale
+    /// column, how many hosts the sweep simulates.
     hosts: u64,
-    /// Widest domain split the forced run produced (0 = no plan, ran serial).
-    domains: u64,
-    /// Blocking window-synchronization rounds across one forced run.
-    sync_rounds: u64,
-    /// Windows advanced without blocking on a neighbor (batched-horizon
-    /// wins) across one forced run.
-    sync_rounds_saved: u64,
-    /// Nanoseconds domain threads spent parked at window barriers.
-    barrier_ns: u64,
-    /// Events dispatched per domain index in one forced run.
-    events_per_domain: Vec<u64>,
     /// Coalescing tally for one run of this experiment (deterministic, so
     /// identical across repeats): data-path trains emitted and fragments
     /// coalesced, plus the control-path (cumulative-ACK run) equivalents.
@@ -85,18 +57,18 @@ struct Timing {
     /// Fraction of would-be hop events that rode inside a train:
     /// `(fragments + control) coalesced / (events_processed + both)`.
     coalescing_ratio: f64,
-    /// Events one serial run dispatched (deterministic across repeats).
+    /// Events one run dispatched (deterministic across repeats).
     events_processed: u64,
-    /// Serial wall nanoseconds per dispatched event — the per-queue-op cost
+    /// Wall nanoseconds per dispatched event — the per-queue-op cost
     /// column: one pop, one dispatch, and the pushes it causes, amortized.
     ns_per_event: f64,
-    /// Share of serial pops the calendar queue served from its exact
-    /// fallback heap instead of a bucket (0 = pure bucket operation).
+    /// Share of pops the calendar queue served from its exact fallback
+    /// heap instead of a bucket (0 = pure bucket operation).
     cal_fallback_share: f64,
 }
 
 const USAGE: &str = "usage: perf [--quick] [--json PATH] [--baseline PATH] [--repeat N] \
-     [--assert-parallel MIN] [--assert-serial MIN]";
+     [--assert-serial MIN]";
 
 fn bad_usage(msg: &str) -> ! {
     eprintln!("perf: {msg}");
@@ -109,7 +81,6 @@ fn main() {
     let mut json_path = "BENCH_engine.json".to_string();
     let mut baseline_path: Option<String> = None;
     let mut repeat: Option<usize> = None;
-    let mut assert_parallel: Option<f64> = None;
     let mut assert_serial: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -134,18 +105,6 @@ fn main() {
                     v.parse()
                         .unwrap_or_else(|_| bad_usage("--repeat needs an integer")),
                 );
-            }
-            "--assert-parallel" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| bad_usage("--assert-parallel needs a minimum speedup"));
-                let min: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| bad_usage("--assert-parallel needs a number"));
-                if !min.is_finite() || min <= 0.0 {
-                    bad_usage("--assert-parallel needs a positive speedup");
-                }
-                assert_parallel = Some(min);
             }
             "--assert-serial" => {
                 let v = args
@@ -184,57 +143,29 @@ fn main() {
         &[Fidelity::Quick, Fidelity::Full]
     };
 
+    let cores = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
     let mut timings = Vec::new();
     for &fidelity in fidelities {
-        let serial_cfg = RunConfig {
+        let cfg = RunConfig {
             fidelity,
-            partition: PartitionMode::Off,
-            ..RunConfig::default()
-        };
-        let forced_cfg = RunConfig {
-            fidelity,
-            partition: PartitionMode::Force,
+            workers: Some(cores),
             ..RunConfig::default()
         };
         let reps = repeat.unwrap_or(match fidelity {
             Fidelity::Quick => 3,
             Fidelity::Full => 1,
         });
-        // Serial columns first, for the whole subset: these are the
-        // baseline-gated numbers, and the forced-partition reps oversubscribe
-        // the machine (two domain threads per core on small boxes), so
-        // running them earlier would contaminate the serial samples that
-        // follow.
-        let mut serial_cols = Vec::new();
         for e in &subset {
-            let mut serial_samples = Vec::new();
+            let mut samples = Vec::new();
             let mut tally = ibfabric::fabric::RunTally::default();
             for _ in 0..reps.max(1) {
-                let out = run_one(e, &serial_cfg);
-                serial_samples.push(out.provenance.wall_secs);
+                let out = run_one(e, &cfg);
+                samples.push(out.provenance.wall_secs);
                 tally = out.provenance.tally;
             }
-            serial_cols.push((median(&mut serial_samples), tally));
-        }
-
-        for (e, (secs, tally)) in subset.iter().zip(serial_cols) {
-            // Parallel column: partition wherever a domain plan exists. An
-            // experiment with no WAN cut (or a lossy Longbow) still runs
-            // serially under Force; its tally then shows 0 domains.
-            let mut parallel_samples = Vec::new();
-            let mut parts = ibfabric::fabric::RunTally::default();
-            for _ in 0..reps.max(1) {
-                let out = run_one(e, &forced_cfg);
-                parallel_samples.push(out.provenance.wall_secs);
-                parts = out.provenance.tally;
-            }
-            let secs_parallel = median(&mut parallel_samples);
-            let parallel_speedup = if secs_parallel > 0.0 {
-                secs / secs_parallel
-            } else {
-                1.0
-            };
-
+            let secs = median(&mut samples);
             let trains = tally.counters.trains_emitted;
             let frags = tally.counters.fragments_coalesced;
             let ctl_trains = tally.counters.control_trains;
@@ -252,19 +183,13 @@ fn main() {
                 0.0
             };
             eprintln!(
-                "{:8} {fidelity:?}: serial {secs:.3}s, parallel {secs_parallel:.3}s \
-                 ({parallel_speedup:.2}x, median of {reps}), hosts={} domains={} \
-                 sync_rounds={} (saved {}, {:.1} ms parked), \
+                "{:8} {fidelity:?}: {secs:.3}s (median of {reps}), hosts={}, \
                  coalescing {:.1}% ({trains}+{ctl_trains} trains, \
                  {frags}+{ctl_frags} frags), \
                  {ns_per_event:.0} ns/event over {events} events \
                  (fallback pops {:.1}%)",
                 e.id,
                 tally.max_nodes,
-                parts.max_domains,
-                parts.sync_rounds,
-                parts.counters.sync_rounds_saved,
-                parts.counters.barrier_ns as f64 / 1e6,
                 ratio * 100.0,
                 cal_fallback_share * 100.0
             );
@@ -272,14 +197,7 @@ fn main() {
                 id: e.id,
                 fidelity,
                 secs,
-                secs_parallel,
-                parallel_speedup,
                 hosts: tally.max_nodes,
-                domains: parts.max_domains,
-                sync_rounds: parts.sync_rounds,
-                sync_rounds_saved: parts.counters.sync_rounds_saved,
-                barrier_ns: parts.counters.barrier_ns,
-                events_per_domain: parts.events_per_domain,
                 trains_emitted: trains,
                 fragments_coalesced: frags,
                 control_trains: ctl_trains,
@@ -292,9 +210,6 @@ fn main() {
         }
     }
 
-    // The counter probe runs serial: merged partitioned counters match
-    // except `peak_queue_len`, which is a max over per-domain queues and
-    // would drift from the baseline's whole-fabric peak.
     let counters = engine_counters();
     eprintln!(
         "engine counters (8 MiB WAN RC stream): events_processed={} \
@@ -372,22 +287,7 @@ fn main() {
                 ("id", Value::from(t.id)),
                 ("fidelity", Value::from(t.fidelity.name())),
                 ("secs", Value::Num(t.secs)),
-                ("secs_parallel", Value::Num(t.secs_parallel)),
-                ("parallel_speedup", Value::Num(t.parallel_speedup)),
                 ("hosts", Value::from(t.hosts)),
-                ("domains", Value::from(t.domains)),
-                ("sync_rounds", Value::from(t.sync_rounds)),
-                ("sync_rounds_saved", Value::from(t.sync_rounds_saved)),
-                ("barrier_ns", Value::from(t.barrier_ns)),
-                (
-                    "events_per_domain",
-                    Value::Arr(
-                        t.events_per_domain
-                            .iter()
-                            .map(|&e| Value::from(e))
-                            .collect(),
-                    ),
-                ),
                 ("trains_emitted", Value::from(t.trains_emitted)),
                 ("fragments_coalesced", Value::from(t.fragments_coalesced)),
                 ("control_trains", Value::from(t.control_trains)),
@@ -454,20 +354,15 @@ fn main() {
         std::process::exit(1);
     }
 
-    if let Some(min) = assert_parallel {
-        assert_parallel_gate(&timings, min);
-    }
-
     if let Some((min, base_total)) = serial_gate {
         assert_serial_gate(&timings, top_fidelity, base_total, min);
     }
 }
 
-/// `--assert-serial` gate: the serial subset total at the run's top
-/// fidelity must beat the baseline's matching total by at least `min`.
-/// A baseline without a complete subset at that fidelity skips with a
-/// message (nothing sound to compare), mirroring --assert-parallel's
-/// skip-don't-lie behavior.
+/// `--assert-serial` gate: the subset total at the run's top fidelity must
+/// beat the baseline's matching total by at least `min`. A baseline without
+/// a complete subset at that fidelity skips with a message (nothing sound
+/// to compare).
 fn assert_serial_gate(timings: &[Timing], fidelity: Fidelity, base_total: Option<f64>, min: f64) {
     let total: f64 = timings
         .iter()
@@ -502,47 +397,6 @@ fn assert_serial_gate(timings: &[Timing], fidelity: Fidelity, base_total: Option
          ({speedup:.2}x < {min})",
         fidelity.name()
     );
-    std::process::exit(1);
-}
-
-/// `--assert-parallel` gate: every subset entry that actually partitioned
-/// must reach `parallel_speedup >= min`. With fewer than 2 cores free the
-/// forced run time-shares one CPU (or drops to the cooperative executor),
-/// so the assertion is skipped with a message rather than failed — CI can
-/// invoke the flag unconditionally.
-fn assert_parallel_gate(timings: &[Timing], min: f64) {
-    let budget = simcore::domain::spawn_budget();
-    if budget < 2 {
-        eprintln!(
-            "--assert-parallel {min}: skipped (thread budget {budget} < 2; \
-             domain threads would time-share one core)"
-        );
-        return;
-    }
-    let partitioned: Vec<_> = timings.iter().filter(|t| t.domains >= 2).collect();
-    if partitioned.is_empty() {
-        eprintln!("--assert-parallel {min}: FAILED — no subset entry partitioned");
-        std::process::exit(1);
-    }
-    let slow: Vec<_> = partitioned
-        .iter()
-        .filter(|t| t.parallel_speedup < min)
-        .collect();
-    if slow.is_empty() {
-        eprintln!(
-            "--assert-parallel {min}: ok ({} partitioned entr{})",
-            partitioned.len(),
-            if partitioned.len() == 1 { "y" } else { "ies" }
-        );
-        return;
-    }
-    eprintln!("--assert-parallel {min}: FAILED");
-    for t in slow {
-        eprintln!(
-            "  {} {:?}: parallel_speedup {:.2} < {min} (serial {:.3}s, parallel {:.3}s)",
-            t.id, t.fidelity, t.parallel_speedup, t.secs, t.secs_parallel
-        );
-    }
     std::process::exit(1);
 }
 
@@ -583,10 +437,7 @@ fn engine_counters() -> simcore::EngineCounters {
     use ibwan_core::TopoSpec;
     use simcore::Dur;
 
-    let cfg = RunConfig {
-        partition: PartitionMode::Off,
-        ..RunConfig::default()
-    };
+    let cfg = RunConfig::default();
     // 8 MiB in 64 KiB messages: enough fragments (~4k) to reach steady
     // state while keeping the probe itself sub-second.
     let msgs = 128;

@@ -1,26 +1,24 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--full] [--json DIR] [--check DIR] [--no-coalescing] [--serial]
+//! repro [--full] [--json DIR] [--check DIR] [--no-coalescing]
 //!       [--seed N] [--workers N] [--list] [IDS...]
 //!
 //!   IDS       experiment ids to run ("table1", "fig5a", ...; default: all)
 //!   --full    use the Full fidelity (the EXPERIMENTS.md numbers); default
 //!             is Quick
 //!   --json DIR   additionally write each figure as DIR/<id>.json, stamped
-//!             with a provenance block (config digest, seed, engine mode,
-//!             wall time, engine counters)
+//!             with a provenance block (config digest, seed, wall time,
+//!             engine counters)
 //!   --check DIR  regenerate and diff against recorded goldens DIR/<id>.json;
 //!             exit nonzero with a per-series report on any mismatch
 //!   --no-coalescing  force the per-fragment wire path (A/B harness for the
 //!             fragment-train fast path; outputs must be bit-identical)
-//!   --serial  force the single-threaded engine even where a WAN domain
-//!             plan exists (A/B harness for the partitioned engine; outputs
-//!             must be bit-identical). `IBWAN_SERIAL=1` does the same for
-//!             harnesses that cannot pass flags.
 //!   --seed N  offset every experiment's canonical seed by N (robustness
 //!             sweeps; N=0 reproduces the recorded goldens)
-//!   --workers N  cap the experiment-scheduler worker pool
+//!   --workers N  run up to N simulations at once, never more than the
+//!             free cores (default: one per two cores). `--workers $(nproc)`
+//!             runs one simulation per core: faster, more memory
 //!   --list    print machine-readable `id<TAB>description` lines and exit
 //! ```
 //!
@@ -42,7 +40,7 @@ struct Cli {
 }
 
 fn usage_line() -> &'static str {
-    "usage: repro [--full] [--json DIR] [--check DIR] [--no-coalescing] [--serial]\n\
+    "usage: repro [--full] [--json DIR] [--check DIR] [--no-coalescing]\n\
      \x20            [--seed N] [--workers N] [--list] [IDS...]"
 }
 
@@ -101,10 +99,6 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Cli {
                 once(&mut seen, "--no-coalescing");
                 cli.cfg.coalescing = false;
             }
-            "--serial" => {
-                once(&mut seen, "--serial");
-                cli.cfg.partition = ibwan_core::PartitionMode::Off;
-            }
             "--seed" => {
                 once(&mut seen, "--seed");
                 let v = args
@@ -152,7 +146,6 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Cli {
             other => cli.ids.push(other.to_string()),
         }
     }
-    cli.cfg = cli.cfg.with_env_aliases();
     cli
 }
 

@@ -14,7 +14,7 @@ use bench::find;
 use ibfabric::perftest::{rc_qp_pair, BwConfig, BwPeer};
 use ibfabric::qp::QpConfig;
 use ibwan_core::topo::build_pair;
-use ibwan_core::{PartitionMode, RunConfig, TopoSpec};
+use ibwan_core::{RunConfig, TopoSpec};
 
 use simcore::Dur;
 
@@ -56,32 +56,6 @@ fn assert_coalescing_invisible(id: &str) {
         coalesced.to_json(),
         per_fragment.to_json(),
         "{id}: JSON changed when coalescing was disabled"
-    );
-}
-
-/// Run a catalog experiment on the serial engine and on the partitioned
-/// engine (Force) and demand bit-identical output: domain partitioning is a
-/// pure wall-clock optimization, so every table cell and JSON byte must
-/// survive the A/B flip — the same contract coalescing holds to.
-fn assert_partitioning_invisible(id: &str) {
-    let e = find(id).unwrap_or_else(|| panic!("experiment {id} missing from catalog"));
-    let serial = (e.run)(&RunConfig {
-        partition: PartitionMode::Off,
-        ..RunConfig::default()
-    });
-    let partitioned = (e.run)(&RunConfig {
-        partition: PartitionMode::Force,
-        ..RunConfig::default()
-    });
-    assert_eq!(
-        serial.to_table(),
-        partitioned.to_table(),
-        "{id}: table changed on the partitioned engine"
-    );
-    assert_eq!(
-        serial.to_json(),
-        partitioned.to_json(),
-        "{id}: JSON changed on the partitioned engine"
     );
 }
 
@@ -143,21 +117,6 @@ fn ack_run_coalescing_is_invisible_and_exercised() {
     }
 }
 
-#[test]
-fn rc_verbs_figure_is_identical_serial_and_partitioned() {
-    assert_partitioning_invisible("fig5a");
-}
-
-#[test]
-fn mpi_figure_is_identical_serial_and_partitioned() {
-    assert_partitioning_invisible("fig8a");
-}
-
-#[test]
-fn nfs_figure_is_identical_serial_and_partitioned() {
-    assert_partitioning_invisible("fig13a");
-}
-
 /// The seed offset must shift the whole run onto a different deterministic
 /// trajectory — and back: offset 0 is the identity.
 #[test]
@@ -184,41 +143,6 @@ fn seed_offset_is_deterministic_and_zero_is_identity() {
         shifted_b.to_json(),
         "a shifted seed must still be deterministic"
     );
-}
-
-/// Determinism must come from the window protocol, not from lucky thread
-/// scheduling: stagger each domain thread's start by increasingly hostile
-/// offsets and demand the bit-identical figure every time.
-#[test]
-fn partitioned_schedule_survives_thread_start_jitter() {
-    use simcore::domain::set_test_start_jitter_us;
-
-    /// Clear the jitter knob on drop so a failure here can't slow every
-    /// later partitioned run in this binary.
-    struct JitterGuard;
-    impl Drop for JitterGuard {
-        fn drop(&mut self) {
-            set_test_start_jitter_us(0);
-        }
-    }
-
-    let cfg = RunConfig {
-        partition: PartitionMode::Force,
-        ..RunConfig::default()
-    };
-    let _jitter = JitterGuard;
-    let e = find("fig5a").expect("fig5a missing from catalog");
-    set_test_start_jitter_us(0);
-    let baseline = (e.run)(&cfg);
-    for us in [50, 500, 1500, 4000] {
-        set_test_start_jitter_us(us);
-        let jittered = (e.run)(&cfg);
-        assert_eq!(
-            baseline.to_json(),
-            jittered.to_json(),
-            "fig5a drifted under {us}us thread-start jitter"
-        );
-    }
 }
 
 /// Whole-fabric report equality, including the engine's event counters: two

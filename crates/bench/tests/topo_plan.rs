@@ -1,183 +1,36 @@
-//! Property tests for the N-way partition planner over generated
-//! topologies: `FabricBuilder::compute_plan` must cut any set of WAN
-//! cables — 2/3/4-site chains, hub-and-spoke stars, bare `link_wan`
-//! cables — into one domain per site with a symmetric, conservative
-//! lookahead matrix, and the partitioned engine must replay every
-//! generated fabric bit-identically to the serial one.
+//! Run-time exactness on generated fabrics: fragment-train coalescing must
+//! be invisible on every shape the `TopoSpec` generators produce — 2/3/4-site
+//! Longbow chains, a hub-and-spoke star, and a chain of bare `Plain` WAN
+//! cables — with one RC stream crossing every WAN hop between the end
+//! sites.
 //!
-//! Like `tests/protocols.rs`, these walk deterministic case grids
-//! instead of drawing from a proptest RNG: every failure reproduces.
+//! Like `tests/protocols.rs`, this walks a deterministic case grid instead
+//! of drawing from a proptest RNG: every failure reproduces.
 
-use ibfabric::fabric::{EngineProfile, Fabric, NodeHandle, PartitionMode};
+use ibfabric::fabric::{EngineProfile, FabricReport};
 use ibfabric::hca::HcaConfig;
 use ibfabric::perftest::{rc_qp_pair, BwConfig, BwPeer};
 use ibfabric::qp::QpConfig;
 use ibfabric::ulp::{NullUlp, Ulp};
-use ibwan_core::topo::{WanSpec, WanStyle};
+use ibwan_core::topo::WanStyle;
 use ibwan_core::TopoSpec;
-use simcore::domain::DomainSpec;
-use simcore::Dur;
+use simcore::{Dur, Time};
 
-fn null(_: usize) -> Box<dyn Ulp> {
-    Box::new(NullUlp)
+/// What one run of [`stream_observables`] saw.
+struct Observed {
+    /// Bytes the last host received.
+    delivered: u64,
+    /// The sender's measured bandwidth.
+    bandwidth: f64,
+    /// Virtual time at quiescence.
+    end: Time,
+    report: FabricReport,
 }
 
-fn build(spec: &TopoSpec, partition: PartitionMode) -> (Fabric, Vec<NodeHandle>) {
-    let profile = EngineProfile {
-        partition,
-        ..EngineProfile::default()
-    };
-    spec.build(11, profile, HcaConfig::default(), null)
-}
-
-fn plan_of(spec: &TopoSpec) -> (Fabric, Vec<NodeHandle>, DomainSpec) {
-    let (f, nodes) = build(spec, PartitionMode::Force);
-    let plan = f
-        .domain_plan()
-        .unwrap_or_else(|| panic!("spec must split: {}", spec.describe()))
-        .clone();
-    (f, nodes, plan)
-}
-
-/// Every generated multi-WAN spec yields one domain per site, hosts land
-/// in their site's domain, and the lookahead matrix is finite exactly on
-/// directly-cabled site pairs — symmetrically.
-#[test]
-fn chains_and_stars_plan_one_domain_per_site() {
-    let specs: Vec<TopoSpec> = vec![
-        TopoSpec::multi_site(2, 1, Dur::from_ms(1)),
-        TopoSpec::multi_site(3, 2, Dur::from_ms(1)),
-        TopoSpec::multi_site(4, 1, Dur::from_us(500)),
-        TopoSpec::star(2, 1, Dur::from_ms(1)),
-        TopoSpec::star(3, 2, Dur::from_us(800)),
-    ];
-    for spec in &specs {
-        let (_f, nodes, plan) = plan_of(spec);
-        assert_eq!(
-            plan.domains,
-            spec.sites.len(),
-            "one domain per site: {}",
-            spec.describe()
-        );
-        // Hosts of one site share a domain; hosts of different sites don't.
-        for (a, na) in nodes.iter().enumerate() {
-            for (b, nb) in nodes.iter().enumerate() {
-                let same_site = spec.site_of(a) == spec.site_of(b);
-                assert_eq!(
-                    plan.domain_of[na.actor] == plan.domain_of[nb.actor],
-                    same_site,
-                    "hosts {a}/{b}: {}",
-                    spec.describe()
-                );
-            }
-        }
-        // Direct cables have finite symmetric lookahead; everything else
-        // (including the diagonal) is unreachable in one hop.
-        let cabled = |s: usize, d: usize| {
-            spec.wans
-                .iter()
-                .any(|w| (w.from, w.to) == (s, d) || (w.from, w.to) == (d, s))
-        };
-        let host_domain = |site: usize| {
-            let host = (0..spec.total_hosts())
-                .find(|&h| spec.site_of(h) == site)
-                .unwrap();
-            plan.domain_of[nodes[host].actor] as usize
-        };
-        for s in 0..spec.sites.len() {
-            for d in 0..spec.sites.len() {
-                let (ds, dd) = (host_domain(s), host_domain(d));
-                let l = plan.lookahead_ns[ds][dd];
-                if s != d && cabled(s, d) {
-                    assert_ne!(l, u64::MAX, "cut {s}->{d}: {}", spec.describe());
-                    assert_eq!(
-                        l,
-                        plan.lookahead_ns[dd][ds],
-                        "lookahead must be symmetric on Longbow cables: {}",
-                        spec.describe()
-                    );
-                    // Conservative floor: never below the WAN wire latency.
-                    assert!(l >= 100, "lookahead under cable latency: {l}");
-                    assert!(
-                        plan.tail_safe[ds][dd],
-                        "uncredited Longbow cut must be tail-safe: {}",
-                        spec.describe()
-                    );
-                } else {
-                    assert_eq!(
-                        l,
-                        u64::MAX,
-                        "no direct cable {s}->{d} but finite lookahead: {}",
-                        spec.describe()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Longbow emulated distance rides the plan: a longer WAN hop must never
-/// shrink any pair's lookahead, and grows the cut pair's.
-#[test]
-fn lookahead_grows_with_wan_delay() {
-    let near = plan_of(&TopoSpec::multi_site(3, 1, Dur::from_us(200))).2;
-    let far = plan_of(&TopoSpec::multi_site(3, 1, Dur::from_ms(2))).2;
-    let min_near = near.min_lookahead().unwrap();
-    let min_far = far.min_lookahead().unwrap();
-    assert!(
-        min_far > min_near,
-        "2 ms hops must widen the window over 200 us hops: {min_far:?} vs {min_near:?}"
-    );
-}
-
-/// Credited (shallow-buffered) WAN cables stall mid-flight when the credit
-/// pool drains, so staged arrival times are not monotone: the planner must
-/// cut them but refuse the tail-safe promise.
-#[test]
-fn credited_cables_cut_but_are_not_tail_safe() {
-    let mut spec = TopoSpec::multi_site(3, 1, Dur::from_ms(1));
-    spec.wans[1] = WanSpec {
-        style: WanStyle::Shallow { credits: 16 },
-        ..spec.wans[1]
-    };
-    let (_f, nodes, plan) = plan_of(&spec);
-    assert_eq!(plan.domains, 3);
-    let dom = |host: usize| plan.domain_of[nodes[host].actor] as usize;
-    // Hop 0-1 is a stock Longbow: serialized, tail-safe.
-    assert!(plan.tail_safe[dom(0)][dom(1)]);
-    assert!(plan.tail_safe[dom(1)][dom(0)]);
-    // Hop 1-2 is credited: still cut (finite lookahead), never tail-safe.
-    assert_ne!(plan.lookahead_ns[dom(1)][dom(2)], u64::MAX);
-    assert!(!plan.tail_safe[dom(1)][dom(2)]);
-    assert!(!plan.tail_safe[dom(2)][dom(1)]);
-}
-
-/// Bare switch-to-switch WAN cables (`link_wan`, no bridges) must also be
-/// cut, with the cable's true propagation as the lookahead.
-#[test]
-fn bare_wan_cables_cut_at_true_propagation() {
-    let mut spec = TopoSpec::multi_site(3, 1, Dur::from_ms(1));
-    for w in &mut spec.wans {
-        w.style = WanStyle::Plain;
-    }
-    let (_f, nodes, plan) = plan_of(&spec);
-    assert_eq!(plan.domains, 3);
-    let dom = |host: usize| plan.domain_of[nodes[host].actor] as usize;
-    // Plain cable latency = 100 ns base + 1 ms distance, no bridge term.
-    let want = 100 + Dur::from_ms(1).as_ns();
-    assert_eq!(plan.lookahead_ns[dom(0)][dom(1)], want);
-    assert_eq!(plan.lookahead_ns[dom(1)][dom(0)], want);
-}
-
-/// One RC stream host 0 → last host across a generated spec; returns
-/// (delivered bytes, sender bandwidth) — the observables that must
-/// survive the serial/partitioned flip bit-for-bit.
-fn stream_observables(spec: &TopoSpec, partition: PartitionMode, msgs: u64) -> (u64, f64) {
+/// One RC stream host 0 → last host across a generated spec under
+/// `profile`.
+fn stream_observables(spec: &TopoSpec, profile: EngineProfile, msgs: u64) -> Observed {
     let last = spec.total_hosts() - 1;
-    let profile = EngineProfile {
-        partition,
-        ..EngineProfile::default()
-    };
     let (mut f, nodes) = spec.build(23, profile, HcaConfig::default(), |host| {
         if host == 0 {
             Box::new(BwPeer::sender(BwConfig::new(65536, msgs))) as Box<dyn Ulp>
@@ -190,37 +43,53 @@ fn stream_observables(spec: &TopoSpec, partition: PartitionMode, msgs: u64) -> (
     let (qa, qb) = rc_qp_pair(&mut f, nodes[0], nodes[last], QpConfig::rc());
     f.hca_mut(nodes[0]).ulp_mut::<BwPeer>().qpn = qa;
     f.hca_mut(nodes[last]).ulp_mut::<BwPeer>().qpn = qb;
-    f.run();
-    let bw = f.hca(nodes[0]).ulp::<BwPeer>().bandwidth_mbs();
-    let delivered = f.hca(nodes[last]).ulp::<BwPeer>().received();
-    (delivered, bw)
+    let end = f.run();
+    Observed {
+        delivered: f.hca(nodes[last]).ulp::<BwPeer>().received(),
+        bandwidth: f.hca(nodes[0]).ulp::<BwPeer>().bandwidth_mbs(),
+        end,
+        report: f.report(),
+    }
 }
 
-/// Serial vs. forced-partitioned bit-equality on every generated shape:
-/// chains (2/3/4 sites) and a star, streaming end-to-end so the traffic
-/// crosses one or two cuts.
+/// Coalescing on vs. off, bit for bit, on every generated shape. Only the
+/// 2-site chain keeps every switch at two ports, so only there may trains
+/// form; its coalesced leg must emit some, or the A/B compares two
+/// per-fragment runs.
 #[test]
-fn generated_fabrics_replay_bit_identically_partitioned() {
+fn generated_fabrics_replay_bit_identically_without_coalescing() {
+    let mut plain = TopoSpec::multi_site(3, 1, Dur::from_ms(1));
+    for w in &mut plain.wans {
+        w.style = WanStyle::Plain;
+    }
     let specs: Vec<TopoSpec> = vec![
         TopoSpec::multi_site(2, 1, Dur::from_ms(1)),
         TopoSpec::multi_site(3, 1, Dur::from_ms(1)),
         TopoSpec::multi_site(4, 1, Dur::from_us(500)),
         TopoSpec::star(3, 1, Dur::from_ms(1)),
+        plain,
     ];
-    for spec in &specs {
-        let serial = stream_observables(spec, PartitionMode::Off, 64);
-        let forced = stream_observables(spec, PartitionMode::Force, 64);
+    for (i, spec) in specs.iter().enumerate() {
+        let coalesced = stream_observables(spec, EngineProfile::default(), 64);
+        let per_fragment = stream_observables(spec, EngineProfile::no_coalescing(), 64);
+        let what = spec.describe();
+        assert!(coalesced.delivered > 0, "nothing delivered: {what}");
         assert_eq!(
-            serial.0,
-            forced.0,
-            "delivered bytes drifted: {}",
-            spec.describe()
+            coalesced.delivered, per_fragment.delivered,
+            "delivered bytes drifted: {what}"
         );
         assert_eq!(
-            serial.1.to_bits(),
-            forced.1.to_bits(),
-            "bandwidth drifted bit-wise: {}",
-            spec.describe()
+            coalesced.bandwidth.to_bits(),
+            per_fragment.bandwidth.to_bits(),
+            "bandwidth drifted bit-wise: {what}"
         );
+        assert_eq!(coalesced.end, per_fragment.end, "end time drifted: {what}");
+        if i == 0 {
+            assert!(
+                coalesced.report.engine_counters.trains_emitted > 0,
+                "the 2-site chain emitted no trains — the A/B is vacuous: {:?}",
+                coalesced.report.engine_counters
+            );
+        }
     }
 }

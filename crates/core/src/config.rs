@@ -1,17 +1,15 @@
 //! The explicit run context threaded from the CLI down to the engine.
 //!
-//! A [`RunConfig`] carries every knob that used to live in process-global
-//! mutable state (`set_default_coalescing`, `set_partition_mode`,
-//! `IBWAN_SERIAL`): fidelity, fragment-train coalescing, the partitioned
-//! engine choice, a seed offset, and the sweep worker budget. Binaries parse
-//! their flags into one config up front, and everything below — registry
+//! A [`RunConfig`] carries every run knob: fidelity, fragment-train
+//! coalescing, a seed offset, and the worker count. Binaries parse their
+//! flags into one config up front, and everything below — registry
 //! entries, `Scenario::run`, the topology helpers, `FabricBuilder` — takes
 //! it (or the [`EngineProfile`] derived from it) as an argument. Flag order
-//! can no longer matter and concurrent runs with different configs cannot
+//! cannot matter and concurrent runs with different configs cannot
 //! interfere.
 
 use crate::Fidelity;
-pub use ibfabric::fabric::{EngineProfile, PartitionMode};
+pub use ibfabric::fabric::EngineProfile;
 
 /// Everything that parameterizes one experiment run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -21,15 +19,14 @@ pub struct RunConfig {
     /// Fragment-train coalescing on the wire path (`--no-coalescing` clears
     /// it). A/B-invisible in every virtual-time observable.
     pub coalescing: bool,
-    /// Serial vs partitioned engine (`--serial` pins `Off`). Also
-    /// A/B-invisible.
-    pub partition: PartitionMode,
     /// Additive offset applied to every experiment's canonical seed via
     /// [`RunConfig::seed_for`]. The default `0` reproduces the recorded
     /// goldens bit-for-bit; any other value shifts the whole run onto a
     /// different deterministic trajectory.
     pub seed: u64,
-    /// Cap on sweep worker threads (`None` = derive from the machine).
+    /// Simulations to run at once (`--workers`). `None` runs one per two
+    /// free cores; either way a pool never runs more workers than it has
+    /// free cores or inputs (see [`crate::sweep::parallel_map`]).
     pub workers: Option<usize>,
 }
 
@@ -38,7 +35,6 @@ impl Default for RunConfig {
         RunConfig {
             fidelity: Fidelity::Quick,
             coalescing: true,
-            partition: PartitionMode::Auto,
             seed: 0,
             workers: None,
         }
@@ -58,7 +54,6 @@ impl RunConfig {
     pub fn engine(&self) -> EngineProfile {
         EngineProfile {
             coalescing: self.coalescing,
-            partition: self.partition,
         }
     }
 
@@ -69,26 +64,14 @@ impl RunConfig {
         canonical.wrapping_add(self.seed)
     }
 
-    /// Apply the `IBWAN_SERIAL=1` environment alias: the env-var twin of
-    /// `--serial`, for harnesses that cannot pass flags through. Called by
-    /// binaries once at startup, never by the library — the library layer
-    /// only ever sees the resulting config.
-    pub fn with_env_aliases(mut self) -> Self {
-        if std::env::var_os("IBWAN_SERIAL").is_some_and(|v| v == "1") {
-            self.partition = PartitionMode::Off;
-        }
-        self
-    }
-
     /// Canonical one-line description, the digest input. Excludes `workers`:
     /// the worker budget affects wall clock only, never results, so two runs
     /// differing only in `workers` share a digest.
     pub fn describe(&self) -> String {
         format!(
-            "fidelity={} coalescing={} partition={} seed={}",
+            "fidelity={} coalescing={} seed={}",
             self.fidelity.name(),
             self.coalescing,
-            partition_name(self.partition),
             self.seed,
         )
     }
@@ -105,15 +88,6 @@ impl RunConfig {
             hash = hash.wrapping_mul(FNV_PRIME);
         }
         format!("{hash:016x}")
-    }
-}
-
-/// Stable lowercase name for a partition mode (provenance / describe).
-pub fn partition_name(mode: PartitionMode) -> &'static str {
-    match mode {
-        PartitionMode::Auto => "auto",
-        PartitionMode::Off => "off",
-        PartitionMode::Force => "force",
     }
 }
 
@@ -136,10 +110,7 @@ mod tests {
     #[test]
     fn digest_distinguishes_configs_but_not_workers() {
         let base = RunConfig::default();
-        let serial = RunConfig {
-            partition: PartitionMode::Off,
-            ..base
-        };
+        let shifted = RunConfig { seed: 1, ..base };
         let nocoal = RunConfig {
             coalescing: false,
             ..base
@@ -148,9 +119,9 @@ mod tests {
             workers: Some(3),
             ..base
         };
-        assert_ne!(base.digest(), serial.digest());
+        assert_ne!(base.digest(), shifted.digest());
         assert_ne!(base.digest(), nocoal.digest());
-        assert_ne!(serial.digest(), nocoal.digest());
+        assert_ne!(shifted.digest(), nocoal.digest());
         assert_eq!(
             base.digest(),
             budgeted.digest(),
@@ -163,11 +134,9 @@ mod tests {
     fn engine_profile_mirrors_config() {
         let cfg = RunConfig {
             coalescing: false,
-            partition: PartitionMode::Force,
             ..RunConfig::default()
         };
-        let p = cfg.engine();
-        assert!(!p.coalescing);
-        assert_eq!(p.partition, PartitionMode::Force);
+        assert_eq!(cfg.engine(), EngineProfile::no_coalescing());
+        assert_eq!(RunConfig::default().engine(), EngineProfile::default());
     }
 }

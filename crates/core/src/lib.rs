@@ -53,7 +53,7 @@ pub mod topo;
 pub mod topo_exp;
 pub mod verbs;
 
-pub use config::{EngineProfile, PartitionMode, RunConfig};
+pub use config::{EngineProfile, RunConfig};
 pub use registry::{catalog, Experiment};
 pub use results::{Figure, Series};
 pub use topo::{build_pair, build_topo, TopoSpec};

@@ -4,20 +4,17 @@
 //!
 //! All three binaries (`repro`, `ibwan_sim`, `perf`) go through this module
 //! instead of rolling their own loops, so progress reporting, worker
-//! budgeting, shape checks, and the provenance block are identical
-//! everywhere. The pool budget composes with the per-experiment sweeps in
-//! [`crate::sweep`]: runner workers register themselves via
-//! [`simcore::domain::register_external_workers`], so nested
-//! `parallel_map` calls (and `Fabric::run` auto-partition decisions) see
-//! how much of the machine the runner already claims.
+//! counts, shape checks, and the provenance block are identical
+//! everywhere. The runner's pool is a [`crate::sweep::parallel_map`] pool,
+//! so it and the per-experiment sweeps inside it share one sizing rule.
 
-use crate::config::{partition_name, RunConfig};
+use crate::config::RunConfig;
 use crate::registry::Experiment;
 use crate::results::Figure;
+use crate::sweep::parallel_map;
 use ibfabric::fabric::{self, RunTally};
 use minijson::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Where one figure came from: the run context and engine evidence stamped
@@ -30,14 +27,12 @@ pub struct Provenance {
     pub config: String,
     /// The config's seed offset (0 = canonical golden trajectory).
     pub seed: u64,
-    /// Requested engine mode ("auto" / "off" / "force").
-    pub engine_mode: &'static str,
     /// Fidelity name ("quick" / "full").
     pub fidelity: &'static str,
     /// Wall-clock seconds spent regenerating the figure.
     pub wall_secs: f64,
     /// Engine statistics accumulated while the figure ran (merged across
-    /// every sweep worker and domain thread the experiment used).
+    /// every sweep worker the experiment used).
     pub tally: RunTally,
 }
 
@@ -48,7 +43,6 @@ impl Provenance {
             config_digest: cfg.digest(),
             config: cfg.describe(),
             seed: cfg.seed,
-            engine_mode: partition_name(cfg.partition),
             fidelity: cfg.fidelity.name(),
             wall_secs,
             tally,
@@ -66,7 +60,6 @@ impl Provenance {
             ),
             ("config".into(), Value::from(self.config.clone())),
             ("seed".into(), num(self.seed)),
-            ("engine_mode".into(), Value::from(self.engine_mode)),
             ("fidelity".into(), Value::from(self.fidelity)),
             ("wall_secs".into(), Value::Num(self.wall_secs)),
             (
@@ -86,16 +79,7 @@ impl Provenance {
                         "cal_bucket_occupancy".into(),
                         Value::Arr(c.cal_bucket_occupancy.iter().map(|&b| num(b)).collect()),
                     ),
-                    ("sync_rounds_saved".into(), num(c.sync_rounds_saved)),
-                    ("barrier_ns".into(), num(c.barrier_ns)),
-                    (
-                        "round_events".into(),
-                        Value::Arr(c.round_events.iter().map(|&b| num(b)).collect()),
-                    ),
                     ("serial_runs".into(), num(self.tally.serial_runs)),
-                    ("partitioned_runs".into(), num(self.tally.partitioned_runs)),
-                    ("sync_rounds".into(), num(self.tally.sync_rounds)),
-                    ("max_domains".into(), num(self.tally.max_domains)),
                     ("topos_built".into(), num(self.tally.topos_built)),
                     // 16-hex-digit string: u64 digests overflow f64 precision.
                     (
@@ -174,95 +158,32 @@ pub fn run_scenario(
 /// last), but results come back in input order. `progress` is called once
 /// per completed experiment with a one-line summary — binaries stream it
 /// to stderr so `--json`/stdout output stays machine-readable. The pool is
-/// budgeted exactly like [`crate::sweep::parallel_map`]: workers × engine
-/// threads per job ≤ available cores, shrunk by any enclosing pool's claim
-/// and capped by `cfg.workers`. Worker panics re-raise the first payload
-/// in the caller after every worker joins.
+/// a [`parallel_map`] pool, sized by the same rule as every experiment's
+/// own sweep. Worker panics re-raise the first payload in the caller after
+/// every worker joins.
 pub fn run_jobs<F>(jobs: Vec<Experiment>, cfg: &RunConfig, progress: F) -> Vec<RunOutcome>
 where
     F: Fn(&str) + Sync,
 {
     let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
     // Claim order: indices sorted by declared cost, most expensive first.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cost));
-
-    let avail = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let avail = avail
-        .saturating_sub(simcore::domain::external_workers())
-        .max(1);
-    // Threads one job may occupy: the widest engine split declared by any
-    // job in the set ([`Experiment::engine_threads`]), debited *before*
-    // siblings are claimed so a >2-domain job can never oversubscribe the
-    // machine with domain threads. Serial configs pin every job to one.
-    let per_job = match cfg.partition {
-        crate::config::PartitionMode::Off => 1,
-        _ => jobs
-            .iter()
-            .map(|j| j.engine_threads.max(1))
-            .max()
-            .unwrap_or(1),
-    };
-    let mut workers = (avail / per_job).max(1).min(n);
-    if let Some(cap) = cfg.workers {
-        workers = workers.min(cap.max(1));
-    }
-    let _external = simcore::domain::register_external_workers(workers);
-    // Each worker owns an equal share of the claimed cores; granting the
-    // share as a thread allowance makes nested partition decisions
-    // (`simcore::domain::spawn_budget`) see it instead of the whole
-    // machine. On a 1-core box the share is 1, so partitioned jobs fall
-    // back to the cooperative executor rather than spawning threads.
-    let allowance = (avail / workers).max(1);
-
-    let results: Vec<Mutex<Option<RunOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    let first_panic = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let _allow = simcore::domain::set_thread_allowance(allowance);
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        if slot >= n {
-                            break;
-                        }
-                        let i = order[slot];
-                        let out = run_one(&jobs[i], cfg);
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        let points: usize = out.figure.series.iter().map(|s| s.points.len()).sum();
-                        progress(&format!(
-                            "[{finished}/{n}] {id}: {ns} series, {points} points in {secs:.2}s",
-                            id = out.id,
-                            ns = out.figure.series.len(),
-                            secs = out.provenance.wall_secs,
-                        ));
-                        *results[i].lock().unwrap() = Some(out);
-                    }
-                })
-            })
-            .collect();
-        let mut first = None;
-        for h in handles {
-            if let Err(payload) = h.join() {
-                first.get_or_insert(payload);
-            }
-        }
-        first
+    let mut outcomes = parallel_map(cfg, order, |i| {
+        let out = run_one(&jobs[i], cfg);
+        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+        let points: usize = out.figure.series.iter().map(|s| s.points.len()).sum();
+        progress(&format!(
+            "[{finished}/{n}] {id}: {ns} series, {points} points in {secs:.2}s",
+            id = out.id,
+            ns = out.figure.series.len(),
+            secs = out.provenance.wall_secs,
+        ));
+        (i, out)
     });
-    if let Some(payload) = first_panic {
-        std::panic::resume_unwind(payload);
-    }
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("missing outcome"))
-        .collect()
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
+    outcomes.into_iter().map(|(_, out)| out).collect()
 }
 
 /// Compare a regenerated figure against a recorded golden, returning one
@@ -371,6 +292,7 @@ mod tests {
     use super::*;
     use crate::registry;
     use crate::results::Series;
+    use std::sync::Mutex;
 
     fn fig(id: &str, points: &[(f64, f64)]) -> Figure {
         let mut f = Figure::new(id, "t", "x", "y");
@@ -431,7 +353,6 @@ mod tests {
         assert_eq!(out.id, "table1");
         assert_eq!(out.provenance.config_digest, cfg.digest());
         assert_eq!(out.provenance.fidelity, "quick");
-        assert_eq!(out.provenance.engine_mode, "auto");
         let json = stamped_value(&out.figure, &out.provenance).to_pretty();
         assert!(json.contains("\"provenance\""));
         assert!(json.contains("\"config_digest\""));

@@ -544,15 +544,8 @@ impl Scenario {
 
     /// Run the scenario and return its headline number.
     ///
-    /// The config supplies the engine profile: each `Fabric::run` consults
-    /// the domain plan its builder computed and the config's
-    /// [`PartitionMode`], so WAN scenarios may execute on the partitioned
-    /// engine while LAN scenarios stay serial. Results are identical either
-    /// way (golden A/B tests in `bench`); pass a config with
-    /// `PartitionMode::Off` for apples-to-apples timing comparisons
-    /// (`repro --serial`, `perf`'s serial column).
-    ///
-    /// [`PartitionMode`]: ibfabric::fabric::PartitionMode
+    /// The config supplies the engine profile (fragment-train coalescing,
+    /// invisible in every result) and the seed offset.
     pub fn run(&self, cfg: &RunConfig) -> ScenarioResult {
         let delay = Dur::from_us(self.topology.delay_us);
         let loss = self.topology.loss_ppm;

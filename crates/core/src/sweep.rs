@@ -1,30 +1,60 @@
 //! Parallel parameter sweeps: simulations are deterministic and independent
 //! per configuration, so sweeps fan out across a bounded worker pool.
 //!
-//! A single configuration may itself run on the partitioned domain engine
-//! (two threads for the paper's two-cluster topologies), so the pool divides
-//! the machine between *sweep* parallelism and *engine* parallelism instead
-//! of multiplying them: workers × threads-per-job ≤ available cores.
+//! Pools nest. The experiment runner ([`crate::runner::run_jobs`]) runs
+//! its experiments through [`parallel_map`], and an experiment's own sweep
+//! opens a second pool on the runner's worker thread. Every pool claims its
+//! workers in one process-wide count while it runs, and a pool opened inside
+//! another subtracts that claim from the machine's cores before sizing
+//! itself, so nested pools share the cores instead of multiplying them.
 
-use crate::config::{PartitionMode, RunConfig};
+use crate::config::RunConfig;
 use ibfabric::fabric::{self, RunTally};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// Workers claimed by every pool now running, process-wide.
+static CLAIMED: AtomicUsize = AtomicUsize::new(0);
+
+/// A pool's claim on `count`, released on drop — also during a panic
+/// unwind, so a failed sweep cannot shrink every later pool in the process.
+struct Claim<'a> {
+    count: &'a AtomicUsize,
+    workers: usize,
+}
+
+impl<'a> Claim<'a> {
+    fn new(count: &'a AtomicUsize, workers: usize) -> Self {
+        count.fetch_add(workers, Ordering::SeqCst);
+        Claim { count, workers }
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.count.fetch_sub(self.workers, Ordering::SeqCst);
+    }
+}
+
+/// Workers for a pool over `inputs` inputs on a machine with `cores` cores,
+/// `claimed` of which enclosing pools already hold:
+/// `min(inputs, free, workers.unwrap_or(max(1, free / 2)))`, where `free`
+/// is `cores - claimed` and at least 1.
+///
+/// The default, one worker per two free cores, runs one simulation at a
+/// time on two cores. One worker per core is faster but holds twice the
+/// simulations in memory at once; [`RunConfig::workers`] (`--workers`)
+/// asks for it explicitly.
+fn pool_size(cores: usize, claimed: usize, workers: Option<usize>, inputs: usize) -> usize {
+    let free = cores.saturating_sub(claimed).max(1);
+    let wanted = workers.unwrap_or((free / 2).max(1));
+    wanted.min(free).min(inputs).max(1)
+}
+
 /// Map `f` over `inputs` in parallel, preserving order.
 ///
-/// Runs on a bounded pool of scoped worker threads that self-schedule
-/// inputs from a shared index — large sweeps no longer spawn one OS thread
-/// per configuration. The pool size is `available_parallelism` divided by
-/// the threads one job may use: when the config's [`PartitionMode`] leaves
-/// the partitioned engine eligible, each job is budgeted the paper's two
-/// cluster domains, halving the worker count rather than oversubscribing
-/// every core with domain threads; `cfg.workers` caps the pool further. The
-/// workers register themselves via
-/// [`simcore::domain::register_external_workers`] so nested `Fabric::run`
-/// auto-partition decisions see how much of the machine the sweep already
-/// claims, and workers already claimed by an *enclosing* pool (the
-/// experiment runner) shrink this pool's budget the same way. Each worker
+/// Runs on a pool of scoped worker threads sized by [`pool_size`] that
+/// self-schedule inputs from a shared index in input order. Each worker
 /// accumulates engine stats into its own thread-local
 /// [`ibfabric::fabric::RunTally`]; the pool merges them back into the
 /// calling thread on join, so per-experiment tallies survive the fan-out.
@@ -41,32 +71,11 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let avail = std::thread::available_parallelism()
+    let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    // Cores not already claimed by an enclosing pool (floor of one so
-    // narrow machines still make progress).
-    let avail = avail
-        .saturating_sub(simcore::domain::external_workers())
-        .max(1);
-    // Threads each job may consume: 2 domain threads for the paper's
-    // two-cluster WAN splits unless this config pins the engine serial.
-    // (Jobs whose fabric has no domain plan still run serially; this only
-    // budgets the worst case.)
-    let per_job = match cfg.partition {
-        PartitionMode::Off => 1,
-        _ => 2,
-    };
-    let mut workers = worker_budget(avail, per_job, n);
-    if let Some(cap) = cfg.workers {
-        workers = workers.min(cap.max(1));
-    }
-    let _external = simcore::domain::register_external_workers(workers);
-    // Each worker's equal share of the claimed cores, granted as a thread
-    // allowance so nested partition decisions (`spawn_budget`) see the
-    // share, not the machine. On 1 core the share is 1: partitioned jobs
-    // run on the cooperative executor instead of spawning threads.
-    let allowance = (avail / workers).max(1);
+    let workers = pool_size(cores, CLAIMED.load(Ordering::SeqCst), cfg.workers, n);
+    let _claim = Claim::new(&CLAIMED, workers);
 
     // Each input slot is claimed exactly once via the shared counter; the
     // Mutex<Option<I>> wrappers hand inputs to whichever worker claims them.
@@ -78,7 +87,6 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
-                    let _allow = simcore::domain::set_thread_allowance(allowance);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
@@ -88,10 +96,8 @@ where
                         let out = f(input);
                         *results[i].lock().unwrap() = Some(out);
                     }
-                    // Hand this worker's engine stats to the caller. Runs
-                    // even after earlier iterations' panics unwound past the
-                    // loop? No — a panic skips this, which only under-counts
-                    // the already-doomed sweep.
+                    // Hand this worker's engine stats to the caller. A panic
+                    // skips this, which only under-counts the doomed sweep.
                     let tally = fabric::take_run_tally();
                     merged.lock().unwrap().merge(&tally);
                 })
@@ -118,34 +124,53 @@ where
         .collect()
 }
 
-/// Sweep workers for a machine with `avail` cores when each job may use
-/// `per_job` threads and there are `n` inputs: total threads stay within
-/// `avail` (never oversubscribing with nested domain engines), with a floor
-/// of one worker so narrow machines still make progress.
-fn worker_budget(avail: usize, per_job: usize, n: usize) -> usize {
-    (avail / per_job).max(1).min(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn budget_divides_cores_between_sweep_and_engine() {
-        assert_eq!(worker_budget(8, 2, 100), 4, "8 cores / 2-thread jobs");
-        assert_eq!(worker_budget(8, 1, 100), 8, "serial jobs use every core");
-        assert_eq!(worker_budget(1, 2, 100), 1, "floor of one worker");
-        assert_eq!(worker_budget(16, 2, 3), 3, "never more workers than jobs");
+    fn pool_size_keeps_one_simulation_per_two_cores_by_default() {
+        // (cores, claimed by enclosing pools, --workers, inputs) -> workers
+        let table = [
+            ((2, 0, None, 100), 1, "2 cores, default"),
+            ((2, 0, Some(2), 100), 2, "2 cores, --workers 2"),
+            ((2, 2, Some(2), 100), 1, "nested under a 2-worker claim"),
+            ((2, 1, None, 100), 1, "nested under the default runner"),
+            ((8, 0, None, 100), 4, "8 cores, default"),
+            ((8, 0, Some(16), 100), 8, "never more workers than cores"),
+            ((1, 0, None, 100), 1, "1 core, default"),
+            ((1, 0, Some(4), 100), 1, "1 core, --workers 4"),
+            ((1, 3, Some(1), 100), 1, "1 core, over-claimed"),
+            ((8, 0, None, 3), 3, "never more workers than inputs"),
+            ((8, 0, Some(6), 2), 2, "never more workers than inputs"),
+        ];
+        for ((cores, claimed, workers, inputs), want, case) in table {
+            assert_eq!(pool_size(cores, claimed, workers, inputs), want, "{case}");
+        }
     }
 
     #[test]
-    fn workers_register_as_external_while_sweeping() {
-        // Release-on-drop is covered in simcore (guard tests); sibling tests
-        // may sweep concurrently, so only the in-flight claim is asserted.
+    fn claims_release_on_unwind() {
+        let count = AtomicUsize::new(0);
+        {
+            let _outer = Claim::new(&count, 3);
+            assert_eq!(count.load(Ordering::SeqCst), 3);
+            let r = std::panic::catch_unwind(|| {
+                let _inner = Claim::new(&count, 2);
+                panic!("boom");
+            });
+            assert!(r.is_err());
+            assert_eq!(count.load(Ordering::SeqCst), 3, "inner claim released");
+        }
+        assert_eq!(count.load(Ordering::SeqCst), 0, "claims must release");
+    }
+
+    #[test]
+    fn workers_claim_cores_while_sweeping() {
+        // Sibling tests may sweep concurrently, so only the in-flight claim
+        // is asserted.
         let cfg = RunConfig::default();
-        let seen = parallel_map(&cfg, vec![(), (), ()], |_| {
-            simcore::domain::external_workers()
-        });
+        let seen = parallel_map(&cfg, vec![(), (), ()], |_| CLAIMED.load(Ordering::SeqCst));
         assert!(
             seen.iter().all(|&w| w >= 1),
             "jobs must see the sweep's claim: {seen:?}"
@@ -153,21 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn workers_run_jobs_under_a_thread_allowance() {
-        let cfg = RunConfig::default();
-        let seen = parallel_map(&cfg, vec![(), (), ()], |_| simcore::domain::spawn_budget());
-        // Each worker owns an equal share of the machine, granted as its
-        // thread allowance: a job's budget is never zero and never wider
-        // than the whole machine (which would oversubscribe once every
-        // worker partitions).
-        let avail = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        assert!(seen.iter().all(|&b| b >= 1 && b <= avail), "{seen:?}");
-    }
-
-    #[test]
-    fn config_caps_worker_budget() {
+    fn config_sets_worker_count() {
         let cfg = RunConfig {
             workers: Some(1),
             ..RunConfig::default()

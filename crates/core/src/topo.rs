@@ -6,10 +6,9 @@
 //! two [`RunConfig`]-aware entry points every experiment builds through:
 //! [`build_topo`] for arbitrary fabrics and [`build_pair`] for the paper's
 //! ubiquitous two-endpoint microbenchmarks. The config supplies the engine
-//! profile (coalescing, partition mode) and may offset the experiment's
-//! canonical seed, so the same spec serves the default run,
-//! `--serial`/`--no-coalescing` A/B runs, and seed-shifted robustness
-//! sweeps without any global state.
+//! profile (coalescing) and may offset the experiment's canonical seed, so
+//! the same spec serves the default run, `--no-coalescing` A/B runs, and
+//! seed-shifted robustness sweeps without any global state.
 //!
 //! These replaced the hand-wired `wan_node_pair`/`lan_node_pair`/
 //! `cluster_of_clusters` helpers: the shapes those produced are now the

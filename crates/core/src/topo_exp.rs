@@ -1,17 +1,16 @@
 //! Topology-generator smoke experiments: prove that fabrics produced by
 //! the declarative [`TopoSpec`] layer — not the paper's hand-wired
-//! two-cluster testbed — run real workloads deterministically under both
-//! the serial and the N-way partitioned engine.
+//! two-cluster testbed — run real workloads deterministically.
 //!
 //! * `topoA-3site-bw` streams RC bandwidth across a generated three-site
-//!   WAN chain (two Longbow hops in series), the smallest fabric whose
-//!   partition plan has **three** domains.
+//!   WAN chain: two Longbow hops in series, which no paper figure has.
 //! * `topoB-fattree-alltoall` runs an MPI alltoall over two generated
 //!   fat-tree sites joined by a WAN cable — generated multi-switch LAN
-//!   stages under the batched-window protocol.
+//!   stages on both sides of the WAN.
 //!
-//! Both carry Quick goldens checked by `ci.sh` in serial and partitioned
-//! configs, so the generator → lowering → planner path stays bit-stable.
+//! Both carry Quick goldens that `ci.sh` checks with
+//! `repro --check results/quick`, so the generator → lowering path stays
+//! bit-stable.
 
 use crate::config::RunConfig;
 use crate::results::{Figure, Series};
@@ -32,7 +31,7 @@ pub const TOPOA_SIZES: [u32; 2] = [65536, 1 << 20];
 
 /// `topoA-3site-bw`: RC bandwidth from site 0 to site 2 of a generated
 /// [`TopoSpec::multi_site`] chain — every fragment crosses two Longbow
-/// pairs, and the partition planner cuts the fabric into three domains.
+/// pairs.
 pub fn topo_a_3site_bw(cfg: &RunConfig) -> Figure {
     let mut fig = Figure::new(
         "topoA-3site-bw",
@@ -164,10 +163,9 @@ fn alltoall_latency(cfg: &RunConfig, spec: &TopoSpec, len: u32, iters: u32) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PartitionMode;
 
     #[test]
-    fn topo_a_is_delay_sensitive_and_three_domain() {
+    fn topo_a_is_delay_sensitive() {
         let f = topo_a_3site_bw(&RunConfig::default());
         assert_eq!(f.series.len(), 2);
         for s in &f.series {
@@ -180,19 +178,6 @@ mod tests {
                 s.label
             );
         }
-    }
-
-    #[test]
-    fn topo_a_is_bit_identical_serial_vs_partitioned() {
-        let serial = topo_a_3site_bw(&RunConfig {
-            partition: PartitionMode::Off,
-            ..RunConfig::default()
-        });
-        let forced = topo_a_3site_bw(&RunConfig {
-            partition: PartitionMode::Force,
-            ..RunConfig::default()
-        });
-        assert_eq!(serial.to_json(), forced.to_json());
     }
 
     #[test]
@@ -209,18 +194,5 @@ mod tests {
             far > near,
             "WAN delay must dominate alltoall: {far} vs {near}"
         );
-    }
-
-    #[test]
-    fn topo_b_is_bit_identical_serial_vs_partitioned() {
-        let serial = topo_b_fattree_alltoall(&RunConfig {
-            partition: PartitionMode::Off,
-            ..RunConfig::default()
-        });
-        let forced = topo_b_fattree_alltoall(&RunConfig {
-            partition: PartitionMode::Force,
-            ..RunConfig::default()
-        });
-        assert_eq!(serial.to_json(), forced.to_json());
     }
 }

@@ -86,7 +86,7 @@ pub struct JobSpec {
     pub hca: HcaConfig,
     /// Engine seed.
     pub seed: u64,
-    /// Engine execution profile (coalescing, partition mode).
+    /// Engine execution profile (fragment-train coalescing).
     pub profile: EngineProfile,
 }
 

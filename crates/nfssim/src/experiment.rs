@@ -52,7 +52,7 @@ pub struct NfsSetup {
     /// True to run the IOzone write test instead of read (the paper omits
     /// its write numbers for space; we report them).
     pub write: bool,
-    /// Engine execution profile (coalescing, partition mode).
+    /// Engine execution profile (fragment-train coalescing).
     pub profile: EngineProfile,
     /// Engine seed.
     pub seed: u64,

@@ -113,16 +113,6 @@ impl PortAttach for Longbow {
         assert!(self.ports[idx].is_none(), "port {idx} already attached");
         self.ports[idx] = Some(egress);
     }
-
-    /// A packet entering either port leaves no earlier than the transit
-    /// latency plus the injected WAN delay after the ingress event — this is
-    /// the store-and-forward floor the partitioned engine uses as lookahead
-    /// when the WAN cable forms a domain boundary. (Credit returns bypass
-    /// the store-and-forward path; the fabric builder accounts for those
-    /// separately by dropping this term on credited cables.)
-    fn forward_lookahead(&self) -> Option<Dur> {
-        Some(self.cfg.transit_latency + self.cfg.injected_delay)
-    }
 }
 
 impl Longbow {
@@ -300,10 +290,6 @@ impl LongbowPair {
             // differently with other traffic's rolls. Keep lossy fabrics on
             // the per-fragment path so results match bit for bit.
             builder.disable_coalescing();
-            // Same reasoning one level up: the partitioned engine gives each
-            // domain its own RNG, which would reorder loss draws relative to
-            // the serial run. Lossy fabrics always run serially.
-            builder.disable_partitioning();
         }
         let a = builder.add_bridge(Box::new(Longbow::new(cfg)));
         let b = builder.add_bridge(Box::new(Longbow::new(cfg)));
@@ -327,23 +313,7 @@ mod tests {
         ulp_a: Box<dyn ibfabric::Ulp>,
         ulp_b: Box<dyn ibfabric::Ulp>,
     ) -> (ibfabric::Fabric, ibfabric::NodeHandle, ibfabric::NodeHandle) {
-        cluster_pair_with(
-            ibfabric::fabric::EngineProfile::default(),
-            delay,
-            ulp_a,
-            ulp_b,
-        )
-    }
-
-    /// [`cluster_pair`] with an explicit engine profile (A/B tests pin the
-    /// serial or forced-partitioned engine per fabric, no global state).
-    fn cluster_pair_with(
-        profile: ibfabric::fabric::EngineProfile,
-        delay: Dur,
-        ulp_a: Box<dyn ibfabric::Ulp>,
-        ulp_b: Box<dyn ibfabric::Ulp>,
-    ) -> (ibfabric::Fabric, ibfabric::NodeHandle, ibfabric::NodeHandle) {
-        let mut b = FabricBuilder::with_profile(11, profile);
+        let mut b = FabricBuilder::new(11);
         let n1 = b.add_hca(HcaConfig::default(), ulp_a);
         let n2 = b.add_hca(HcaConfig::default(), ulp_b);
         let sw_a = b.add_switch();
@@ -554,181 +524,6 @@ mod tests {
         assert!(
             rx_qp.dup_fragments() > 0,
             "go-back-N under WAN delay must re-deliver some fragments"
-        );
-    }
-
-    #[test]
-    fn wan_fabric_yields_a_two_domain_plan() {
-        let (f, _a, _b) = cluster_pair(
-            Dur::from_ms(1),
-            Box::new(PingPong::new(LatMode::SendRc, true, 4, 10)),
-            Box::new(PingPong::new(LatMode::SendRc, false, 4, 10)),
-        );
-        let plan = f.domain_plan().expect("Longbow WAN fabric must split");
-        assert_eq!(plan.domains, 2);
-        // Lookahead per direction: WAN cable latency (100 ns) + transit
-        // (2.5 us) + injected delay (delay/2 = 500 us).
-        let expect = Dur::from_ns(100) + Dur::from_ns(2500) + Dur::from_us(500);
-        assert_eq!(plan.min_lookahead(), Some(expect));
-        // The two HCAs sit on opposite sides of the cut.
-        assert_ne!(plan.domain_of[0], plan.domain_of[1]);
-    }
-
-    #[test]
-    fn wan_plan_promises_tails_only_on_serialized_uncredited_cuts() {
-        // The standard Longbow pair: exactly one uncredited WAN cable per
-        // direction, so both directions carry the wire-tail promise.
-        let (f, _a, _b) = cluster_pair(
-            Dur::from_ms(1),
-            Box::new(PingPong::new(LatMode::SendRc, true, 4, 10)),
-            Box::new(PingPong::new(LatMode::SendRc, false, 4, 10)),
-        );
-        let plan = f.domain_plan().expect("Longbow WAN fabric must split");
-        let (da, db) = (plan.domain_of[0] as usize, plan.domain_of[1] as usize);
-        assert!(plan.tail_safe_dir(da, db) && plan.tail_safe_dir(db, da));
-
-        // A shallow-buffered (credited) WAN cable returns CreditMsgs at bare
-        // cable latency, bypassing the egress port's serialization — the
-        // promise must be withheld in both directions.
-        let mut b = FabricBuilder::new(3);
-        let n1 = b.add_hca(
-            HcaConfig::default(),
-            Box::new(BwPeer::sender(BwConfig::new(4096, 4))),
-        );
-        let n2 = b.add_hca(HcaConfig::default(), Box::new(BwPeer::receiver()));
-        let sw_a = b.add_switch();
-        let sw_b = b.add_switch();
-        b.link(n1.actor, sw_a, LinkConfig::ddr_lan());
-        b.link(n2.actor, sw_b, LinkConfig::ddr_lan());
-        LongbowPair::insert_shallow(&mut b, sw_a, sw_b, Dur::from_ms(1), 16);
-        let f = b.finish();
-        let plan = f.domain_plan().expect("shallow WAN fabric still splits");
-        let (da, db) = (plan.domain_of[0] as usize, plan.domain_of[1] as usize);
-        assert!(!plan.tail_safe_dir(da, db) && !plan.tail_safe_dir(db, da));
-    }
-
-    /// `PartitionMode::Auto`: serial on one core, partitioned for a dense
-    /// WAN stream once cores are available — with identical observables.
-    #[test]
-    fn auto_mode_follows_cores_and_density() {
-        use ibfabric::fabric::EngineProfile;
-        use simcore::domain::set_test_assume_cores;
-
-        fn bw_run(profile: EngineProfile) -> (ibfabric::fabric::FabricReport, bool) {
-            let (mut f, a, b) = cluster_pair_with(
-                profile,
-                Dur::from_ms(1),
-                Box::new(BwPeer::sender(BwConfig::new(262144, 256))),
-                Box::new(BwPeer::receiver()),
-            );
-            let (qa, qb) = rc_qp_pair(&mut f, a, b, QpConfig::rc());
-            f.hca_mut(a).ulp_mut::<BwPeer>().qpn = qa;
-            f.hca_mut(b).ulp_mut::<BwPeer>().qpn = qb;
-            f.run();
-            (f.report(), f.domain_report().is_some())
-        }
-
-        // Super-trains plus completion runs have thinned a lone coalesced RC
-        // stream below the probe's sync-amortization floor, so Auto now
-        // (correctly) declines it — `bench/tests/auto_gate.rs` pins that.
-        // The density-commit half of this test therefore drives the dense
-        // per-fragment schedule, with messages long enough (128 fragments)
-        // that wire hops dominate and the cut's cross-domain share stays
-        // under the probe's ceiling.
-        let profile = EngineProfile {
-            coalescing: false,
-            ..EngineProfile::default()
-        };
-
-        // One core: Auto must stay serial — it can never beat serial there.
-        set_test_assume_cores(1);
-        let (rep_serial, par) = bw_run(profile);
-        assert!(!par, "Auto on 1 core must run serially");
-
-        // Plenty of cores and a dense streaming workload: the probe commits
-        // to the partitioned engine, and every observable (the report minus
-        // execution-strategy fields) is unchanged.
-        set_test_assume_cores(8);
-        let (rep_auto, par) = bw_run(profile);
-        set_test_assume_cores(0);
-        assert!(par, "Auto with spare cores must partition a dense stream");
-        assert_eq!(rep_serial, rep_auto, "Auto must not change observables");
-    }
-
-    #[test]
-    fn lossy_fabric_never_partitions() {
-        let mut builder = FabricBuilder::new(5);
-        let n1 = builder.add_hca(
-            HcaConfig::default(),
-            Box::new(BwPeer::sender(BwConfig::new(4096, 10))),
-        );
-        let n2 = builder.add_hca(HcaConfig::default(), Box::new(BwPeer::receiver()));
-        let sw_a = builder.add_switch();
-        let sw_b = builder.add_switch();
-        builder.link(n1.actor, sw_a, LinkConfig::ddr_lan());
-        builder.link(n2.actor, sw_b, LinkConfig::ddr_lan());
-        LongbowPair::insert_with(
-            &mut builder,
-            sw_a,
-            sw_b,
-            LongbowConfig {
-                loss_per_million: 1000,
-                ..LongbowConfig::default()
-            },
-        );
-        let f = builder.finish();
-        assert!(
-            f.domain_plan().is_none(),
-            "random loss must force the serial engine (shared RNG order)"
-        );
-    }
-
-    /// Full-stack A/B: the same WAN ping-pong run on the partitioned and the
-    /// serial engine must agree on every virtual-time observable.
-    #[test]
-    fn partitioned_run_matches_serial_bit_for_bit() {
-        use ibfabric::fabric::EngineProfile;
-
-        fn run_mode(
-            profile: EngineProfile,
-        ) -> (f64, simcore::Time, ibfabric::fabric::FabricReport, bool) {
-            let (mut f, a, b) = cluster_pair_with(
-                profile,
-                Dur::from_us(200),
-                Box::new(PingPong::new(LatMode::SendRc, true, 256, 40)),
-                Box::new(PingPong::new(LatMode::SendRc, false, 256, 40)),
-            );
-            let (qa, qb) = rc_qp_pair(&mut f, a, b, QpConfig::rc());
-            f.hca_mut(a).ulp_mut::<PingPong>().qpn = qa;
-            f.hca_mut(b).ulp_mut::<PingPong>().qpn = qb;
-            let end = f.run();
-            let lat = f.hca(a).ulp::<PingPong>().mean_latency_us();
-            let report = f.report();
-            let partitioned = f.domain_report().is_some();
-            (lat, end, report, partitioned)
-        }
-
-        let (lat_s, end_s, rep_s, par_s) = run_mode(EngineProfile::serial());
-        let (lat_p, end_p, rep_p, par_p) = run_mode(EngineProfile::forced());
-        assert!(!par_s, "Off must run serially");
-        assert!(par_p, "Force with a plan must partition");
-        assert_eq!(rep_p.domains, 2);
-        // `sync_rounds` now counts true blocking episodes, which the batched
-        // protocol may avoid entirely (and the cooperative executor always
-        // does); amortization shows up as windows advanced without blocking.
-        assert!(
-            rep_p.engine_counters.sync_rounds_saved > 0,
-            "batched windows must advance without blocking: {rep_p:?}"
-        );
-        assert_eq!(lat_s, lat_p, "latency must be bit-identical");
-        assert_eq!(end_s, end_p, "quiescence time must be bit-identical");
-        assert_eq!(
-            (rep_s.hca_packets_sent, rep_s.hca_packets_received),
-            (rep_p.hca_packets_sent, rep_p.hca_packets_received),
-        );
-        assert_eq!(
-            rep_s.engine_counters.events_processed, rep_p.engine_counters.events_processed,
-            "both engines must dispatch the same events"
         );
     }
 

@@ -27,7 +27,7 @@ pub struct PfsSetup {
     pub rpcs_in_flight: usize,
     /// One-way WAN delay; `None` puts the client inside the storage cluster.
     pub delay: Option<Dur>,
-    /// Engine execution profile (coalescing, partition mode).
+    /// Engine execution profile (fragment-train coalescing).
     pub profile: EngineProfile,
     /// Engine seed.
     pub seed: u64,

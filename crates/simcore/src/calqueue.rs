@@ -14,26 +14,24 @@
 //! must be **bit-identical** to the binary heap it replaces. Two properties
 //! make that free:
 //!
-//! * Every key's `(time, seq)` packed `u128` is unique — normal sequence
-//!   numbers come from a monotone counter and cross-domain arrival keys live
-//!   in the disjoint `(1 << 63) | (src << 40) | ctr` upper half — so *any*
-//!   exact priority queue pops the same order.
+//! * Every key's `(time, seq)` packed `u128` is unique — sequence numbers
+//!   come from a monotone counter — so *any* exact priority queue pops the
+//!   same order.
 //! * Anything the bucket array cannot place exactly — events beyond the
 //!   current bucket horizon (long-RTO retransmit timers), or events scheduled
-//!   behind an already-advanced cursor (cross-domain arrivals pushed while a
-//!   domain idles at its window edge) — detours into an **exact fallback
+//!   behind an already-advanced cursor — detours into an **exact fallback
 //!   heap** that is merged with the bucket walk by full-key comparison on
 //!   every pop. The fallback is never approximated away; it is counted in
 //!   [`EngineCounters::cal_fallback_hits`].
 //!
 //! ## Tuning
 //!
-//! Bucket width and count are picked per run from a short warmup probe,
-//! mirroring the `PartitionMode::Auto` density probe: the queue runs as a
-//! plain binary heap for the first [`WARMUP_POPS`] pops, measures the mean
-//! inter-pop virtual-time gap and its own queue-length high-water mark (the
-//! same signal [`EngineCounters::peak_queue_len`] reports), then migrates to
-//! buckets of width ≈ mean gap with a few buckets per peak resident event.
+//! Bucket width and count are picked per run from a short warmup probe: the
+//! queue runs as a plain binary heap for the first [`WARMUP_POPS`] pops,
+//! measures the mean inter-pop virtual-time gap and its own queue-length
+//! high-water mark (the same signal [`EngineCounters::peak_queue_len`]
+//! reports), then migrates to buckets of width ≈ mean gap with a few
+//! buckets per peak resident event.
 //! Graduation also requires a resident population deep enough for buckets to
 //! beat a shallow in-cache heap ([`CAL_MIN_PEAK`]); stream-style runs with a
 //! couple dozen resident events stay on the heap, while the thousands-deep
@@ -42,14 +40,13 @@
 //! by virtual time and pop counts, so the layout decision — like everything
 //! else here — is deterministic.
 
-use crate::engine::{EngineCounters, HeapKey, ROUND_EVENT_BUCKETS};
+use crate::engine::{EngineCounters, HeapKey, OCCUPANCY_BUCKETS};
 use crate::time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Pops observed (as a heap) before committing to a bucket layout. Matches
-/// the Auto density probe's event budget: long enough to see steady state,
-/// short enough to be free.
+/// Pops observed (as a heap) before committing to a bucket layout: long
+/// enough to see steady state, short enough to be free.
 const WARMUP_POPS: u64 = 4096;
 /// Resident-population floor for graduating to buckets. A shallow queue is
 /// the heap's home turf — at `peak < 256` a sift is ≤ 8 comparisons in one
@@ -278,7 +275,7 @@ impl Calendar {
         if record {
             let len = b.len() as u64;
             if len > 0 {
-                let bucket = (63 - len.leading_zeros() as usize).min(ROUND_EVENT_BUCKETS - 1);
+                let bucket = (63 - len.leading_zeros() as usize).min(OCCUPANCY_BUCKETS - 1);
                 counters.cal_bucket_occupancy[bucket] += 1;
             }
         }
@@ -402,13 +399,6 @@ impl EventQueue {
         counters: &mut EngineCounters,
     ) -> Option<HeapKey> {
         self.pop_bounded(Some(deadline), counters)
-    }
-
-    /// Teardown pop for domain handoff paths that redistribute whole queues;
-    /// skips the counter plumbing (nothing hot happens during handoff).
-    pub(crate) fn pop_untracked(&mut self) -> Option<HeapKey> {
-        let mut scratch = EngineCounters::default();
-        self.pop_bounded(None, &mut scratch)
     }
 
     fn pop_bounded(

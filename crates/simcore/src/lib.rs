@@ -3,10 +3,9 @@
 //! This crate is the substrate for the InfiniBand-WAN reproduction: a small,
 //! deterministic discrete-event engine with virtual time in nanoseconds, an
 //! actor model for network entities (HCAs, switches, WAN routers, protocol
-//! endpoints), per-actor timers, and statistics helpers. Runs are serial by
-//! default; topologies whose actor graph splits cleanly at high-latency
-//! boundaries can execute partitioned across threads via [`domain`], one
-//! conservative lookahead window at a time, with bit-identical results.
+//! endpoints), per-actor timers, and statistics helpers. One engine runs one
+//! simulation on one thread; parameter sweeps get their parallelism by
+//! running independent simulations side by side.
 //!
 //! Determinism is a hard requirement: two runs with the same configuration and
 //! seed must produce bit-identical virtual-time results, so that experiment
@@ -38,15 +37,12 @@
 //! ```
 
 mod calqueue;
-pub mod domain;
 pub mod engine;
 pub mod rate;
-pub mod spsc;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use domain::{run_partitioned, DomainReport, DomainSpec};
 pub use engine::{Actor, ActorId, Ctx, Engine, EngineCounters, Msg, TimerId};
 pub use ibwire::Packet;
 pub use rate::{Rate, SerialResource};

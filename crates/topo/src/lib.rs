@@ -26,8 +26,8 @@
 //! WAN cables come in three styles ([`WanStyle`]): Longbow range-extender
 //! pairs (optionally lossy), shallow-buffered Longbows whose emulated
 //! distance is true wire propagation against a bounded credit pool, and
-//! bare switch-to-switch WAN cables (no bridges) registered with
-//! [`FabricBuilder::link_wan`] so the partition planner can still cut them.
+//! bare switch-to-switch WAN cables (no bridges) lowered through
+//! [`FabricBuilder::link`] like any LAN cable.
 
 use ibfabric::fabric::{note_topo, EngineProfile, Fabric, FabricBuilder, NodeHandle};
 use ibfabric::hca::HcaConfig;
@@ -35,6 +35,7 @@ use ibfabric::link::LinkConfig;
 use ibfabric::ulp::Ulp;
 use obsidian::{LongbowConfig, LongbowPair};
 use simcore::{ActorId, Dur, Rate};
+use std::collections::VecDeque;
 
 /// How a site's hosts are wired together.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -99,7 +100,7 @@ pub enum WanStyle {
     /// An Obsidian Longbow pair: each unit injects `delay/2` per forwarded
     /// packet (router-emulated distance), deep buffers. `loss_ppm` > 0
     /// injects random per-packet WAN loss — which pins the fabric to the
-    /// serial per-fragment engine (shared-RNG draw order).
+    /// per-fragment wire path (shared-RNG draw order).
     Longbow {
         /// Random per-packet loss, parts per million.
         loss_ppm: u32,
@@ -112,9 +113,7 @@ pub enum WanStyle {
         credits: usize,
     },
     /// A bare switch-to-switch WAN cable (no range extenders): SDR rate,
-    /// distance as true propagation, deep buffers. Registered with
-    /// [`FabricBuilder::link_wan`] so the N-way partition planner cuts it
-    /// even though no bridge sits on it.
+    /// distance as true propagation, deep buffers.
     Plain,
 }
 
@@ -303,7 +302,9 @@ impl TopoSpec {
     /// Structural validation: every WAN endpoint exists, is switched (a
     /// Direct site has no attachment point), and no cable loops a site to
     /// itself; Direct sites have exactly two hosts; fat-tree stages are
-    /// consistent; every site has at least one host.
+    /// consistent; every site has at least one host; and the WAN cables
+    /// connect every site to site 0 (the subnet manager cannot route
+    /// between disconnected sites).
     pub fn validate(&self) -> Result<(), String> {
         if self.sites.is_empty() {
             return Err("spec has no sites".into());
@@ -352,6 +353,25 @@ impl TopoSpec {
                     return Err(format!("wan {i}: path MTU {mtu} below the IB minimum"));
                 }
             }
+        }
+        // Breadth-first search over the WAN cables from site 0.
+        let mut reached = vec![false; self.sites.len()];
+        reached[0] = true;
+        let mut frontier = VecDeque::from([0]);
+        while let Some(site) = frontier.pop_front() {
+            for w in &self.wans {
+                for (here, there) in [(w.from, w.to), (w.to, w.from)] {
+                    if here == site && !reached[there] {
+                        reached[there] = true;
+                        frontier.push_back(there);
+                    }
+                }
+            }
+        }
+        if let Some(site) = reached.iter().position(|&r| !r) {
+            return Err(format!(
+                "site {site} is not connected to site 0 by any WAN cable"
+            ));
         }
         Ok(())
     }
@@ -505,7 +525,7 @@ impl TopoSpec {
                         latency: Dur::from_ns(100) + w.delay,
                         credit_packets: None,
                     };
-                    b.link_wan(sa, sb, cable);
+                    b.link(sa, sb, cable);
                 }
             }
         }
@@ -622,6 +642,19 @@ mod tests {
         let mut t = TopoSpec::two_site(Dur::ZERO);
         t.wans[0].mtu = Some(64);
         assert!(t.validate().is_err());
+        // Two switched sites and no WAN cable between them.
+        let t = TopoSpec {
+            sites: vec![SiteSpec::switched(1), SiteSpec::switched(1)],
+            wans: vec![],
+        };
+        assert_eq!(
+            t.validate(),
+            Err("site 1 is not connected to site 0 by any WAN cable".into())
+        );
+        // A three-site chain missing its second hop.
+        let mut t = TopoSpec::multi_site(3, 1, Dur::ZERO);
+        t.wans.pop();
+        assert!(t.validate().is_err());
     }
 
     #[test]
@@ -652,50 +685,11 @@ mod tests {
     }
 
     #[test]
-    fn two_site_lowering_yields_a_two_domain_plan() {
-        let (f, nodes) = TopoSpec::two_site(Dur::from_ms(1)).build(
-            1,
-            EngineProfile::default(),
-            HcaConfig::default(),
-            null,
-        );
-        assert_eq!(nodes.len(), 2);
-        let plan = f.domain_plan().expect("two-site WAN must split");
-        assert_eq!(plan.domains, 2);
-    }
-
-    #[test]
-    fn multi_site_chain_yields_one_domain_per_site() {
-        for n in [3, 4] {
-            let (f, nodes) = TopoSpec::multi_site(n, 1, Dur::from_ms(1)).build(
-                1,
-                EngineProfile::default(),
-                HcaConfig::default(),
-                null,
-            );
-            assert_eq!(nodes.len(), n);
-            let plan = f.domain_plan().expect("chain must split");
-            assert_eq!(plan.domains, n, "{n}-site chain");
-        }
-    }
-
-    #[test]
     fn fat_tree_lowers_and_routes() {
         let (f, nodes) =
             TopoSpec::fat_tree(2).build(1, EngineProfile::default(), HcaConfig::default(), null);
         assert_eq!(nodes.len(), 4);
         // 2 leaves + 1 spine.
         assert_eq!(f.report().switches, 3);
-    }
-
-    #[test]
-    fn plain_wan_cables_still_split_domains() {
-        let mut t = TopoSpec::multi_site(3, 1, Dur::from_ms(1));
-        for w in &mut t.wans {
-            w.style = WanStyle::Plain;
-        }
-        let (f, _) = t.build(1, EngineProfile::default(), HcaConfig::default(), null);
-        let plan = f.domain_plan().expect("marked WAN cables must cut");
-        assert_eq!(plan.domains, 3);
     }
 }
