@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: build, full test suite, perf smoke, and lint-clean hot-path crates.
+# CI gate: build, full test suite, golden gates, perf smoke, and lint-clean
+# hot-path crates.
 #
 # Keep this runnable offline — the workspace vendors all dependencies under
 # compat/, so no network access is needed at any step.
@@ -28,6 +29,9 @@ cargo run --release -p bench --bin repro -- --check results/quick
 
 echo "==> golden gate, per-fragment wire path (same goldens with trains off)"
 cargo run --release -p bench --bin repro -- --no-coalescing --check results/quick
+
+echo "==> golden gate, Full fidelity (every recorded figure must be bit-identical)"
+cargo run --release -p bench --bin repro -- --full --check results
 
 echo "==> perf smoke (Quick subset + counters, gated against the checked-in baseline;"
 echo "    --assert-serial catches catastrophic serial-path regressions the per-entry"

@@ -17,8 +17,8 @@
 //!   --seed N  offset every experiment's canonical seed by N (robustness
 //!             sweeps; N=0 reproduces the recorded goldens)
 //!   --workers N  run up to N simulations at once, never more than the
-//!             free cores (default: one per two cores). `--workers $(nproc)`
-//!             runs one simulation per core: faster, more memory
+//!             free cores (default: one per core). `--workers 1` runs
+//!             them one at a time: slower, least memory
 //!   --list    print machine-readable `id<TAB>description` lines and exit
 //! ```
 //!

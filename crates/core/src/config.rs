@@ -24,9 +24,10 @@ pub struct RunConfig {
     /// goldens bit-for-bit; any other value shifts the whole run onto a
     /// different deterministic trajectory.
     pub seed: u64,
-    /// Simulations to run at once (`--workers`). `None` runs one per two
-    /// free cores; either way a pool never runs more workers than it has
-    /// free cores or inputs (see [`crate::sweep::parallel_map`]).
+    /// Simulations to run at once (`--workers`). `None` runs one per free
+    /// core, and `Some(1)` one at a time in the least memory; either way a
+    /// pool never runs more workers than it has free cores or inputs (see
+    /// [`crate::sweep::parallel_map`]).
     pub workers: Option<usize>,
 }
 

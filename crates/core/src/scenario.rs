@@ -28,7 +28,7 @@ use mpisim::world::JobSpec;
 use nasbench::NasBenchmark;
 use nfssim::{run_read_experiment, NfsSetup, Transport as NfsTransport};
 use simcore::Dur;
-use tcpstack::TcpConfig;
+use tcpstack::{TcpConfig, TCP_IP_HEADER};
 
 /// The WAN separating the two clusters.
 #[derive(Copy, Clone, Debug)]
@@ -344,6 +344,11 @@ impl Workload {
                 .and_then(|f| f.as_u64())
                 .ok_or_else(|| format!("workload: missing or non-integer field {key:?}"))
         };
+        // Counts a run divides by or needs at least one of.
+        let count = |key: &str| match num(key)? {
+            0 => Err(format!("workload: field {key:?} must be at least 1")),
+            n => Ok(n),
+        };
         let num_or = |key: &str, default: u64| match v.get(key) {
             None => Ok(default),
             Some(f) => f
@@ -367,31 +372,58 @@ impl Workload {
             .and_then(|k| k.as_str())
             .ok_or("workload: missing \"kind\" tag")?;
         match kind {
-            "verbs_latency" => Ok(Workload::VerbsLatency {
-                mode: LATENCY_MODES.check(text("mode")?)?,
-                size: num("size")? as u32,
-                iters: num("iters")? as u32,
-            }),
-            "verbs_bandwidth" => Ok(Workload::VerbsBandwidth {
-                transport: VERBS_TRANSPORTS.check(text("transport")?)?,
-                size: num("size")? as u32,
-                iters: num("iters")?,
-            }),
-            "ipoib" => Ok(Workload::Ipoib {
-                mode: IPOIB_MODES.check(text("mode")?)?,
-                mtu: num("mtu")? as u32,
-                window: num("window")?,
-                streams: num("streams")? as usize,
-                bytes_per_stream: num("bytes_per_stream")?,
-            }),
+            "verbs_latency" => {
+                let mode = text("mode")?;
+                let size = num("size")? as u32;
+                if LATENCY_MODES.get(&mode)? == LatMode::SendUd {
+                    ud_fits(size)?;
+                }
+                Ok(Workload::VerbsLatency {
+                    mode,
+                    size,
+                    iters: num("iters")? as u32,
+                })
+            }
+            "verbs_bandwidth" => {
+                let transport = text("transport")?;
+                let size = num("size")? as u32;
+                if VERBS_TRANSPORTS.get(&transport)? {
+                    ud_fits(size)?;
+                }
+                Ok(Workload::VerbsBandwidth {
+                    transport,
+                    size,
+                    iters: num("iters")?,
+                })
+            }
+            "ipoib" => {
+                let mode = text("mode")?;
+                let mtu = num("mtu")? as u32;
+                // Connected mode carries TCP in the configured MTU, which
+                // must leave room for the TCP/IP headers; datagram mode
+                // ignores the field.
+                if IPOIB_MODES.get(&mode)? == IpoibMode::Rc && mtu <= TCP_IP_HEADER {
+                    return Err(format!(
+                        "workload: field \"mtu\" is {mtu}: connected mode needs more than \
+                         the {TCP_IP_HEADER} bytes of TCP/IP headers"
+                    ));
+                }
+                Ok(Workload::Ipoib {
+                    mode,
+                    mtu,
+                    window: num("window")?,
+                    streams: num("streams")? as usize,
+                    bytes_per_stream: num("bytes_per_stream")?,
+                })
+            }
             "mpi_latency" => Ok(Workload::MpiLatency {
                 size: num("size")? as u32,
-                iters: num("iters")? as u32,
+                iters: count("iters")? as u32,
             }),
             "mpi_bandwidth" => Ok(Workload::MpiBandwidth {
                 size: num("size")? as u32,
                 window: num("window")? as u32,
-                iters: num("iters")? as u32,
+                iters: count("iters")? as u32,
                 eager_threshold: num_or("eager_threshold", 0)? as u32,
                 rndv_protocol: match v.get("rndv_protocol") {
                     None => String::new(),
@@ -399,16 +431,16 @@ impl Workload {
                 },
             }),
             "mpi_bcast" => Ok(Workload::MpiBcast {
-                ranks_per_cluster: num("ranks_per_cluster")? as usize,
+                ranks_per_cluster: count("ranks_per_cluster")? as usize,
                 size: num("size")? as u32,
-                iters: num("iters")? as u32,
+                iters: count("iters")? as u32,
                 hierarchical: flag("hierarchical")?,
             }),
             "message_rate" => Ok(Workload::MessageRate {
-                pairs: num("pairs")? as usize,
+                pairs: count("pairs")? as usize,
                 size: num("size")? as u32,
                 window: num("window")? as u32,
-                iters: num("iters")? as u32,
+                iters: count("iters")? as u32,
             }),
             "nas" => {
                 let benchmark = text("benchmark")?;
@@ -430,13 +462,24 @@ impl Workload {
             }),
             "nfs" => Ok(Workload::Nfs {
                 transport: NFS_TRANSPORTS.check(text("transport")?)?,
-                threads: num("threads")? as usize,
+                threads: count("threads")? as usize,
                 file_mib: num("file_mib")?,
                 write: flag("write")?,
             }),
             other => Err(format!("unknown workload kind {other:?}")),
         }
     }
+}
+
+/// A UD message is one datagram, so it must fit the UD QP's MTU.
+fn ud_fits(size: u32) -> Result<(), String> {
+    let mtu = QpConfig::ud().mtu;
+    if size > mtu {
+        return Err(format!(
+            "workload: field \"size\" is {size}: a UD message must fit the {mtu}-byte MTU"
+        ));
+    }
+    Ok(())
 }
 
 /// A complete runnable experiment description.
@@ -1095,6 +1138,50 @@ mod tests {
             (
                 r#"{ "kind": "nas", "benchmark": "cg", "ranks_per_cluster": 16 }"#,
                 r#""ranks_per_cluster""#,
+            ),
+            // A UD message larger than the MTU, which a UD QP cannot send.
+            (
+                r#"{ "kind": "verbs_bandwidth", "transport": "ud", "size": 4096, "iters": 5 }"#,
+                r#""size""#,
+            ),
+            (
+                r#"{ "kind": "verbs_latency", "mode": "send_ud", "size": 4096, "iters": 5 }"#,
+                r#""size""#,
+            ),
+            // Connected-mode IPoIB with no room for the TCP/IP headers.
+            (
+                r#"{ "kind": "ipoib", "mode": "rc", "mtu": 52, "window": 65536, "streams": 1, "bytes_per_stream": 1024 }"#,
+                r#""mtu""#,
+            ),
+            // Jobs with no ranks, and NFS with no client threads.
+            (
+                r#"{ "kind": "mpi_bcast", "ranks_per_cluster": 0, "size": 64, "iters": 2 }"#,
+                r#""ranks_per_cluster""#,
+            ),
+            (
+                r#"{ "kind": "message_rate", "pairs": 0, "size": 8, "window": 4, "iters": 2 }"#,
+                r#""pairs""#,
+            ),
+            (
+                r#"{ "kind": "nfs", "transport": "rdma", "threads": 0, "file_mib": 1 }"#,
+                r#""threads""#,
+            ),
+            // Zero iterations: the mean of no samples is NaN.
+            (
+                r#"{ "kind": "mpi_bcast", "ranks_per_cluster": 2, "size": 64, "iters": 0 }"#,
+                r#""iters""#,
+            ),
+            (
+                r#"{ "kind": "mpi_latency", "size": 8, "iters": 0 }"#,
+                r#""iters""#,
+            ),
+            (
+                r#"{ "kind": "mpi_bandwidth", "size": 8, "window": 4, "iters": 0 }"#,
+                r#""iters""#,
+            ),
+            (
+                r#"{ "kind": "message_rate", "pairs": 1, "size": 8, "window": 4, "iters": 0 }"#,
+                r#""iters""#,
             ),
         ];
         for (json, expect) in cases {

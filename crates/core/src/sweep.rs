@@ -38,17 +38,15 @@ impl Drop for Claim<'_> {
 
 /// Workers for a pool over `inputs` inputs on a machine with `cores` cores,
 /// `claimed` of which enclosing pools already hold:
-/// `min(inputs, free, workers.unwrap_or(max(1, free / 2)))`, where `free`
-/// is `cores - claimed` and at least 1.
+/// `min(inputs, free, workers.unwrap_or(free))`, where `free` is
+/// `cores - claimed` and at least 1.
 ///
-/// The default, one worker per two free cores, runs one simulation at a
-/// time on two cores. One worker per core is faster but holds twice the
-/// simulations in memory at once; [`RunConfig::workers`] (`--workers`)
-/// asks for it explicitly.
+/// The default runs one simulation per free core. Each worker holds one
+/// simulation in memory, so [`RunConfig::workers`] (`--workers 1`) is how
+/// to run them one at a time in the least memory.
 fn pool_size(cores: usize, claimed: usize, workers: Option<usize>, inputs: usize) -> usize {
     let free = cores.saturating_sub(claimed).max(1);
-    let wanted = workers.unwrap_or((free / 2).max(1));
-    wanted.min(free).min(inputs).max(1)
+    workers.unwrap_or(free).min(free).min(inputs).max(1)
 }
 
 /// Map `f` over `inputs` in parallel, preserving order.
@@ -129,16 +127,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pool_size_keeps_one_simulation_per_two_cores_by_default() {
+    fn pool_size_runs_one_simulation_per_core_by_default() {
         // (cores, claimed by enclosing pools, --workers, inputs) -> workers
         let table = [
-            ((2, 0, None, 100), 1, "2 cores, default"),
+            ((2, 0, None, 100), 2, "2 cores, default"),
+            ((2, 0, Some(1), 100), 1, "2 cores, --workers 1"),
             ((2, 0, Some(2), 100), 2, "2 cores, --workers 2"),
-            ((2, 2, Some(2), 100), 1, "nested under a 2-worker claim"),
-            ((2, 1, None, 100), 1, "nested under the default runner"),
-            ((8, 0, None, 100), 4, "8 cores, default"),
+            ((2, 2, None, 100), 1, "nested under a 2-worker claim"),
+            ((2, 2, Some(2), 100), 1, "nested, --workers 2"),
+            ((2, 1, None, 100), 1, "nested under a 1-worker claim"),
+            ((8, 0, None, 100), 8, "8 cores, default"),
             ((8, 0, Some(16), 100), 8, "never more workers than cores"),
             ((1, 0, None, 100), 1, "1 core, default"),
+            ((1, 0, Some(1), 100), 1, "1 core, --workers 1"),
             ((1, 0, Some(4), 100), 1, "1 core, --workers 4"),
             ((1, 3, Some(1), 100), 1, "1 core, over-claimed"),
             ((8, 0, None, 3), 3, "never more workers than inputs"),

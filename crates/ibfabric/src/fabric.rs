@@ -299,13 +299,17 @@ impl FabricBuilder {
     /// Wire ports, run the subnet manager, schedule ULP starts, and return
     /// the runnable fabric.
     pub fn finish(mut self) -> Fabric {
-        // Attach egress ports for every adjacency entry.
+        // Attach egress ports for every adjacency entry, each with its own
+        // delivery stream.
+        self.engine
+            .reserve_streams(self.adj.iter().map(Vec::len).sum());
         for id in 0..self.adj.len() {
             let Some(attach) = self.attachers[id].as_ref() else {
                 continue;
             };
             for &(peer, port, cfg) in &self.adj[id] {
-                attach(&mut self.engine, id, port, EgressPort::new(peer, cfg));
+                let egress = EgressPort::new(peer, cfg, self.engine.open_stream());
+                attach(&mut self.engine, id, port, egress);
             }
         }
 

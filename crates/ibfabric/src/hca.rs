@@ -275,8 +275,7 @@ impl HcaCore {
             return;
         }
         let port = self.port.as_mut().expect("HCA port not wired");
-        let peer = port.peer;
-        port.transmit_seq(ready, pkt, &mut |arrival, p| ctx.send_at(peer, p, arrival));
+        port.send(ctx, ready, pkt);
     }
 
     /// Can `pkt` seed a pending super-train? Three shapes qualify, all fully
@@ -369,10 +368,7 @@ impl HcaCore {
             return;
         };
         let port = self.port.as_mut().expect("HCA port not wired");
-        let peer = port.peer;
-        port.transmit_seq(pending.ready, pending.pkt, &mut |arrival, p| {
-            ctx.send_at(peer, p, arrival)
-        });
+        port.send(ctx, pending.ready, pending.pkt);
     }
 
     /// Handle a packet arriving from the wire.
@@ -547,9 +543,7 @@ impl HcaCore {
     /// packet if one is waiting.
     fn handle_credit(&mut self, ctx: &mut Ctx<'_>) {
         let port = self.port.as_mut().expect("HCA port not wired");
-        if let Some((arrival, pkt)) = port.credit_returned(ctx.now()) {
-            ctx.send_at(port.peer, pkt, arrival);
-        }
+        port.credit_returned(ctx);
     }
 
     /// Attach the (single) port. Used by the fabric builder.

@@ -11,7 +11,7 @@
 //! [`LinkConfig::credit_packets`] to study shallow-buffer behaviour.
 
 use crate::packet::Packet;
-use simcore::{ActorId, Dur, Rate, SerialResource, Time};
+use simcore::{ActorId, Ctx, Dur, Rate, SerialResource, StreamId, Time};
 use std::collections::VecDeque;
 
 /// Link-level credit return (one freed receive buffer). Sent by the
@@ -58,7 +58,8 @@ impl LinkConfig {
 }
 
 /// The egress half of a link attached to a port: owns the serialization
-/// resource, the credit pool, and the waiting queue.
+/// resource, the credit pool, the waiting queue, and the delivery stream its
+/// packets reach the peer through.
 pub struct EgressPort {
     /// Neighbor actor on the other end of the cable.
     pub peer: ActorId,
@@ -66,24 +67,53 @@ pub struct EgressPort {
     tx: SerialResource,
     credits: Option<usize>,
     queue: VecDeque<(Time, Packet)>,
+    stream: StreamId,
 }
 
 impl EgressPort {
-    /// New egress port towards `peer`.
-    pub fn new(peer: ActorId, cfg: LinkConfig) -> Self {
+    /// New egress port towards `peer`, scheduling its deliveries on
+    /// `stream`, which no other sender may use.
+    pub fn new(peer: ActorId, cfg: LinkConfig, stream: StreamId) -> Self {
         EgressPort {
             peer,
             cfg,
             tx: SerialResource::new(cfg.rate),
             credits: cfg.credit_packets,
             queue: VecDeque::new(),
+            stream,
+        }
+    }
+
+    /// Send `pkt` — train or single — across this port, beginning no
+    /// earlier than `ready`: reserve the wire and schedule each resulting
+    /// delivery at the peer. Trains ride as one event when the link supports
+    /// it and are otherwise expanded into their per-fragment members
+    /// (bit-identical timing either way). A packet that finds no credit
+    /// waits in the port until [`EgressPort::credit_returned`] releases it.
+    ///
+    /// Every reservation starts no earlier than the previous one finished,
+    /// so the port's delivery times never decrease and every delivery
+    /// extends the port's stream: the event queue holds one delivery per
+    /// port however deep the port's backlog.
+    pub fn send(&mut self, ctx: &mut Ctx<'_>, ready: Time, pkt: Packet) {
+        let (stream, peer) = (self.stream, self.peer);
+        self.transmit_seq(ready, pkt, &mut |arrival, p| {
+            ctx.send_stream(stream, peer, p, arrival)
+        });
+    }
+
+    /// A credit returned from the peer: the packet waiting longest for one,
+    /// if any, takes it and goes on the wire.
+    pub fn credit_returned(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some((arrival, pkt)) = self.take_credit(ctx.now()) {
+            ctx.send_stream(self.stream, self.peer, pkt, arrival);
         }
     }
 
     /// Submit `pkt` for transmission beginning no earlier than `ready`.
     /// Returns `Some((arrival, pkt))` if a credit was available (schedule
     /// the delivery), or `None` if the packet was queued awaiting credits.
-    pub fn transmit(&mut self, ready: Time, pkt: Packet) -> Option<(Time, Packet)> {
+    fn transmit(&mut self, ready: Time, pkt: Packet) -> Option<(Time, Packet)> {
         match self.credits {
             Some(0) => {
                 self.queue.push_back((ready, pkt));
@@ -108,7 +138,7 @@ impl EgressPort {
     /// departure spacing, or `None` when the link cannot carry the train as a
     /// unit (credited link, or no closed-form service pattern) and the caller
     /// must de-coalesce via [`EgressPort::transmit_seq`].
-    pub fn transmit_train(&mut self, ready: Time, pkt: &mut Packet) -> Option<Time> {
+    fn transmit_train(&mut self, ready: Time, pkt: &mut Packet) -> Option<Time> {
         debug_assert!(pkt.is_train());
         if self.credits.is_some() {
             // Credit accounting is per fragment; trains cannot cross a
@@ -137,16 +167,9 @@ impl EgressPort {
         Some(head_finish + self.cfg.latency)
     }
 
-    /// Forward `pkt` — train or single — across this port, delivering each
-    /// resulting packet through `deliver(arrival, pkt)`. Trains ride as one
-    /// event when the link supports it and are otherwise expanded into their
-    /// per-fragment members (bit-identical timing either way).
-    pub fn transmit_seq(
-        &mut self,
-        ready: Time,
-        pkt: Packet,
-        deliver: &mut dyn FnMut(Time, Packet),
-    ) {
+    /// Reserve the wire for `pkt` as [`EgressPort::send`] does, handing
+    /// each resulting delivery to `deliver(arrival, pkt)`.
+    fn transmit_seq(&mut self, ready: Time, pkt: Packet, deliver: &mut dyn FnMut(Time, Packet)) {
         if !pkt.is_train() {
             if let Some((arrival, pkt)) = self.transmit(ready, pkt) {
                 deliver(arrival, pkt);
@@ -187,7 +210,7 @@ impl EgressPort {
 
     /// A credit returned from the peer at `now`; possibly releases a queued
     /// packet (returns its scheduled arrival).
-    pub fn credit_returned(&mut self, now: Time) -> Option<(Time, Packet)> {
+    fn take_credit(&mut self, now: Time) -> Option<(Time, Packet)> {
         let n = self
             .credits
             .as_mut()
@@ -235,6 +258,12 @@ mod tests {
     use crate::qp::Qpn;
     use crate::types::Lid;
 
+    /// A port whose stream comes from a throwaway engine: these tests read
+    /// the reservations directly and never schedule a delivery.
+    fn egress(cfg: LinkConfig) -> EgressPort {
+        EgressPort::new(0, cfg, simcore::Engine::new(0).open_stream())
+    }
+
     fn pkt(payload: u32) -> Packet {
         Packet {
             dst_lid: Lid(2),
@@ -277,7 +306,7 @@ mod tests {
             latency: Dur::from_us(1),
             credit_packets: None,
         };
-        let mut port = EgressPort::new(0, cfg);
+        let mut port = egress(cfg);
         let (a1, _) = port.transmit(Time::ZERO, pkt(930)).unwrap();
         assert_eq!(a1, Time::from_ns(1000) + Dur::from_us(1));
         // Second packet queued behind the first on the wire.
@@ -304,8 +333,8 @@ mod tests {
     #[test]
     fn train_matches_per_fragment_timing() {
         let cfg = LinkConfig::sdr_lan();
-        let mut a = EgressPort::new(0, cfg);
-        let mut b = EgressPort::new(0, cfg);
+        let mut a = egress(cfg);
+        let mut b = egress(cfg);
         // Back-to-back train fresh off an HCA (gap 0 → serialization-paced).
         let t = train(2048, 4, 0);
         let golden = per_fragment_schedule(&mut a, Time::from_ns(500), &t);
@@ -324,8 +353,8 @@ mod tests {
     #[test]
     fn train_behind_backlog_matches_per_fragment() {
         let cfg = LinkConfig::sdr_lan();
-        let mut a = EgressPort::new(0, cfg);
-        let mut b = EgressPort::new(0, cfg);
+        let mut a = egress(cfg);
+        let mut b = egress(cfg);
         a.transmit(Time::ZERO, pkt(8000));
         b.transmit(Time::ZERO, pkt(8000));
         // Train arrives spaced wider than service while the port is busy:
@@ -393,8 +422,8 @@ mod tests {
         // SDR hop: service 2090 >= gap 1045, msg_gap 4180 == 2 * 2090, so the
         // whole window rides as one event (lateness 0, back-to-back form).
         let cfg = LinkConfig::sdr_lan();
-        let mut a = EgressPort::new(0, cfg);
-        let mut b = EgressPort::new(0, cfg);
+        let mut a = egress(cfg);
+        let mut b = egress(cfg);
         let t = super_train(4, 1045, 4180);
         t.debug_validate_train();
         let golden = per_member_schedule(&mut a, Time::from_ns(500), &t);
@@ -420,8 +449,8 @@ mod tests {
         // ride as smaller reservations with per-member timing preserved
         // exactly — the first behind the backlog, the rest on the grid.
         let cfg = LinkConfig::ddr_lan();
-        let mut a = EgressPort::new(0, cfg);
-        let mut b = EgressPort::new(0, cfg);
+        let mut a = egress(cfg);
+        let mut b = egress(cfg);
         a.transmit(Time::ZERO, pkt(3000));
         b.transmit(Time::ZERO, pkt(3000));
         let t = super_train(4, 1045, 20_000);
@@ -446,8 +475,8 @@ mod tests {
         // split fallback must reproduce the per-member schedule exactly and
         // in far fewer deliveries than one per message.
         let cfg = LinkConfig::ddr_lan();
-        let mut a = EgressPort::new(0, cfg);
-        let mut b = EgressPort::new(0, cfg);
+        let mut a = egress(cfg);
+        let mut b = egress(cfg);
         a.transmit(Time::ZERO, pkt(49_000)); // busy until 24.5 us
         b.transmit(Time::ZERO, pkt(49_000));
         let t = super_train(32, 0, 4180);
@@ -473,8 +502,8 @@ mod tests {
         // (30B) is far below the spacing, so the idle pattern-preserving form
         // carries it as one event.
         let cfg = LinkConfig::sdr_lan();
-        let mut a = EgressPort::new(0, cfg);
-        let mut b = EgressPort::new(0, cfg);
+        let mut a = egress(cfg);
+        let mut b = egress(cfg);
         let t = Packet {
             opcode: Opcode::RcAck,
             payload: 0,
@@ -499,7 +528,7 @@ mod tests {
     #[test]
     fn credited_links_refuse_trains() {
         let cfg = LinkConfig::sdr_lan().with_credits(8);
-        let mut port = EgressPort::new(0, cfg);
+        let mut port = egress(cfg);
         let mut t = train(1024, 3, 0);
         assert!(port.transmit_train(Time::ZERO, &mut t).is_none());
         // transmit_seq falls back to per-fragment members, consuming credits.
@@ -514,24 +543,71 @@ mod tests {
     #[test]
     fn credits_gate_transmission() {
         let cfg = LinkConfig::sdr_lan().with_credits(2);
-        let mut port = EgressPort::new(0, cfg);
+        let mut port = egress(cfg);
         assert!(port.transmit(Time::ZERO, pkt(100)).is_some());
         assert!(port.transmit(Time::ZERO, pkt(100)).is_some());
         // Third packet has no credit: queued.
         assert!(port.transmit(Time::ZERO, pkt(100)).is_none());
         assert_eq!(port.queued(), 1);
         // A returned credit releases it.
-        let released = port.credit_returned(Time::from_us(5));
+        let released = port.take_credit(Time::from_us(5));
         assert!(released.is_some());
         assert_eq!(port.queued(), 0);
         // Another return with nothing queued restores the pool.
-        assert!(port.credit_returned(Time::from_us(6)).is_none());
+        assert!(port.take_credit(Time::from_us(6)).is_none());
         assert!(port.transmit(Time::from_us(7), pkt(100)).is_some());
+    }
+
+    /// Everything a port sends rides its stream: a five-packet backlog
+    /// keeps one delivery in the event queue, and the arrivals keep the
+    /// wire's back-to-back schedule.
+    #[test]
+    fn a_backlogged_port_keeps_one_delivery_queued() {
+        use simcore::{Actor, Engine};
+        use std::any::Any;
+        struct Sender {
+            port: EgressPort,
+        }
+        impl Actor for Sender {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _: ActorId, _: Box<dyn Any>) {
+                let now = ctx.now();
+                for _ in 0..5 {
+                    self.port.send(ctx, now, pkt(930));
+                }
+            }
+        }
+        struct Sink {
+            arrivals: Vec<Time>,
+        }
+        impl Actor for Sink {
+            fn on_message(&mut self, _: &mut Ctx<'_>, _: ActorId, _: Box<dyn Any>) {
+                unreachable!("the sink takes packets only");
+            }
+            fn on_packet(&mut self, ctx: &mut Ctx<'_>, _: ActorId, _: Packet) {
+                self.arrivals.push(ctx.now());
+            }
+        }
+        let cfg = LinkConfig {
+            rate: Rate::from_gbps(8), // 1 ns/byte: 1 us per 1000-byte packet
+            latency: Dur::from_us(1),
+            credit_packets: None,
+        };
+        let mut e = Engine::new(1);
+        let sink = e.add_actor(Box::new(Sink { arrivals: vec![] }));
+        let port = EgressPort::new(sink, cfg, e.open_stream());
+        let tx = e.add_actor(Box::new(Sender { port }));
+        e.schedule_message(Time::ZERO, tx, tx, Box::new(()));
+        e.run();
+        let want: Vec<Time> = (1..=5)
+            .map(|k| Time::from_ns(1000 * k) + Dur::from_us(1))
+            .collect();
+        assert_eq!(e.actor::<Sink>(sink).arrivals, want);
+        assert_eq!(e.counters().peak_queue_len, 1);
     }
 
     #[test]
     fn uncredited_links_never_queue() {
-        let mut port = EgressPort::new(0, LinkConfig::ddr_lan());
+        let mut port = egress(LinkConfig::ddr_lan());
         for _ in 0..100 {
             assert!(port.transmit(Time::ZERO, pkt(64)).is_some());
         }

@@ -4,7 +4,7 @@
 //! engine's typed packet lane ([`simcore::Msg::Packet`]) can carry them by
 //! value; they are re-exported here under their original paths. Fabric
 //! actors receive packets through [`simcore::Actor::on_packet`] and put them
-//! back on the wire with `ctx.send_at(peer, pkt, arrival)` — no boxing, no
+//! back on the wire with [`crate::link::EgressPort::send`] — no boxing, no
 //! downcasting.
 
 pub use ibwire::{Opcode, Packet, Position};

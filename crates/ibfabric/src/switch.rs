@@ -102,19 +102,14 @@ impl Actor for Switch {
         // inter-fragment gap survives the hop and one reservation covers the
         // whole train.
         let ready = ctx.now() + self.fwd_latency;
-        let peer = port.peer;
-        port.transmit_seq(ready, pkt, &mut |arrival, p| ctx.send_at(peer, p, arrival));
+        port.send(ctx, ready, pkt);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ActorId, msg: Box<dyn Any>) {
         msg.downcast::<CreditMsg>()
             .expect("switch received an unexpected control message");
-        let now = ctx.now();
         let port = self.port_to(from).expect("credit from an actor on no port");
-        if let Some((arrival, pkt)) = port.credit_returned(now) {
-            let peer = port.peer;
-            ctx.send_at(peer, pkt, arrival);
-        }
+        port.credit_returned(ctx);
     }
 }
 
@@ -176,6 +171,7 @@ mod tests {
                     latency: Dur::from_ns(100),
                     credit_packets: None,
                 },
+                e.open_stream(),
             ),
         );
         sw.set_route(5, 0);

@@ -145,50 +145,38 @@ impl Actor for Longbow {
         // The transit + injected delay shifts every train member uniformly,
         // so a train crosses the unit with its gap intact.
         let ready = ctx.now() + self.cfg.transit_latency + self.cfg.injected_delay;
-        if self.cfg.loss_per_million > 0 {
-            // Loss is rolled per fragment, so trains must de-coalesce here:
-            // each member gets its own dice roll at its own arrival instant.
-            // (Fabrics with lossy Longbows disable coalescing entirely —
-            // see `LongbowPair::insert_with` — so this loop normally sees
-            // only single packets.)
-            for k in 0..pkt.count {
-                let member = pkt.frag(k);
-                if ctx.rng().gen_range(0..1_000_000u32) < self.cfg.loss_per_million {
-                    self.dropped += 1;
-                    continue;
-                }
-                let port = self.ports[out_idx]
-                    .as_mut()
-                    .expect("Longbow egress port not attached");
-                self.forwarded += 1;
-                let peer = port.peer;
-                let at = ready + Dur::from_ns(pkt.member_arrival_offset_ns(k));
-                if let Some((arrival, m)) = port.transmit(at, member) {
-                    ctx.send_at(peer, m, arrival);
-                }
-            }
-            return;
-        }
         let port = self.ports[out_idx]
             .as_mut()
             .expect("Longbow egress port not attached");
-        self.forwarded += pkt.count as u64;
-        let peer = port.peer;
-        port.transmit_seq(ready, pkt, &mut |arrival, p| ctx.send_at(peer, p, arrival));
+        if self.cfg.loss_per_million == 0 {
+            self.forwarded += pkt.count as u64;
+            port.send(ctx, ready, pkt);
+            return;
+        }
+        // Loss is rolled per fragment, so trains must de-coalesce here: each
+        // member gets its own dice roll at its own arrival instant. (Fabrics
+        // with lossy Longbows disable coalescing entirely — see
+        // `LongbowPair::insert_with` — so this loop normally sees only single
+        // packets.)
+        for k in 0..pkt.count {
+            if ctx.rng().gen_range(0..1_000_000u32) < self.cfg.loss_per_million {
+                self.dropped += 1;
+                continue;
+            }
+            self.forwarded += 1;
+            let at = ready + Dur::from_ns(pkt.member_arrival_offset_ns(k));
+            port.send(ctx, at, pkt.frag(k));
+        }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ActorId, msg: Box<dyn Any>) {
         msg.downcast::<CreditMsg>()
             .expect("Longbow received an unexpected control message");
         let in_idx = self.ingress_idx(from);
-        let now = ctx.now();
-        let port = self.ports[in_idx]
+        self.ports[in_idx]
             .as_mut()
-            .expect("credit on unattached port");
-        if let Some((arrival, pkt)) = port.credit_returned(now) {
-            let peer = port.peer;
-            ctx.send_at(peer, pkt, arrival);
-        }
+            .expect("credit on unattached port")
+            .credit_returned(ctx);
     }
 }
 

@@ -65,6 +65,12 @@ const MAX_BUCKETS: usize = 1 << 16;
 /// Bucket width ceiling (ns). Wider than any sane event spacing; keeps the
 /// horizon arithmetic far from `u64` overflow.
 const MAX_WIDTH_NS: u64 = 1 << 40;
+/// Largest buffer an emptied bucket keeps once the cursor moves off it. A
+/// burst can grow one bucket to tens of thousands of keys; without a bound
+/// every bucket would hold the largest capacity it ever reached until the
+/// run ends, which for the deep all-to-all figures is tens of megabytes for
+/// a queue a few thousand keys deep.
+const KEEP_BUCKET_CAPACITY: usize = 64;
 
 /// Exact event queue: binary-heap warmup, calendar steady state.
 pub(crate) struct EventQueue {
@@ -227,6 +233,7 @@ impl Calendar {
             Some(Reverse(k)) => k.at().as_ns(),
             None => return,
         };
+        self.release_cursor_bucket();
         self.park(t0);
         let horizon = self.horizon_end();
         while let Some(Reverse(k)) = self.overflow.peek() {
@@ -255,6 +262,7 @@ impl Calendar {
             self.reseed();
         }
         if self.buckets[self.cursor].is_empty() {
+            self.release_cursor_bucket();
             let idx = self.next_occupied(self.cursor).expect("bucket_items > 0");
             let n = self.buckets.len();
             let steps = (idx + n - self.cursor) & self.mask;
@@ -263,6 +271,16 @@ impl Calendar {
             self.sort_cursor(counters, true);
         } else if !self.cursor_sorted {
             self.sort_cursor(counters, false);
+        }
+    }
+
+    /// The cursor is about to move off its bucket, which is empty: drop the
+    /// bucket's buffer if a burst grew it past [`KEEP_BUCKET_CAPACITY`].
+    fn release_cursor_bucket(&mut self) {
+        let b = &mut self.buckets[self.cursor];
+        debug_assert!(b.is_empty(), "released a bucket that still holds keys");
+        if b.capacity() > KEEP_BUCKET_CAPACITY {
+            *b = Vec::new();
         }
     }
 
@@ -649,6 +667,35 @@ mod tests {
             .map(|k| k.idx)
             .collect();
         assert_eq!(order, [4, 3, 5, 6, 0, 7, 2, 8]);
+    }
+
+    #[test]
+    fn drained_burst_buckets_give_their_buffers_back() {
+        let mut q = EventQueue::with_calendar(1000, 64);
+        let mut counters = EngineCounters::default();
+        // A burst of 5,000 keys into one epoch, then one key three epochs
+        // later, so the drain moves the cursor off the burst's bucket.
+        let burst = 5_000u32;
+        for i in 0..burst {
+            q.push(key(200 + (i as u64 * 7) % 800, i as u64, i));
+        }
+        q.push(key(3_500, burst as u64, burst));
+        let Mode::Calendar(c) = &q.mode else {
+            unreachable!("forced-calendar queue")
+        };
+        assert!(c.buckets[0].capacity() >= burst as usize);
+        for _ in 0..=burst {
+            q.pop(&mut counters).expect("pushed above");
+        }
+        assert_eq!(q.len(), 0);
+        let Mode::Calendar(c) = &q.mode else {
+            unreachable!("forced-calendar queue")
+        };
+        let kept = c.buckets.iter().map(Vec::capacity).max().unwrap();
+        assert!(
+            kept <= KEEP_BUCKET_CAPACITY,
+            "an emptied bucket kept a {kept}-key buffer"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! ## Event pooling
 //!
 //! Event payloads live in a slab (`Vec<Option<EventKind>>` plus a free list);
-//! the binary heap orders only compact 24-byte `(time, seq, index)` keys.
+//! the event queue orders only compact 32-byte `(time, seq, index)` keys.
 //! Steady-state simulation allocates nothing per event: nodes are recycled
 //! through the free list ([`EngineCounters::pool_hits`]) and the slab only
 //! grows while the in-flight event population reaches a new high
@@ -42,6 +42,19 @@
 //! event already queued for the current instant — effects of one handler
 //! never jump ahead of previously scheduled work. See
 //! `zero_delay_self_send_runs_after_queued_same_time_events` in the tests.
+//!
+//! ## Delivery streams
+//!
+//! A link's egress port schedules each packet's arrival as soon as it
+//! reserves the wire, so a congested port's whole backlog would otherwise sit
+//! in the event queue. A port instead sends through its own stream
+//! ([`Engine::open_stream`], [`Ctx::send_stream`]): the queue holds only the
+//! stream's earliest key, and its later keys wait in a per-stream FIFO with
+//! the `(time, seq)` they got when scheduled. When the head pops, the next
+//! key is pushed. A key that would not extend its stream's tail is pushed
+//! directly, so every FIFO stays sorted and the queue always holds each
+//! stream's minimum. The global minimum is therefore always queued, and the
+//! pop order is exactly the one direct sends would give.
 
 use crate::calqueue::EventQueue;
 use crate::time::{Dur, Time};
@@ -50,7 +63,7 @@ use ibwire::Packet;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::any::Any;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 /// Index of an actor within an [`Engine`].
 pub type ActorId = usize;
@@ -127,6 +140,24 @@ impl<T: Any + Send> From<Box<T>> for Msg {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TimerId(u64);
 
+/// Handle to a delivery stream opened with [`Engine::open_stream`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub struct StreamId(u32);
+
+/// [`HeapKey::stream`] of a key that heads no stream.
+const NO_STREAM: u32 = u32::MAX;
+
+/// One delivery stream: the keys scheduled behind its queued head.
+#[derive(Default)]
+struct Stream {
+    /// Keys after the head, in key order, each tagged with this stream.
+    later: VecDeque<HeapKey>,
+    /// Order of the stream's last key (the head when `later` is empty).
+    tail: u128,
+    /// The stream's earliest key is in the event queue.
+    queued: bool,
+}
+
 /// A simulation entity driven by messages and timers.
 ///
 /// Implementations must be `'static` (the `Any` supertrait) so the engine can
@@ -168,7 +199,7 @@ pub(crate) enum EventKind {
 }
 
 /// Compact queue entry: the event payload lives in the slab at `idx`, so
-/// queue operations move 24 bytes instead of a full event node. `(time, seq)`
+/// queue operations move 32 bytes instead of a full event node. `(time, seq)`
 /// is packed into one `u128` so each ordering comparison is a single wide
 /// integer compare.
 #[derive(Debug)]
@@ -176,6 +207,9 @@ pub(crate) struct HeapKey {
     /// `(at.as_ns() << 64) | seq` — orders by time, then scheduling order.
     order: u128,
     pub(crate) idx: u32,
+    /// The stream this key heads, or `NO_STREAM`. Sits in the padding the
+    /// `u128` alignment leaves, so streams cost the queue no space.
+    stream: u32,
 }
 
 impl HeapKey {
@@ -184,6 +218,7 @@ impl HeapKey {
         HeapKey {
             order: ((at.as_ns() as u128) << 64) | seq as u128,
             idx,
+            stream: NO_STREAM,
         }
     }
 
@@ -230,7 +265,9 @@ pub struct EngineCounters {
     pub events_allocated: u64,
     /// Event nodes recycled from the free pool instead of allocated.
     pub pool_hits: u64,
-    /// High-water mark of the event queue length.
+    /// High-water mark of the event queue length. Counts queue residents:
+    /// a delivery stream contributes only its earliest pending key, not the
+    /// keys waiting behind it (see the [module docs](self)).
     pub peak_queue_len: u64,
     /// Timers that were cancelled before firing and skipped on pop.
     pub timers_cancelled: u64,
@@ -331,14 +368,16 @@ pub(crate) struct Core {
     pub(crate) next_timer_id: u64,
     /// Tombstones for cancelled-but-not-yet-popped timers.
     pub(crate) cancelled: HashSet<u64>,
+    /// Delivery streams, indexed by `StreamId`.
+    streams: Vec<Stream>,
     pub(crate) counters: EngineCounters,
 }
 
 impl Core {
     /// Acquire a slab slot for `kind` — from the free pool when possible —
-    /// and push its compact key onto the queue.
+    /// and key it at `at` with the next sequence number.
     #[inline]
-    pub(crate) fn push_event(&mut self, at: Time, kind: EventKind) {
+    fn new_key(&mut self, at: Time, kind: EventKind) -> HeapKey {
         let idx = if let Some(idx) = self.free.pop() {
             self.counters.pool_hits += 1;
             debug_assert!(self.nodes[idx as usize].is_none(), "free-list slot in use");
@@ -352,10 +391,54 @@ impl Core {
         };
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(HeapKey::new(at, seq, idx));
+        HeapKey::new(at, seq, idx)
+    }
+
+    /// Push `key` into the queue and track the queue's high-water mark.
+    #[inline]
+    fn enqueue(&mut self, key: HeapKey) {
+        self.queue.push(key);
         let len = self.queue.len() as u64;
         if len > self.counters.peak_queue_len {
             self.counters.peak_queue_len = len;
+        }
+    }
+
+    /// Schedule `kind` at `at` straight into the event queue.
+    #[inline]
+    pub(crate) fn push_event(&mut self, at: Time, kind: EventKind) {
+        let key = self.new_key(at, kind);
+        self.enqueue(key);
+    }
+
+    /// Schedule `kind` at `at` on `stream`: into the queue if the stream is
+    /// idle, behind its tail if the key extends it, and straight into the
+    /// queue otherwise.
+    #[inline]
+    fn push_stream_event(&mut self, stream: StreamId, at: Time, kind: EventKind) {
+        let mut key = self.new_key(at, kind);
+        let s = &mut self.streams[stream.0 as usize];
+        if !s.queued {
+            s.queued = true;
+            s.tail = key.order;
+            key.stream = stream.0;
+            self.enqueue(key);
+        } else if key.order > s.tail {
+            s.tail = key.order;
+            key.stream = stream.0;
+            s.later.push_back(key);
+        } else {
+            self.enqueue(key);
+        }
+    }
+
+    /// The head of `stream` just popped: queue its next key, if any.
+    #[inline]
+    fn advance_stream(&mut self, stream: u32) {
+        let s = &mut self.streams[stream as usize];
+        match s.later.pop_front() {
+            Some(next) => self.queue.push(next), // replaces the head: no new peak
+            None => s.queued = false,
         }
     }
 }
@@ -401,6 +484,28 @@ impl Ctx<'_> {
     pub fn send_at(&mut self, to: ActorId, msg: impl Into<Msg>, at: Time) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
         self.core.push_event(
+            at,
+            EventKind::Message {
+                from: self.self_id,
+                to,
+                msg: msg.into(),
+            },
+        );
+    }
+
+    /// Schedule `msg` for delivery to `to` at `at` through `stream`.
+    ///
+    /// Dispatch order is exactly that of [`Ctx::send_at`]; the difference
+    /// is where the key waits. While the stream has an earlier delivery
+    /// pending, a key at or after the stream's last one waits in the
+    /// stream's FIFO instead of the event queue (see the
+    /// [module docs](self)). A sender whose times never decrease, such as an
+    /// egress port, keeps only one key per stream in the queue.
+    #[inline]
+    pub fn send_stream(&mut self, stream: StreamId, to: ActorId, msg: impl Into<Msg>, at: Time) {
+        debug_assert!(at >= self.now, "cannot schedule into the past");
+        self.core.push_stream_event(
+            stream,
             at,
             EventKind::Message {
                 from: self.self_id,
@@ -518,6 +623,7 @@ impl Engine {
                 stop: false,
                 next_timer_id: 0,
                 cancelled: HashSet::new(),
+                streams: Vec::new(),
                 counters: EngineCounters::default(),
             },
             event_limit: u64::MAX,
@@ -544,6 +650,22 @@ impl Engine {
     /// Mutable trace access (to name actors).
     pub fn trace_mut(&mut self) -> Option<&mut Trace> {
         self.trace.as_mut()
+    }
+
+    /// Make room for `additional` more streams, so a builder that knows
+    /// how many it will open allocates the stream table once.
+    pub fn reserve_streams(&mut self, additional: usize) {
+        self.core.streams.reserve(additional);
+    }
+
+    /// Open a delivery stream for [`Ctx::send_stream`].
+    pub fn open_stream(&mut self) -> StreamId {
+        let id = u32::try_from(self.core.streams.len())
+            .ok()
+            .filter(|&id| id != NO_STREAM)
+            .expect("too many delivery streams");
+        self.core.streams.push(Stream::default());
+        StreamId(id)
     }
 
     /// Register an actor and return its id.
@@ -672,6 +794,9 @@ impl Engine {
                 self.now
             );
             self.now = key.at();
+            if key.stream != NO_STREAM {
+                self.core.advance_stream(key.stream);
+            }
             let kind = self.core.nodes[key.idx as usize]
                 .take()
                 .expect("heap key points at an empty slab slot");
@@ -1178,6 +1303,190 @@ mod tests {
         assert_eq!(m.control_coalesced, 25);
         assert_eq!(m.cal_bucket_occupancy, [4, 2, 0, 0, 0, 0, 0, 1]);
         assert_eq!(m.cal_fallback_hits, 7);
+    }
+
+    /// Dispatch log shared by the actors of one scripted run:
+    /// `(time, actor, tag)` per dispatched event.
+    type DispatchLog = std::sync::Arc<std::sync::Mutex<Vec<(Time, ActorId, u64)>>>;
+
+    const SCRIPT_STREAMS: usize = 4;
+
+    /// Drives a seeded mix of stream sends, direct sends and cancellable
+    /// timers from every event it handles. With `streams == None` each
+    /// stream send becomes a direct `send_at` to the same actor at the same
+    /// time.
+    struct Script {
+        streams: Option<Vec<StreamId>>,
+        sinks: Vec<ActorId>,
+        /// Latest time sent on each stream.
+        tails: [Time; SCRIPT_STREAMS],
+        /// Pending cancellable timers by token.
+        armed: Vec<(u64, TimerId)>,
+        budget: u32,
+        next_tag: u64,
+        /// Stream sends timed before their stream's latest send.
+        early: u32,
+        log: DispatchLog,
+    }
+
+    impl Script {
+        fn act(&mut self, ctx: &mut Ctx<'_>) {
+            use rand::Rng;
+            let now = ctx.now();
+            for _ in 0..ctx.rng().gen_range(1..4u32) {
+                if self.budget == 0 {
+                    return;
+                }
+                self.budget -= 1;
+                let tag = self.next_tag;
+                self.next_tag += 1;
+                let roll = ctx.rng().gen_range(0..100u32);
+                if roll < 60 {
+                    let s = ctx.rng().gen_range(0..SCRIPT_STREAMS);
+                    let tail = self.tails[s];
+                    let at = if tail > now && ctx.rng().gen_range(0..10u32) == 0 {
+                        self.early += 1;
+                        now + Dur::from_ns(ctx.rng().gen_range(0..(tail - now).as_ns()))
+                    } else {
+                        // A third of the steps are zero: same nanosecond.
+                        let step = ctx.rng().gen_range(0..3u64) * ctx.rng().gen_range(0..20u64);
+                        tail.max(now) + Dur::from_ns(step)
+                    };
+                    self.tails[s] = tail.max(at);
+                    let to = self.sinks[s];
+                    match &self.streams {
+                        Some(ids) => ctx.send_stream(ids[s], to, Box::new(tag), at),
+                        None => ctx.send_at(to, Box::new(tag), at),
+                    }
+                } else if roll < 80 {
+                    let to = if roll < 70 {
+                        ctx.self_id()
+                    } else {
+                        self.sinks[ctx.rng().gen_range(0..SCRIPT_STREAMS)]
+                    };
+                    let at = now + Dur::from_ns(ctx.rng().gen_range(0..3_000u64));
+                    ctx.send_at(to, Box::new(tag), at);
+                } else if roll < 92 || self.armed.is_empty() {
+                    let delay = Dur::from_ns(ctx.rng().gen_range(0..4_000u64));
+                    let id = ctx.timer_cancellable(delay, tag);
+                    self.armed.push((tag, id));
+                } else {
+                    let i = ctx.rng().gen_range(0..self.armed.len());
+                    let (_, id) = self.armed.swap_remove(i);
+                    ctx.cancel_timer(id);
+                }
+            }
+        }
+    }
+
+    impl Actor for Script {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ActorId, msg: Box<dyn Any>) {
+            log_dispatch(&self.log, ctx, *msg.downcast::<u64>().unwrap());
+            self.act(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            log_dispatch(&self.log, ctx, token);
+            self.armed.retain(|&(t, _)| t != token);
+            self.act(ctx);
+        }
+    }
+
+    fn log_dispatch(log: &DispatchLog, ctx: &Ctx<'_>, tag: u64) {
+        log.lock().unwrap().push((ctx.now(), ctx.self_id(), tag));
+    }
+
+    /// Logs each delivery and pokes the script back.
+    struct ScriptSink {
+        script: ActorId,
+        log: DispatchLog,
+    }
+
+    impl Actor for ScriptSink {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ActorId, msg: Box<dyn Any>) {
+            use rand::Rng;
+            let tag = *msg.downcast::<u64>().unwrap();
+            log_dispatch(&self.log, ctx, tag);
+            let delay = Dur::from_ns(ctx.rng().gen_range(1..500u64));
+            ctx.send(self.script, Box::new(u64::MAX - tag), delay);
+        }
+    }
+
+    /// Run the script to completion: `(dispatch log, counters, early sends)`.
+    fn run_script(seed: u64, streams: bool) -> (Vec<(Time, ActorId, u64)>, EngineCounters, u32) {
+        let log = DispatchLog::default();
+        let mut e = Engine::new(seed);
+        let script = e.add_actor(Box::new(Script {
+            streams: None,
+            sinks: Vec::new(),
+            tails: [Time::ZERO; SCRIPT_STREAMS],
+            armed: Vec::new(),
+            budget: 6_000,
+            next_tag: 0,
+            early: 0,
+            log: log.clone(),
+        }));
+        let sinks: Vec<ActorId> = (0..SCRIPT_STREAMS)
+            .map(|_| {
+                e.add_actor(Box::new(ScriptSink {
+                    script,
+                    log: log.clone(),
+                }))
+            })
+            .collect();
+        let ids = streams.then(|| (0..SCRIPT_STREAMS).map(|_| e.open_stream()).collect());
+        let s = e.actor_mut::<Script>(script);
+        s.streams = ids;
+        s.sinks = sinks;
+        for i in 0..16u64 {
+            e.schedule_message(
+                Time::from_ns(i * 37),
+                script,
+                script,
+                Box::new(1_000_000 + i),
+            );
+        }
+        let mut deadline = Time::ZERO;
+        for _ in 0..40 {
+            deadline += Dur::from_ns(1_500);
+            assert!(e.run_until(deadline) <= deadline);
+        }
+        e.run();
+        let early = e.actor::<Script>(script).early;
+        let log = std::mem::take(&mut *log.lock().unwrap());
+        (log, e.counters(), early)
+    }
+
+    #[test]
+    fn streams_dispatch_in_exactly_the_order_of_direct_sends() {
+        for seed in [3, 17, 2024] {
+            let (direct_log, direct, _) = run_script(seed, false);
+            let (stream_log, streamed, early) = run_script(seed, true);
+            assert!(
+                direct_log.len() > 5_000,
+                "script too short: {}",
+                direct_log.len()
+            );
+            assert!(early > 200, "seed {seed}: only {early} early stream sends");
+            assert!(
+                direct.timers_cancelled > 0,
+                "seed {seed}: no timer was cancelled"
+            );
+            let diverged = direct_log.iter().zip(&stream_log).position(|(d, s)| d != s);
+            if let Some(i) = diverged {
+                panic!(
+                    "seed {seed}: dispatch {i} diverged: {:?} direct, {:?} streamed",
+                    direct_log[i], stream_log[i]
+                );
+            }
+            assert_eq!(stream_log.len(), direct_log.len(), "seed {seed}");
+            assert_eq!(streamed.events_processed, direct.events_processed);
+            assert!(
+                streamed.peak_queue_len < direct.peak_queue_len,
+                "seed {seed}: streams held {} residents against {} direct",
+                streamed.peak_queue_len,
+                direct.peak_queue_len
+            );
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Actor, ActorId, Ctx, Engine, EngineCounters, Msg, TimerId};
+pub use engine::{Actor, ActorId, Ctx, Engine, EngineCounters, Msg, StreamId, TimerId};
 pub use ibwire::Packet;
 pub use rate::{Rate, SerialResource};
 pub use stats::{Histogram, OnlineStats, Throughput, TimeSeries};
