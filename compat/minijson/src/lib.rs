@@ -2,7 +2,7 @@
 //! recursive-descent parser, and compact/pretty printers.
 //!
 //! The build environment has no crates.io access, so scenario files,
-//! regenerated figures, and the perf harness serialize through this crate
+//! regenerated figures, and the benchmark's reports serialize through this crate
 //! instead of `serde_json`. Object key order is preserved (insertion
 //! order), so printing is fully deterministic — a hard requirement for the
 //! bit-identical `results/*.json` regeneration check.

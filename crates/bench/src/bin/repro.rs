@@ -10,8 +10,11 @@
 //!   --json DIR   additionally write each figure as DIR/<id>.json, stamped
 //!             with a provenance block (config digest, seed, wall time,
 //!             engine counters)
-//!   --check DIR  regenerate and diff against recorded goldens DIR/<id>.json;
-//!             exit nonzero with a per-series report on any mismatch
+//!   --check DIR  regenerate and diff against recorded goldens DIR/<id>.json:
+//!             figure data always, and the work counters (events, trains)
+//!             when the golden was recorded under the same config; exit
+//!             nonzero with a per-series report on any mismatch. Cannot be
+//!             combined with --json
 //!   --no-coalescing  force the per-fragment wire path (A/B harness for the
 //!             fragment-train fast path; outputs must be bit-identical)
 //!   --seed N  offset every experiment's canonical seed by N (robustness
@@ -145,6 +148,11 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Cli {
             other if other.starts_with('-') => bad_usage(&format!("unknown flag {other:?}")),
             other => cli.ids.push(other.to_string()),
         }
+    }
+    // A check only reads goldens; writing first would let
+    // `--json results --check results` overwrite the goldens it checks.
+    if cli.json_dir.is_some() && cli.check_dir.is_some() {
+        bad_usage("--json and --check cannot be combined");
     }
     cli
 }

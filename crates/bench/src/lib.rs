@@ -4,9 +4,8 @@
 //! here): every table/figure of the paper mapped to the experiment that
 //! regenerates it, with paper references, sweep axes, and cost estimates.
 //! The `repro` binary runs entries through the unified
-//! [`ibwan_core::runner`]; the Criterion benches under `benches/` time
-//! representative configurations and the ablations called out in
-//! `DESIGN.md`.
+//! [`ibwan_core::runner`] and golden-checks them; `ibwan_sim` runs
+//! scenario JSON through the same runner.
 
 pub use ibwan_core::registry::{all_figures, catalog, find, Experiment};
 
@@ -17,7 +16,7 @@ mod tests {
     #[test]
     fn reexported_catalog_is_the_registry() {
         // The bench-facing names must stay wired to the core registry: the
-        // binaries and benches select by id through this crate.
+        // binaries select by id through this crate.
         assert_eq!(catalog().len(), 32);
         assert!(find("fig5a").is_some());
         assert!(find("topoA-3site-bw").is_some());

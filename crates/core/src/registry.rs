@@ -6,8 +6,8 @@
 //! relative cost, and regenerates its [`Figure`] from an explicit
 //! [`RunConfig`] — no process-global engine state. The runner
 //! ([`crate::runner`]) schedules entries by cost and stamps provenance;
-//! the `bench` crate re-exports this catalog for the `repro`, `ibwan_sim`,
-//! and `perf` binaries.
+//! the `bench` crate re-exports this catalog for the `repro` and
+//! `ibwan_sim` binaries.
 
 use crate::config::RunConfig;
 use crate::results::Figure;

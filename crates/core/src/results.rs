@@ -154,7 +154,12 @@ impl Figure {
 
     /// Parse the JSON layout produced by [`Figure::to_json`].
     pub fn from_json(json: &str) -> Result<Figure, String> {
-        let v = minijson::Value::parse(json)?;
+        Figure::from_value(&minijson::Value::parse(json)?)
+    }
+
+    /// Read a figure out of the value tree [`Figure::to_value`] builds.
+    /// Members other than the figure's own (a provenance block) are ignored.
+    pub fn from_value(v: &minijson::Value) -> Result<Figure, String> {
         let text = |key: &str| {
             v.get(key)
                 .and_then(|f| f.as_str())

@@ -1,12 +1,13 @@
 //! The unified experiment runner: schedules registry entries across a
 //! bounded worker pool, stamps every result with provenance, and checks
-//! regenerated figures against recorded goldens.
+//! regenerated figures, and the work that produced them, against recorded
+//! goldens.
 //!
-//! All three binaries (`repro`, `ibwan_sim`, `perf`) go through this module
-//! instead of rolling their own loops, so progress reporting, worker
-//! counts, shape checks, and the provenance block are identical
-//! everywhere. The runner's pool is a [`crate::sweep::parallel_map`] pool,
-//! so it and the per-experiment sweeps inside it share one sizing rule.
+//! Both binaries (`repro`, `ibwan_sim`) go through this module instead of
+//! rolling their own loops, so progress reporting, worker counts, shape
+//! checks, and the provenance block are identical everywhere. The runner's
+//! pool is a [`crate::sweep::parallel_map`] pool, so it and the
+//! per-experiment sweeps inside it share one sizing rule.
 
 use crate::config::RunConfig;
 use crate::registry::Experiment;
@@ -79,7 +80,7 @@ impl Provenance {
                         "cal_bucket_occupancy".into(),
                         Value::Arr(c.cal_bucket_occupancy.iter().map(|&b| num(b)).collect()),
                     ),
-                    ("serial_runs".into(), num(self.tally.serial_runs)),
+                    ("runs".into(), num(self.tally.runs)),
                     ("topos_built".into(), num(self.tally.topos_built)),
                     // 16-hex-digit string: u64 digests overflow f64 precision.
                     (
@@ -255,9 +256,54 @@ pub fn diff_figures(expected: &Figure, got: &Figure) -> Vec<String> {
     diffs
 }
 
+/// The provenance `engine` counters that [`check_against`] compares with a
+/// golden stamped under the run's own config: the work a figure's
+/// simulations did, exact on any host and under any worker count. The
+/// queue-internal counters (`peak_queue_len`, `cal_fallback_hits`, bucket
+/// occupancy) say how the engine stored that work, not how much there was,
+/// so they stay out of the check.
+pub const WORK_COUNTERS: [&str; 5] = [
+    "events_processed",
+    "trains_emitted",
+    "fragments_coalesced",
+    "control_trains",
+    "control_coalesced",
+];
+
+/// Compare the [`WORK_COUNTERS`] of a golden document with a regenerated
+/// outcome, one line per counter that differs. Empty unless the golden
+/// carries a provenance block whose `config_digest` is the outcome's: a
+/// golden recorded under another config (`--no-coalescing`, another seed)
+/// did different work for the same figure.
+fn diff_work(golden: &Value, outcome: &RunOutcome) -> Vec<String> {
+    let run = outcome.provenance.to_value();
+    let same_config = |p: &&Value| p.get("config_digest") == run.get("config_digest");
+    let Some(recorded) = golden.get("provenance").filter(same_config) else {
+        return Vec::new();
+    };
+    let (expected, got) = (recorded.get("engine"), run.get("engine"));
+    let show = |v: Option<&Value>| v.map_or_else(|| "no value".into(), Value::to_compact);
+    WORK_COUNTERS
+        .iter()
+        .filter_map(|&name| {
+            let e = expected.and_then(|v| v.get(name));
+            let g = got.and_then(|v| v.get(name));
+            (e != g).then(|| {
+                let id = &outcome.figure.id;
+                format!("{id}: {name}: expected {}, got {}", show(e), show(g))
+            })
+        })
+        .collect()
+}
+
 /// Golden-check one outcome against `dir/<figure id>.json` — the same
 /// filename `repro --json` writes (the figure id, which for extension
 /// experiments is longer than the catalog id).
+///
+/// Figure data is always compared ([`diff_figures`]). When the golden was
+/// stamped under the run's config, its [`WORK_COUNTERS`] are compared too,
+/// so a change that turns fragment trains off or inflates the event count
+/// fails even when every figure point survives it.
 ///
 /// Returns the discrepancy lines (empty = pass). A missing or unparsable
 /// golden file is itself a discrepancy, not a panic — `repro --check`
@@ -274,8 +320,9 @@ pub fn check_against(dir: &std::path::Path, outcome: &RunOutcome) -> Vec<String>
             )]
         }
     };
-    let expected = match Figure::from_json(&text) {
-        Ok(f) => f,
+    let parsed = Value::parse(&text).and_then(|v| Figure::from_value(&v).map(|f| (v, f)));
+    let (golden, expected) = match parsed {
+        Ok(g) => g,
         Err(e) => {
             return vec![format!(
                 "{}: golden {} is malformed: {e}",
@@ -284,7 +331,9 @@ pub fn check_against(dir: &std::path::Path, outcome: &RunOutcome) -> Vec<String>
             )]
         }
     };
-    diff_figures(&expected, &outcome.figure)
+    let mut diffs = diff_figures(&expected, &outcome.figure);
+    diffs.extend(diff_work(&golden, outcome));
+    diffs
 }
 
 #[cfg(test)]
@@ -374,6 +423,32 @@ mod tests {
         let json = stamped_value(&out.figure, &out.provenance).to_pretty();
         std::fs::write(&path, &json).unwrap();
         assert!(check_against(&dir, &out).is_empty());
+        let engine = out.provenance.to_value();
+        let engine = engine.get("engine").unwrap();
+        for name in WORK_COUNTERS {
+            assert!(engine.get(name).is_some(), "{name} missing from provenance");
+        }
+
+        // Same config, one work counter changed: exactly one line naming the
+        // figure, the counter, and both values.
+        let mut recorded = out.provenance.clone();
+        recorded.tally.counters.trains_emitted += 7;
+        std::fs::write(&path, stamped_value(&out.figure, &recorded).to_pretty()).unwrap();
+        let expected = recorded.tally.counters.trains_emitted;
+        let got = out.provenance.tally.counters.trains_emitted;
+        let line = format!("table1: trains_emitted: expected {expected}, got {got}");
+        assert_eq!(check_against(&dir, &out), [line]);
+
+        // A run under another config did other work: data-only check.
+        let nocoal = RunConfig {
+            coalescing: false,
+            ..cfg
+        };
+        assert!(check_against(&dir, &run_one(&e, &nocoal)).is_empty());
+
+        // A golden without provenance is checked on data alone.
+        std::fs::write(&path, out.figure.to_json()).unwrap();
+        assert!(check_against(&dir, &out).is_empty());
 
         // Perturb one y value: the check must fail with a readable line.
         let mut golden = out.figure.clone();
@@ -388,6 +463,41 @@ mod tests {
         let d = check_against(&dir, &out);
         assert_eq!(d.len(), 1);
         assert!(d[0].contains("cannot read golden"), "{d:?}");
+    }
+
+    /// The work check only fires on a golden stamped under the run's own
+    /// config, so a golden regenerated under any other config would turn it
+    /// off without a word: pin every recorded golden to the config its
+    /// `repro --check` leg runs.
+    #[test]
+    fn every_golden_is_stamped_under_the_config_its_check_runs() {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for (dir, cfg) in [
+            (results.clone(), RunConfig::full()),
+            (results.join("quick"), RunConfig::default()),
+        ] {
+            let mut goldens = 0;
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_none_or(|x| x != "json") {
+                    continue;
+                }
+                let v = Value::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+                let digest = v
+                    .get("provenance")
+                    .and_then(|p| p.get("config_digest"))
+                    .and_then(Value::as_str);
+                assert_eq!(
+                    digest,
+                    Some(cfg.digest().as_str()),
+                    "{} is not stamped under {}",
+                    path.display(),
+                    cfg.describe()
+                );
+                goldens += 1;
+            }
+            assert_eq!(goldens, registry::catalog().len(), "{}", dir.display());
+        }
     }
 
     #[test]

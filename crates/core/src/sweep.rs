@@ -207,7 +207,7 @@ mod tests {
         parallel_map(&cfg, vec![(), ()], |_| probe_run());
         let tally = ibfabric::fabric::run_tally();
         assert_eq!(
-            tally.serial_runs, 2,
+            tally.runs, 2,
             "both workers' runs must merge back: {tally:?}"
         );
     }

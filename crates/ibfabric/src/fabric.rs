@@ -45,24 +45,24 @@ impl EngineProfile {
 
 /// Engine work accumulated by every [`Fabric::run`] on the current thread
 /// since the last [`reset_run_tally`]. Experiment constructors bury their
-/// fabrics, so harnesses (the provenance-stamping runner, `perf`) read
-/// per-experiment engine stats from here. The tally is **thread-local**:
-/// sweep workers each accumulate their own and `sweep::parallel_map` merges
-/// them back into the calling thread, so concurrent experiments never bleed
-/// counters into each other the way the old process-wide atomics did.
+/// fabrics, so the provenance-stamping runner reads per-experiment engine
+/// stats from here. The tally is **thread-local**: sweep workers each
+/// accumulate their own and `sweep::parallel_map` merges them back into the
+/// calling thread, so concurrent experiments never bleed counters into each
+/// other the way the old process-wide atomics did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunTally {
     /// Summed engine-counter deltas across runs (`peak_queue_len` is a max).
     pub counters: EngineCounters,
     /// `Fabric::run` calls.
-    pub serial_runs: u64,
+    pub runs: u64,
     /// Fabrics lowered from a declarative `TopoSpec` (via [`note_topo`]).
     pub topos_built: u64,
     /// XOR of every noted `TopoSpec` digest — order-independent, so sweep
     /// workers lowering the same specs in any schedule merge to the same
     /// fingerprint. 0 when no spec was noted.
     pub topo_digest: u64,
-    /// Largest endpoint count across all runs (fabric scale for `perf`).
+    /// Largest endpoint count across all runs (the fabric's scale).
     pub max_nodes: u64,
 }
 
@@ -70,18 +70,10 @@ impl RunTally {
     /// Fold another tally (e.g. a sweep worker's) into this one.
     pub fn merge(&mut self, other: &RunTally) {
         self.counters += other.counters;
-        self.serial_runs += other.serial_runs;
+        self.runs += other.runs;
         self.topos_built += other.topos_built;
         self.topo_digest ^= other.topo_digest;
         self.max_nodes = self.max_nodes.max(other.max_nodes);
-    }
-
-    /// Fraction of would-be hop events that rode inside a train instead —
-    /// data fragments plus control-path acknowledgements:
-    /// `(fragments_coalesced + control_coalesced) / (events_processed +
-    /// fragments_coalesced + control_coalesced)`.
-    pub fn coalescing_ratio(&self) -> f64 {
-        self.counters.coalescing_ratio()
     }
 }
 
@@ -215,12 +207,6 @@ impl FabricBuilder {
             nodes: Vec::new(),
             profile,
         }
-    }
-
-    /// Explicitly enable/disable fragment-train coalescing for this fabric
-    /// (overrides the profile; topology safety checks still apply).
-    pub fn set_coalescing(&mut self, on: bool) {
-        self.profile.coalescing = on;
     }
 
     /// Force the per-fragment path for this fabric — used by components that
@@ -419,7 +405,7 @@ impl Fabric {
         let after = self.engine.counters();
         RUN_TALLY.with(|tally| {
             let mut tally = tally.borrow_mut();
-            tally.serial_runs += 1;
+            tally.runs += 1;
             tally.counters += counters_delta(&after, &before);
             tally.max_nodes = tally.max_nodes.max(self.nodes.len() as u64);
         });

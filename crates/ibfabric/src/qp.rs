@@ -1576,7 +1576,6 @@ mod reliability_tests {
 
         let msgs = 4u64;
         let mut builder = FabricBuilder::new(11);
-        builder.set_coalescing(true); // independent of the process default
         let n1 = builder.add_hca(
             HcaConfig::default(),
             Box::new(BwPeer::sender(BwConfig::new(65536, msgs))),

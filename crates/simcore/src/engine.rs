@@ -58,7 +58,6 @@
 
 use crate::calqueue::EventQueue;
 use crate::time::{Dur, Time};
-use crate::trace::{Trace, TraceEvent};
 use ibwire::Packet;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -351,7 +350,7 @@ impl std::ops::AddAssign for EngineCounters {
     }
 }
 
-/// Everything the engine owns except the actor table and trace, grouped so
+/// Everything the engine owns except the actor table, grouped so
 /// [`Ctx`] can borrow it whole while one actor is borrowed out of the table
 /// (disjoint struct fields split-borrow cleanly).
 pub(crate) struct Core {
@@ -552,8 +551,8 @@ impl Ctx<'_> {
 
     /// Cancel a timer armed with [`Ctx::timer_cancellable`].
     ///
-    /// The timer's queue entry is skipped when popped: it is not dispatched,
-    /// not traced, and not counted in `events_processed` (it shows up in
+    /// The timer's queue entry is skipped when popped: it is not dispatched
+    /// and not counted in `events_processed` (it shows up in
     /// [`EngineCounters::timers_cancelled`] instead). Cancelling a timer that
     /// has already fired leaves a permanent tombstone — only cancel timers
     /// you know are still armed.
@@ -605,7 +604,6 @@ pub struct Engine {
     pub(crate) core: Core,
     /// Safety valve against runaway protocol loops in tests.
     pub(crate) event_limit: u64,
-    pub(crate) trace: Option<Trace>,
 }
 
 impl Engine {
@@ -627,7 +625,6 @@ impl Engine {
                 counters: EngineCounters::default(),
             },
             event_limit: u64::MAX,
-            trace: None,
         }
     }
 
@@ -635,21 +632,6 @@ impl Engine {
     /// engine stops once the cap is reached).
     pub fn set_event_limit(&mut self, limit: u64) {
         self.event_limit = limit;
-    }
-
-    /// Record every dispatched event into a bounded [`Trace`].
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
-    }
-
-    /// The trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    /// Mutable trace access (to name actors).
-    pub fn trace_mut(&mut self) -> Option<&mut Trace> {
-        self.trace.as_mut()
     }
 
     /// Make room for `additional` more streams, so a builder that knows
@@ -809,7 +791,7 @@ impl Engine {
             {
                 if self.core.cancelled.remove(&id.0) {
                     self.core.counters.timers_cancelled += 1;
-                    continue; // skipped: not dispatched, not traced, not counted
+                    continue; // skipped: not dispatched, not counted
                 }
             }
             self.core.counters.events_processed += 1;
@@ -840,19 +822,6 @@ impl Engine {
                 EventKind::Message { to, .. } => *to,
                 EventKind::Timer { actor, .. } => *actor,
             };
-            if let Some(trace) = self.trace.as_mut() {
-                let te = match &kind {
-                    EventKind::Message { from, to, .. } => TraceEvent::Message {
-                        from: *from,
-                        to: *to,
-                    },
-                    EventKind::Timer { actor, token, .. } => TraceEvent::Timer {
-                        actor: *actor,
-                        token: *token,
-                    },
-                };
-                trace.record(self.now, te);
-            }
             // Split-borrow: the dispatched actor comes out of `self.actors`
             // while `Ctx` borrows `self.core` — disjoint fields, so handlers
             // schedule directly into the event queue with no intermediate
@@ -1215,20 +1184,6 @@ mod tests {
             (end, e.events_processed())
         }
         assert_eq!(trace(), trace());
-    }
-
-    #[test]
-    fn trace_records_dispatches() {
-        let mut e = Engine::new(1);
-        let a = e.add_actor(Box::new(Echo::new(Dur::from_us(10), 3)));
-        let b = e.add_actor(Box::new(Echo::new(Dur::from_us(10), 3)));
-        e.enable_trace(16);
-        e.trace_mut().unwrap().name_actor(a, "ping");
-        e.schedule_message(Time::ZERO, a, b, Box::new(0u8));
-        e.run();
-        let trace = e.trace().unwrap();
-        assert_eq!(trace.records().len() as u64, e.events_processed());
-        assert!(trace.dump().contains("ping"));
     }
 
     #[test]

@@ -41,11 +41,9 @@ pub mod engine;
 pub mod rate;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Actor, ActorId, Ctx, Engine, EngineCounters, Msg, StreamId, TimerId};
 pub use ibwire::Packet;
 pub use rate::{Rate, SerialResource};
-pub use stats::{Histogram, OnlineStats, Throughput, TimeSeries};
+pub use stats::{OnlineStats, TimeSeries};
 pub use time::{Dur, Time};
-pub use trace::{Trace, TraceEvent, TraceRecord};

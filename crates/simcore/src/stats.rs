@@ -1,158 +1,7 @@
-//! Statistics helpers: throughput meters, latency histograms, and online
-//! moment accumulation, used by every benchmark harness.
+//! Statistics helpers: bandwidth-over-time sampling and online moment
+//! accumulation.
 
 use crate::time::{Dur, Time};
-
-/// Counts bytes and messages over a measured interval and reports throughput
-/// in the units the paper uses (MillionBytes/sec, i.e. 10^6 bytes).
-#[derive(Clone, Debug, Default)]
-pub struct Throughput {
-    bytes: u64,
-    messages: u64,
-    started: Option<Time>,
-    ended: Option<Time>,
-}
-
-impl Throughput {
-    /// Fresh meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mark the start of the measured interval (first call wins).
-    pub fn start(&mut self, now: Time) {
-        if self.started.is_none() {
-            self.started = Some(now);
-        }
-    }
-
-    /// Record a completed transfer of `bytes` at time `now`.
-    pub fn record(&mut self, now: Time, bytes: u64) {
-        self.bytes += bytes;
-        self.messages += 1;
-        self.ended = Some(now);
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total messages recorded.
-    pub fn messages(&self) -> u64 {
-        self.messages
-    }
-
-    /// Elapsed measured interval.
-    pub fn elapsed(&self) -> Option<Dur> {
-        Some(self.ended?.since(self.started?))
-    }
-
-    /// Throughput in MillionBytes/sec (the paper's bandwidth unit).
-    pub fn mbytes_per_sec(&self) -> f64 {
-        match self.elapsed() {
-            Some(d) if !d.is_zero() => self.bytes as f64 / d.as_secs_f64() / 1e6,
-            _ => 0.0,
-        }
-    }
-
-    /// Message rate in million messages/sec (the paper's Fig. 10 unit).
-    pub fn mmsgs_per_sec(&self) -> f64 {
-        match self.elapsed() {
-            Some(d) if !d.is_zero() => self.messages as f64 / d.as_secs_f64() / 1e6,
-            _ => 0.0,
-        }
-    }
-}
-
-/// Log2-bucketed histogram of durations (latencies).
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    /// buckets[i] counts samples with ns in [2^i, 2^(i+1)).
-    buckets: Vec<u64>,
-    count: u64,
-    sum_ns: u128,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 64],
-            count: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, d: Dur) {
-        let ns = d.as_ns();
-        let idx = if ns == 0 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum_ns += ns as u128;
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean.
-    pub fn mean(&self) -> Dur {
-        if self.count == 0 {
-            Dur::ZERO
-        } else {
-            Dur::from_ns((self.sum_ns / self.count as u128) as u64)
-        }
-    }
-
-    /// Smallest sample (zero if empty).
-    pub fn min(&self) -> Dur {
-        if self.count == 0 {
-            Dur::ZERO
-        } else {
-            Dur::from_ns(self.min_ns)
-        }
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> Dur {
-        Dur::from_ns(self.max_ns)
-    }
-
-    /// Approximate quantile (bucket upper bound), `q` in [0, 1].
-    pub fn quantile(&self, q: f64) -> Dur {
-        if self.count == 0 {
-            return Dur::ZERO;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Dur::from_ns(1u64 << (i + 1).min(63));
-            }
-        }
-        Dur::from_ns(self.max_ns)
-    }
-}
 
 /// Byte counts bucketed by virtual time: bandwidth-over-time sampling
 /// (e.g. watching a TCP slow-start ramp).
@@ -281,85 +130,9 @@ impl OnlineStats {
     }
 }
 
-/// Median of a sample slice (sorts in place; mean of the middle pair for
-/// even counts). Used by the perf harness to compare baseline timings by
-/// median-of-N instead of single noise-prone samples. Returns 0 for an
-/// empty slice.
-pub fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
-    let mid = samples.len() / 2;
-    if samples.len() % 2 == 1 {
-        samples[mid]
-    } else {
-        (samples[mid - 1] + samples[mid]) / 2.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn median_odd_even_empty() {
-        assert_eq!(median(&mut []), 0.0);
-        assert_eq!(median(&mut [3.0]), 3.0);
-        assert_eq!(median(&mut [9.0, 1.0, 5.0]), 5.0);
-        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
-        // Robust to one wild outlier — the point of the perf gate change.
-        assert_eq!(median(&mut [0.1, 0.11, 50.0]), 0.11);
-    }
-
-    #[test]
-    fn throughput_paper_units() {
-        let mut t = Throughput::new();
-        t.start(Time::ZERO);
-        // 1,000,000 bytes over 1 ms => 1000 MB/s in the paper's units.
-        t.record(Time::from_ms(1), 1_000_000);
-        assert!((t.mbytes_per_sec() - 1000.0).abs() < 1e-9);
-        assert_eq!(t.messages(), 1);
-        assert!((t.mmsgs_per_sec() - 0.001).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throughput_empty_is_zero() {
-        let t = Throughput::new();
-        assert_eq!(t.mbytes_per_sec(), 0.0);
-        assert_eq!(t.elapsed(), None);
-    }
-
-    #[test]
-    fn throughput_start_first_call_wins() {
-        let mut t = Throughput::new();
-        t.start(Time::from_us(10));
-        t.start(Time::from_us(99));
-        t.record(Time::from_us(20), 100);
-        assert_eq!(t.elapsed(), Some(Dur::from_us(10)));
-    }
-
-    #[test]
-    fn histogram_basics() {
-        let mut h = Histogram::new();
-        for us in [1u64, 2, 4, 8, 100] {
-            h.record(Dur::from_us(us));
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.mean(), Dur::from_us(23));
-        assert_eq!(h.min(), Dur::from_us(1));
-        assert_eq!(h.max(), Dur::from_us(100));
-        assert!(h.quantile(0.5) >= Dur::from_us(2));
-        assert!(h.quantile(1.0) >= Dur::from_us(100));
-    }
-
-    #[test]
-    fn histogram_zero_sample() {
-        let mut h = Histogram::new();
-        h.record(Dur::ZERO);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), Dur::ZERO);
-    }
 
     #[test]
     fn time_series_buckets_bandwidth() {
