@@ -13,16 +13,13 @@ cargo fmt --all -- --check
 echo "==> build (release)"
 cargo build --workspace --release
 
-echo "==> tests"
+echo "==> tests (whole workspace, the bench package's determinism A/B suite included)"
 cargo test --workspace --quiet
 
 echo "==> benchmark package tests (a package of its own, outside the workspace run above;"
 echo "    one checks every registered experiment sits in exactly one Full workload or in"
 echo "    untimed_at_full)"
 cargo test --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
-
-echo "==> determinism suite (engine knobs are RunConfig values; A/B tests run both paths)"
-cargo test --quiet -p bench --test determinism
 
 echo "==> golden gate (Quick goldens: figure data bit-identical, work counters equal)"
 cargo run --release -p bench --bin repro -- --check results/quick

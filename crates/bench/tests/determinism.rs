@@ -11,12 +11,13 @@
 //! legs cannot leak state into each other or into concurrent tests.
 
 use bench::find;
+use ibfabric::fabric::{reset_run_tally, take_run_tally};
 use ibfabric::perftest::{rc_qp_pair, BwConfig, BwPeer};
 use ibfabric::qp::QpConfig;
 use ibwan_core::topo::build_pair;
 use ibwan_core::{RunConfig, TopoSpec};
 
-use simcore::Dur;
+use simcore::{Dur, EngineCounters};
 
 /// Run a catalog experiment twice at Quick fidelity and demand bit-identical
 /// output.
@@ -39,10 +40,13 @@ fn assert_golden(id: &str) {
 
 /// Run a catalog experiment with fragment coalescing on and off and demand
 /// bit-identical output: trains are a pure event-count optimization, so
-/// every table cell and JSON byte must survive the A/B flip.
-fn assert_coalescing_invisible(id: &str) {
+/// every table cell and JSON byte must survive the A/B flip. Returns the
+/// coalesced leg's engine counters.
+fn assert_coalescing_invisible(id: &str) -> EngineCounters {
     let e = find(id).unwrap_or_else(|| panic!("experiment {id} missing from catalog"));
+    reset_run_tally();
     let coalesced = (e.run)(&RunConfig::default());
+    let counters = take_run_tally().counters;
     let per_fragment = (e.run)(&RunConfig {
         coalescing: false,
         ..RunConfig::default()
@@ -57,6 +61,7 @@ fn assert_coalescing_invisible(id: &str) {
         per_fragment.to_json(),
         "{id}: JSON changed when coalescing was disabled"
     );
+    counters
 }
 
 #[test]
@@ -94,8 +99,6 @@ fn nfs_figure_is_identical_with_and_without_coalescing() {
 /// trains changed nothing observable.
 #[test]
 fn ack_run_coalescing_is_invisible_and_exercised() {
-    use ibfabric::fabric::{reset_run_tally, take_run_tally};
-
     for id in ["fig8a", "fig13a"] {
         let e = find(id).unwrap_or_else(|| panic!("experiment {id} missing from catalog"));
         reset_run_tally();
@@ -113,6 +116,23 @@ fn ack_run_coalescing_is_invisible_and_exercised() {
             coalesced.to_json(),
             per_fragment.to_json(),
             "{id}: JSON changed when ACK-path coalescing was disabled"
+        );
+    }
+}
+
+/// UD datagram super-trains A/B: fig4a's and fig4b's datagram bursts ride
+/// as one event per hop and their receivers replay each datagram, so both
+/// figures must come out byte-identical without trains — and their
+/// coalesced legs must actually dispatch trains, so the A/B does not
+/// compare two per-datagram runs. extD sends the same bursts into a credited
+/// WAN, which splits them back into datagrams at the Longbow.
+#[test]
+fn ud_figures_are_identical_with_and_without_coalescing() {
+    for id in ["fig4a", "fig4b", "extD"] {
+        let c = assert_coalescing_invisible(id);
+        assert!(
+            id == "extD" || c.trains_emitted > 0,
+            "{id}: coalesced leg dispatched no trains — A/B is vacuous: {c:?}"
         );
     }
 }

@@ -355,6 +355,13 @@ impl Workload {
                 .as_u64()
                 .ok_or_else(|| format!("workload: bad field {key:?}")),
         };
+        // Fields a run holds as `u32`: refuse what would wrap.
+        let narrow = |key: &str, n: u64| {
+            u32::try_from(n)
+                .map_err(|_| format!("workload: field {key:?} is {n}: the limit is {}", u32::MAX))
+        };
+        let num32 = |key: &str| narrow(key, num(key)?);
+        let count32 = |key: &str| narrow(key, count(key)?);
         let text = |key: &str| {
             v.get(key)
                 .and_then(|f| f.as_str())
@@ -374,31 +381,31 @@ impl Workload {
         match kind {
             "verbs_latency" => {
                 let mode = text("mode")?;
-                let size = num("size")? as u32;
+                let size = num32("size")?;
                 if LATENCY_MODES.get(&mode)? == LatMode::SendUd {
                     ud_fits(size)?;
                 }
                 Ok(Workload::VerbsLatency {
                     mode,
                     size,
-                    iters: num("iters")? as u32,
+                    iters: count32("iters")?,
                 })
             }
             "verbs_bandwidth" => {
                 let transport = text("transport")?;
-                let size = num("size")? as u32;
+                let size = num32("size")?;
                 if VERBS_TRANSPORTS.get(&transport)? {
                     ud_fits(size)?;
                 }
                 Ok(Workload::VerbsBandwidth {
                     transport,
                     size,
-                    iters: num("iters")?,
+                    iters: count("iters")?,
                 })
             }
             "ipoib" => {
                 let mode = text("mode")?;
-                let mtu = num("mtu")? as u32;
+                let mtu = num32("mtu")?;
                 // Connected mode carries TCP in the configured MTU, which
                 // must leave room for the TCP/IP headers; datagram mode
                 // ignores the field.
@@ -417,14 +424,14 @@ impl Workload {
                 })
             }
             "mpi_latency" => Ok(Workload::MpiLatency {
-                size: num("size")? as u32,
-                iters: count("iters")? as u32,
+                size: num32("size")?,
+                iters: count32("iters")?,
             }),
             "mpi_bandwidth" => Ok(Workload::MpiBandwidth {
-                size: num("size")? as u32,
-                window: num("window")? as u32,
-                iters: count("iters")? as u32,
-                eager_threshold: num_or("eager_threshold", 0)? as u32,
+                size: num32("size")?,
+                window: num32("window")?,
+                iters: count32("iters")?,
+                eager_threshold: narrow("eager_threshold", num_or("eager_threshold", 0)?)?,
                 rndv_protocol: match v.get("rndv_protocol") {
                     None => String::new(),
                     Some(_) => RNDV_PROTOCOLS.check(text("rndv_protocol")?)?,
@@ -432,15 +439,15 @@ impl Workload {
             }),
             "mpi_bcast" => Ok(Workload::MpiBcast {
                 ranks_per_cluster: count("ranks_per_cluster")? as usize,
-                size: num("size")? as u32,
-                iters: count("iters")? as u32,
+                size: num32("size")?,
+                iters: count32("iters")?,
                 hierarchical: flag("hierarchical")?,
             }),
             "message_rate" => Ok(Workload::MessageRate {
                 pairs: count("pairs")? as usize,
-                size: num("size")? as u32,
-                window: num("window")? as u32,
-                iters: count("iters")? as u32,
+                size: num32("size")?,
+                window: num32("window")?,
+                iters: count32("iters")?,
             }),
             "nas" => {
                 let benchmark = text("benchmark")?;
@@ -551,9 +558,15 @@ impl Scenario {
                     .ok_or_else(|| format!("scenario: bad field {key:?}")),
             }
         };
+        let loss_ppm = opt_u64(topo, "loss_ppm")?;
         let topology = Topology {
             delay_us: opt_u64(topo, "delay_us")?,
-            loss_ppm: opt_u64(topo, "loss_ppm")? as u32,
+            loss_ppm: u32::try_from(loss_ppm).map_err(|_| {
+                format!(
+                    "scenario: field \"loss_ppm\" is {loss_ppm}: the limit is {}",
+                    u32::MAX
+                )
+            })?,
         };
         let workload = Workload::from_value(
             v.get("workload")
@@ -1183,6 +1196,29 @@ mod tests {
                 r#"{ "kind": "message_rate", "pairs": 1, "size": 8, "window": 4, "iters": 0 }"#,
                 r#""iters""#,
             ),
+            (
+                r#"{ "kind": "verbs_latency", "mode": "send_rc", "size": 8, "iters": 0 }"#,
+                r#""iters""#,
+            ),
+            (
+                r#"{ "kind": "verbs_bandwidth", "transport": "rc", "size": 8, "iters": 0 }"#,
+                r#""iters""#,
+            ),
+            // Numbers a run holds as u32 must not wrap: 2^32 iterations would
+            // become 0 (a NaN mean), and 2^32 + 2048 bytes a UD message that
+            // passes the MTU check.
+            (
+                r#"{ "kind": "mpi_latency", "size": 8, "iters": 4294967296 }"#,
+                r#""iters" is 4294967296: the limit is 4294967295"#,
+            ),
+            (
+                r#"{ "kind": "verbs_bandwidth", "transport": "ud", "size": 4294969344, "iters": 5 }"#,
+                r#""size" is 4294969344"#,
+            ),
+            (
+                r#"{ "kind": "mpi_bandwidth", "size": 8, "window": 4, "iters": 1, "eager_threshold": 4294967296 }"#,
+                r#""eager_threshold""#,
+            ),
         ];
         for (json, expect) in cases {
             let v = minijson::Value::parse(json).expect("test JSON must parse");
@@ -1211,6 +1247,10 @@ mod tests {
             .contains("topology"));
         let bad_seed = r#"{ "name": "x", "seed": "abc", "topology": {}, "workload": { "kind": "mpi_latency", "size": 4, "iters": 5 } }"#;
         assert!(Scenario::from_json(bad_seed).unwrap_err().contains("seed"));
+        let wrapping_loss = r#"{ "name": "x", "topology": { "loss_ppm": 4294967296 }, "workload": { "kind": "mpi_latency", "size": 4, "iters": 5 } }"#;
+        assert!(Scenario::from_json(wrapping_loss)
+            .unwrap_err()
+            .contains(r#""loss_ppm" is 4294967296"#));
         assert!(Scenario::from_json("not json at all").is_err());
     }
 

@@ -4,13 +4,14 @@
 
 use crate::link::{CreditMsg, EgressPort};
 use crate::packet::{Opcode, Packet};
-use crate::qp::{Qp, QpConfig, QpOutput, Qpn};
+use crate::qp::{Qp, QpConfig, QpOutput, Qpn, TransportType};
 use crate::slab::QpSlab;
 use crate::types::Lid;
 use crate::ulp::Ulp;
 use crate::verbs::{Completion, RecvWr, SendWr};
 use simcore::{Actor, ActorId, Ctx, Dur, Rate, SerialResource, Time};
 use std::any::Any;
+use std::collections::VecDeque;
 
 /// Timer token reserved for the simulation-start kick that calls
 /// [`Ulp::start`]. ULP timers must use tokens below [`RETRANSMIT_BASE`].
@@ -73,6 +74,14 @@ pub struct HcaCore {
     /// unconditionally at the end of the event by [`HcaActor`], so the port
     /// reservation order matches the per-message path exactly.
     pending: Option<PendingTrain>,
+    /// While a [`CompletionRun`] replays a member due after the event that
+    /// popped it, that member's instant: receive WQEs posted to UD QPs then
+    /// are early in real event order and go on `recv_ahead`.
+    replay_at: Option<Time>,
+    /// Receive WQEs on UD QPs that completion runs posted early, each with
+    /// the instant the per-message schedule posts it at. See
+    /// [`Self::recv_cover`].
+    recv_ahead: VecDeque<(Time, Qpn)>,
 }
 
 /// A merged outgoing super-train waiting for the end of the current event.
@@ -81,6 +90,10 @@ struct PendingTrain {
     ready: Time,
     /// The accumulated packet: `msgs` whole messages, `msg_gap_ns` apart.
     pkt: Packet,
+    /// A datagram run's SendDones, one per member in member order (empty
+    /// for RC runs). Each is due `cq_latency` after its own member leaves
+    /// the port; [`HcaCore::flush_pending`] fills the instants in.
+    wire_outs: Vec<(Time, Completion)>,
 }
 
 impl HcaCore {
@@ -96,6 +109,8 @@ impl HcaCore {
             packets_received: 0,
             coalescing: true,
             pending: None,
+            replay_at: None,
+            recv_ahead: VecDeque::new(),
         }
     }
 
@@ -213,7 +228,37 @@ impl HcaCore {
 
     /// Post a receive WQE (no wire effect; negligible cost).
     pub fn post_recv(&mut self, qpn: Qpn, wr: RecvWr) {
+        if let Some(at) = self.replay_at {
+            if self.qp(qpn).config().transport == TransportType::Ud {
+                self.recv_ahead.push_back((at, qpn));
+            }
+        }
         self.qp_mut(qpn).post_recv(wr);
+    }
+
+    /// Receive WQEs on UD QP `qpn` that the per-message schedule has posted
+    /// before `at`: the queue's length less the WQEs a completion run posted
+    /// early, for an instant at or after `at`. A [`CompletionRun`] pops at
+    /// its first member's instant and performs later members' re-posts
+    /// then, so the queue alone can overstate what an arrival at `at`
+    /// finds. A re-post due exactly at `at` counts as not yet posted.
+    fn recv_cover(&mut self, qpn: Qpn, at: Time) -> usize {
+        self.retire_recv_ahead(at);
+        let ahead = self
+            .recv_ahead
+            .iter()
+            .filter(|&&(t, q)| q == qpn && t >= at)
+            .count();
+        self.qp(qpn).posted_recvs().saturating_sub(ahead)
+    }
+
+    /// Forget early re-posts due before `now`: every arrival from here on
+    /// finds them posted. Runs replay in pop order, so this keeps
+    /// `recv_ahead` to about one run's re-posts.
+    fn retire_recv_ahead(&mut self, now: Time) {
+        while self.recv_ahead.front().is_some_and(|&(t, _)| t < now) {
+            self.recv_ahead.pop_front();
+        }
     }
 
     /// Put QP outputs on the wire / completion path. `ready` is the earliest
@@ -230,14 +275,17 @@ impl HcaCore {
                 self.cfg.cq_latency,
             );
         }
-        if !out.tx_completions.is_empty() {
-            // Wire-out completions (UD sends): valid once this flush's
-            // packets have finished serializing. UD packets are never
-            // merge-eligible, so the pending buffer is already flushed and
-            // `next_free` reflects them.
-            let port = self.port.as_mut().expect("HCA port not wired");
-            let tx_end = port.next_free().max(ctx.now());
-            for c in out.tx_completions.drain(..) {
+        if let Some(c) = out.tx_completions.pop() {
+            // A UD send's wire-out completion, valid once its datagram — the
+            // one packet just enqueued — has finished serializing. A parked
+            // datagram's SendDone waits in the pending train, which times it
+            // when it flushes; a sent one is the port's latest reservation.
+            debug_assert!(out.tx_completions.is_empty(), "one datagram per post");
+            if let Some(pending) = self.pending.as_mut() {
+                pending.wire_outs.push((ready, c));
+            } else {
+                let port = self.port.as_ref().expect("HCA port not wired");
+                let tx_end = port.next_free().max(ctx.now());
                 ctx.send_at(
                     ctx.self_id(),
                     Box::new(CompletionDelivery(c)),
@@ -251,6 +299,7 @@ impl HcaCore {
     /// whole-message trains of one flow into a two-level super-train when the
     /// port can carry them as a single event. Non-mergeable packets flush the
     /// pending train first, preserving the per-message reservation order.
+    /// Afterwards the pending train, if any, holds `pkt`.
     fn enqueue_tx(&mut self, ctx: &mut Ctx<'_>, ready: Time, pkt: Packet) {
         if self.try_extend_pending(ready, &pkt) {
             let pending = self.pending.as_mut().unwrap();
@@ -271,14 +320,18 @@ impl HcaCore {
             // Park it: later packets in this same event may extend the run.
             // [`HcaActor`] flushes at the end of every event, so the pending
             // train never outlives the event that created it.
-            self.pending = Some(PendingTrain { ready, pkt });
+            self.pending = Some(PendingTrain {
+                ready,
+                pkt,
+                wire_outs: Vec::new(),
+            });
             return;
         }
         let port = self.port.as_mut().expect("HCA port not wired");
         port.send(ctx, ready, pkt);
     }
 
-    /// Can `pkt` seed a pending super-train? Three shapes qualify, all fully
+    /// Can `pkt` seed a pending super-train? Four shapes qualify, all fully
     /// described by `(msg_id, psn, msg_len, imm)` so a run of them is exactly
     /// reproducible from the merged representation:
     /// - silent whole-message RC write trains (no inline data, no receive
@@ -287,6 +340,9 @@ impl HcaCore {
     ///   the `ib_send_bw` regime): the receiver replays each member at its
     ///   own virtual instant, so per-member receive-WQE consumption and
     ///   completion delivery survive the merge bit-for-bit;
+    /// - UD datagrams (the `ib_send_bw -c UD` regime): each member's SendDone
+    ///   stays due at its own wire-out, and the receiver replays each member
+    ///   as an ordinary datagram (see [`Self::handle_datagram_run`]);
     /// - hardware-generated cumulative ACKs — the control return path.
     fn merge_head_eligible(&self, pkt: &Packet) -> bool {
         if !(self.coalescing
@@ -309,7 +365,7 @@ impl HcaCore {
             Opcode::RcSend { .. } => {
                 pkt.offset == 0 && pkt.tail_is_last() && pkt.msg_len <= SEND_TRAIN_MAX_MSG_LEN
             }
-            Opcode::RcAck => pkt.count == 1,
+            Opcode::UdSend | Opcode::RcAck => pkt.count == 1,
             _ => false,
         }
     }
@@ -364,11 +420,40 @@ impl HcaCore {
 
     /// Transmit the pending super-train, if any.
     fn flush_pending(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(pending) = self.pending.take() else {
+        // Every event ends here, nearly always with nothing pending: test
+        // before `take` moves the whole train out.
+        if self.pending.is_none() {
+            return;
+        }
+        let Some(PendingTrain {
+            ready,
+            pkt,
+            wire_outs,
+        }) = self.pending.take()
+        else {
             return;
         };
+        #[cfg(debug_assertions)]
+        pkt.debug_validate_train();
         let port = self.port.as_mut().expect("HCA port not wired");
-        port.send(ctx, pending.ready, pending.pkt);
+        if wire_outs.is_empty() {
+            return port.send(ctx, ready, pkt);
+        }
+        // A datagram run: each member's SendDone is due `cq_latency` after
+        // its own serialization end, read off the departure pattern of
+        // whatever deliveries the port splits the run into. The run's
+        // SendDones leave as one completion run, so the ULP's re-posts land
+        // in the next pending train.
+        let cq_latency = self.cfg.cq_latency;
+        let mut cqes = wire_outs;
+        let mut due = cqes.iter_mut().map(|(at, _)| at);
+        port.send_reporting(ctx, ready, pkt, |departed, p| {
+            for k in 0..p.count {
+                let end = departed + Dur::from_ns(p.member_arrival_offset_ns(k));
+                *due.next().expect("one SendDone per datagram") = end + cq_latency;
+            }
+        });
+        Self::emit_completions(ctx, cqes);
     }
 
     /// Handle a packet arriving from the wire.
@@ -380,7 +465,8 @@ impl HcaCore {
             return match pkt.opcode {
                 Opcode::RcAck => self.handle_ack_run(ctx, pkt),
                 Opcode::RcWrite { .. } | Opcode::RcSend { .. } => self.handle_super_train(ctx, pkt),
-                _ => unreachable!("only RC data and ACK runs form super-trains"),
+                Opcode::UdSend => self.handle_datagram_run(ctx, pkt),
+                _ => unreachable!("only RC data, UD datagram and ACK runs form super-trains"),
             };
         }
         if pkt.is_train() && pkt.gap_ns > 0 {
@@ -409,7 +495,12 @@ impl HcaCore {
             crate::packet::Opcode::UdSend | crate::packet::Opcode::RcSend { .. }
         );
         let mut out = self.qps.take_scratch();
-        self.qps.qp_mut(qpn).on_packet(pkt, &mut out);
+        if matches!(pkt.opcode, Opcode::UdSend) && self.recv_cover(qpn, ctx.now()) == 0 {
+            // Every WQE queued, if any, is a re-post due after this instant.
+            self.qps.qp_mut(qpn).drop_ud();
+        } else {
+            self.qps.qp_mut(qpn).on_packet(pkt, &mut out);
+        }
         self.arm_if_requested(ctx, qpn, &out);
         // ACKs / read responses leave immediately (hardware path, no host).
         let now = ctx.now();
@@ -483,6 +574,50 @@ impl HcaCore {
             out.reset();
         }
         self.qps.put_scratch(out);
+        Self::emit_completions(ctx, cqes);
+    }
+
+    /// A run of datagrams to one UD QP arrived as one super-train. Each member
+    /// is an ordinary datagram at its own arrival instant: it takes one
+    /// receive WQE and completes `cq_latency + recv_overhead` later, or
+    /// counts in `ud_dropped` when none is posted. This event replays the
+    /// members that WQEs already posted by the head's arrival cover
+    /// ([`Self::recv_cover`]), and the head itself, which is due now, drops
+    /// if uncovered. Whether a later member finds a WQE depends on re-posts
+    /// still to come, so the rest arrive again, as one packet, at the first
+    /// of their own instants.
+    fn handle_datagram_run(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+        debug_assert!(
+            self.port.as_ref().is_some_and(|p| !p.credited()),
+            "super-trains never cross credited links"
+        );
+        let qpn = pkt.dst_qpn;
+        let head = ctx.now();
+        let covered = self.recv_cover(qpn, head).min(pkt.msgs as usize) as u32;
+        let due = covered.max(1);
+        self.packets_received += due as u64;
+        let done = self.cfg.cq_latency + self.cfg.recv_overhead;
+        let mut out = self.qps.take_scratch();
+        let mut cqes = Vec::with_capacity(covered as usize);
+        let qp = self.qps.qp_mut(qpn);
+        if covered == 0 {
+            qp.drop_ud();
+        }
+        for m in 0..covered {
+            qp.on_packet(pkt.msg_train(m), &mut out);
+        }
+        // Each covered member took a WQE: the `m`th RecvDone is member `m`'s.
+        debug_assert_eq!(out.completions.len(), covered as usize);
+        cqes.extend(out.completions.drain(..).zip(0..).map(|(c, m)| {
+            let at = head + Dur::from_ns(pkt.member_arrival_offset_ns(m));
+            (at + done, c)
+        }));
+        self.qps.put_scratch(out);
+        if due < pkt.msgs {
+            let at = head + Dur::from_ns(pkt.member_arrival_offset_ns(due));
+            let rest = pkt.msg_slice(due, pkt.msgs - due);
+            ctx.send_at(ctx.self_id(), rest, at);
+        }
         Self::emit_completions(ctx, cqes);
     }
 
@@ -616,9 +751,13 @@ impl Actor for HcaActor {
             Err(msg) => match msg.downcast::<CompletionRun>() {
                 Ok(run) => {
                     ctx.note_control_run(run.0.len() as u32);
+                    let popped = ctx.now();
+                    self.core.retire_recv_ahead(popped);
                     for (at, c) in run.0 {
+                        self.core.replay_at = (at > popped).then_some(at);
                         ctx.at_instant(at, |ctx| self.ulp.on_completion(&mut self.core, ctx, c));
                     }
+                    self.core.replay_at = None;
                 }
                 Err(msg) => match msg.downcast::<CreditMsg>() {
                     Ok(_) => self.core.handle_credit(ctx),
@@ -740,6 +879,229 @@ mod tests {
         // Compile-time invariants of the token layout.
         const _: () = assert!(RETRANSMIT_BASE > (1 << 32));
         const _: () = assert!(START_TOKEN > RETRANSMIT_BASE);
+    }
+
+    /// A UD endpoint for the coalescing A/B tests: pre-posts `prepost`
+    /// receive WQEs (numbered, so the FIFO order each RecvDone drew from
+    /// shows), optionally re-posts one per RecvDone, and streams `total`
+    /// datagrams of `len` bytes to its peer with `depth` outstanding
+    /// (`len_from = (n, len2)`: datagrams from the `n`th on carry `len2`).
+    #[derive(Clone)]
+    struct UdPeer {
+        qpn: Qpn,
+        peer: Option<(Lid, Qpn)>,
+        len: u32,
+        len_from: Option<(u64, u32)>,
+        total: u64,
+        depth: u64,
+        prepost: u64,
+        repost: bool,
+        posted: u64,
+        recvs_posted: u64,
+        send_done_at: Vec<Time>,
+        recv_done_at: Vec<(Time, u64)>,
+    }
+
+    impl UdPeer {
+        fn sender(len: u32, total: u64, depth: u64) -> Self {
+            UdPeer {
+                qpn: Qpn(0),
+                peer: None,
+                len,
+                len_from: None,
+                total,
+                depth,
+                prepost: 0,
+                repost: false,
+                posted: 0,
+                recvs_posted: 0,
+                send_done_at: vec![],
+                recv_done_at: vec![],
+            }
+        }
+
+        fn receiver(prepost: u64, repost: bool) -> Self {
+            UdPeer {
+                prepost,
+                repost,
+                ..UdPeer::sender(0, 0, 0)
+            }
+        }
+
+        fn post_recv(&mut self, hca: &mut HcaCore) {
+            hca.post_recv(
+                self.qpn,
+                RecvWr {
+                    wr_id: self.recvs_posted,
+                },
+            );
+            self.recvs_posted += 1;
+        }
+
+        fn post_send(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>) {
+            let len = match self.len_from {
+                Some((n, len2)) if self.posted >= n => len2,
+                _ => self.len,
+            };
+            let wr = SendWr::send(self.posted, len, 0).to(self.peer.unwrap());
+            hca.post_send(ctx, self.qpn, wr);
+            self.posted += 1;
+        }
+    }
+
+    impl Ulp for UdPeer {
+        fn start(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>) {
+            for _ in 0..self.prepost {
+                self.post_recv(hca);
+            }
+            for _ in 0..self.depth.min(self.total) {
+                self.post_send(hca, ctx);
+            }
+        }
+        fn on_completion(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>, c: Completion) {
+            match c {
+                Completion::SendDone { .. } => {
+                    self.send_done_at.push(ctx.now());
+                    if self.posted < self.total {
+                        self.post_send(hca, ctx);
+                    }
+                }
+                Completion::RecvDone { wr_id, .. } => {
+                    self.recv_done_at.push((ctx.now(), wr_id));
+                    if self.repost {
+                        self.post_recv(hca);
+                    }
+                }
+                Completion::WriteArrived { .. } => unreachable!("UD carries no writes"),
+            }
+        }
+    }
+
+    /// What one side of a UD run observed: SendDone instants, RecvDone
+    /// instants with the WQE each drew, drops, and HCA packet counters.
+    #[derive(Debug, PartialEq)]
+    struct UdSide {
+        send_done_at: Vec<Time>,
+        recv_done_at: Vec<(Time, u64)>,
+        ud_dropped: u64,
+        packets_sent: u64,
+        packets_received: u64,
+    }
+
+    /// Run `a` and `b` on two HCAs cabled back to back with a DDR cable
+    /// (the `TopoSpec::lan_pair` shape) and return each side's observations
+    /// plus the trains the engine dispatched.
+    fn ud_run(coalescing: bool, a: UdPeer, b: UdPeer) -> ([UdSide; 2], u64) {
+        let mut fb = FabricBuilder::new(5);
+        if !coalescing {
+            fb.disable_coalescing();
+        }
+        let na = fb.add_hca(HcaConfig::default(), Box::new(a));
+        let nb = fb.add_hca(HcaConfig::default(), Box::new(b));
+        fb.link(na.actor, nb.actor, LinkConfig::ddr_lan());
+        let mut f = fb.finish();
+        let (qa, qb) = crate::perftest::ud_qp_pair(&mut f, na, nb, QpConfig::ud());
+        for (node, qpn, peer) in [(na, qa, (nb.lid, qb)), (nb, qb, (na.lid, qa))] {
+            let u = f.hca_mut(node).ulp_mut::<UdPeer>();
+            u.qpn = qpn;
+            u.peer = Some(peer);
+        }
+        f.run();
+        let side = |node, qpn| {
+            let h = f.hca(node);
+            let u = h.ulp::<UdPeer>();
+            UdSide {
+                send_done_at: u.send_done_at.clone(),
+                recv_done_at: u.recv_done_at.clone(),
+                ud_dropped: h.core().qp(qpn).ud_dropped(),
+                packets_sent: h.core().packets_sent(),
+                packets_received: h.core().packets_received(),
+            }
+        };
+        let trains = f.engine.counters().trains_emitted;
+        ([side(na, qa), side(nb, qb)], trains)
+    }
+
+    /// Datagram super-trains are exact: the same run with coalescing on and
+    /// under [`FabricBuilder::disable_coalescing`] observes identical
+    /// completions, drops and counters, and the coalesced leg formed trains.
+    fn assert_ud_trains_exact(a: UdPeer, b: UdPeer) -> [UdSide; 2] {
+        let (coalesced, trains) = ud_run(true, a.clone(), b.clone());
+        let (per_datagram, none) = ud_run(false, a, b);
+        assert!(trains > 0, "the coalesced leg formed no trains");
+        assert_eq!(none, 0, "the per-datagram leg formed trains");
+        assert_eq!(coalesced, per_datagram);
+        coalesced
+    }
+
+    #[test]
+    fn ud_trains_are_exact_when_the_receiver_runs_out_of_wqes() {
+        // 20 WQEs for a 64-datagram burst, never replenished.
+        let [_, rx] =
+            assert_ud_trains_exact(UdPeer::sender(1024, 64, 64), UdPeer::receiver(20, false));
+        assert_eq!(rx.recv_done_at.len(), 20);
+        assert_eq!(rx.ud_dropped, 44);
+    }
+
+    #[test]
+    fn ud_trains_are_exact_when_drops_hang_on_reposts() {
+        // 32-byte datagrams arrive 300 ns apart (the posting overhead),
+        // faster than a re-post lands (cq_latency + recv_overhead = 700 ns),
+        // so two WQEs recycled on each RecvDone cover some arrivals and not
+        // others, and completion runs re-post ahead of their instants.
+        let [_, rx] =
+            assert_ud_trains_exact(UdPeer::sender(32, 400, 64), UdPeer::receiver(2, true));
+        assert!(rx.ud_dropped > 0, "no drops: the case is vacuous");
+        assert!(
+            rx.recv_done_at.len() > 2,
+            "no re-post was ever used: the case is vacuous"
+        );
+    }
+
+    #[test]
+    fn ud_trains_are_exact_when_a_dense_run_follows_a_sparse_one() {
+        // 64 datagrams of 2048 bytes (1059 ns apart on DDR) and 64 of 32
+        // bytes queued behind them (51 ns apart). The sparse phase's last
+        // RecvDone run re-posts WQEs due after some of the dense run's
+        // arrivals, so those arrivals drop although the queue already holds
+        // the WQEs when the dense run's head arrives.
+        let tx = UdPeer {
+            len_from: Some((64, 32)),
+            ..UdPeer::sender(2048, 128, 128)
+        };
+        let [_, rx] = assert_ud_trains_exact(tx, UdPeer::receiver(8, true));
+        assert!(rx.ud_dropped > 0, "no drops: the case is vacuous");
+    }
+
+    #[test]
+    fn ud_trains_are_exact_in_both_directions() {
+        let a = UdPeer {
+            prepost: 2,
+            repost: true,
+            ..UdPeer::sender(256, 300, 32)
+        };
+        let b = UdPeer {
+            prepost: 64,
+            repost: true,
+            ..UdPeer::sender(256, 300, 32)
+        };
+        let [a, b] = assert_ud_trains_exact(a, b);
+        assert_eq!(a.send_done_at.len(), 300);
+        assert_eq!(b.send_done_at.len(), 300);
+        assert!(a.ud_dropped > 0, "the shallow side never dropped");
+        assert_eq!(b.ud_dropped, 0);
+    }
+
+    #[test]
+    fn ud_trains_are_exact_for_zero_byte_datagrams() {
+        let [tx, rx] =
+            assert_ud_trains_exact(UdPeer::sender(0, 200, 32), UdPeer::receiver(8, true));
+        assert_eq!(tx.send_done_at.len(), 200);
+        assert_eq!(
+            rx.recv_done_at.len() as u64 + rx.ud_dropped,
+            200,
+            "every datagram is received or dropped"
+        );
     }
 
     #[test]

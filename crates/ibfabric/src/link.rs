@@ -96,8 +96,22 @@ impl EgressPort {
     /// extends the port's stream: the event queue holds one delivery per
     /// port however deep the port's backlog.
     pub fn send(&mut self, ctx: &mut Ctx<'_>, ready: Time, pkt: Packet) {
-        let (stream, peer) = (self.stream, self.peer);
+        self.send_reporting(ctx, ready, pkt, |_, _| {});
+    }
+
+    /// As [`EgressPort::send`], also handing `departed` each delivery's
+    /// packet and departure: the instant its head finishes serializing.
+    /// Deliveries a credited link holds back for a credit are not reported.
+    pub fn send_reporting(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        ready: Time,
+        pkt: Packet,
+        mut departed: impl FnMut(Time, &Packet),
+    ) {
+        let (stream, peer, latency) = (self.stream, self.peer, self.cfg.latency);
         self.transmit_seq(ready, pkt, &mut |arrival, p| {
+            departed(arrival - latency, &p);
             ctx.send_stream(stream, peer, p, arrival)
         });
     }
@@ -169,7 +183,7 @@ impl EgressPort {
 
     /// Reserve the wire for `pkt` as [`EgressPort::send`] does, handing
     /// each resulting delivery to `deliver(arrival, pkt)`.
-    fn transmit_seq(&mut self, ready: Time, pkt: Packet, deliver: &mut dyn FnMut(Time, Packet)) {
+    fn transmit_seq(&mut self, ready: Time, pkt: Packet, deliver: &mut impl FnMut(Time, Packet)) {
         if !pkt.is_train() {
             if let Some((arrival, pkt)) = self.transmit(ready, pkt) {
                 deliver(arrival, pkt);

@@ -647,6 +647,13 @@ impl Qp {
         }
     }
 
+    /// Drop a datagram for want of a receive WQE without touching the
+    /// receive queue: the HCA's verdict when every queued WQE is a re-post
+    /// that, in virtual time, lands after the datagram arrived.
+    pub fn drop_ud(&mut self) {
+        self.ud_dropped += 1;
+    }
+
     fn on_data(&mut self, pkt: Packet, position: Position, is_send: bool, out: &mut QpOutput) {
         let src = (pkt.src_lid, pkt.src_qpn);
         // Go-back-N receive discipline: only the next expected message is

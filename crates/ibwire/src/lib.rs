@@ -162,9 +162,10 @@ pub struct Packet {
     /// belong to the message at `msg_id`. A value above 1 makes this a
     /// **super-train** of `msgs` equal-length back-to-back messages
     /// (`count / msgs` fragments each, consecutive `msg_id`s and PSNs):
-    /// either a burst of silent whole-message RDMA writes on the forward
-    /// path, or a cumulative-ACK run (`count == msgs`, one header-only
-    /// packet per message) on the control return path.
+    /// a burst of whole-message silent RDMA writes, RC sends or UD
+    /// datagrams (`count == msgs`) on the forward path, or a cumulative-ACK
+    /// run (`count == msgs`, one header-only packet per message) on the
+    /// control return path.
     pub msgs: u32,
     /// Arrival spacing between consecutive *message heads* of a super-train
     /// at the current hop, in nanoseconds. With `f = count / msgs`,
@@ -403,8 +404,10 @@ impl Packet {
     }
 
     /// Debug-mode validation of the train invariants (equal-size members,
-    /// sane data coverage, super-train shape). Cheap no-op in release
-    /// builds.
+    /// sane data coverage, super-train shape). Accepts exactly the shapes the
+    /// HCA forms: fragment trains of RC data, whole-message super-trains of
+    /// RC writes, RC sends and UD datagrams, and cumulative-ACK runs. Cheap
+    /// no-op in release builds.
     pub fn debug_validate_train(&self) {
         debug_assert!(self.count >= 1, "packet must carry at least one fragment");
         debug_assert!(self.msgs >= 1, "packet must span at least one message");
@@ -417,26 +420,42 @@ impl Packet {
             // member message starts at offset 0 and is fully covered.
             debug_assert_eq!(self.offset, 0, "super-train messages are whole");
             debug_assert!(
-                self.frags_per_msg() * self.stride >= self.msg_len,
-                "super-train messages are complete"
-            );
-            debug_assert!(
                 self.data.is_none(),
                 "super-trains never carry integrity payloads"
             );
-            if matches!(self.opcode, Opcode::RcAck) {
-                debug_assert_eq!(self.count, self.msgs, "ACK runs are one packet per message");
-                debug_assert_eq!(self.payload, 0, "ACKs are header-only");
-            } else {
-                debug_assert!(
-                    matches!(self.opcode, Opcode::RcWrite { .. }),
-                    "only silent writes and ACK runs form super-trains"
-                );
+            match self.opcode {
+                Opcode::RcAck => {
+                    debug_assert_eq!(self.count, self.msgs, "ACK runs are one packet per message");
+                    debug_assert_eq!(self.payload, 0, "ACKs are header-only");
+                }
+                Opcode::UdSend => {
+                    debug_assert_eq!(self.count, self.msgs, "a datagram is one packet");
+                    debug_assert_eq!(self.payload, self.msg_len, "a datagram is its message");
+                }
+                Opcode::RcWrite { .. } | Opcode::RcSend { .. } => {
+                    debug_assert!(
+                        !matches!(self.opcode, Opcode::RcWrite { .. }) || self.imm == u64::MAX,
+                        "write super-trains are silent"
+                    );
+                    debug_assert!(
+                        self.frags_per_msg() * self.stride >= self.msg_len,
+                        "super-train messages are complete"
+                    );
+                }
+                _ => debug_assert!(
+                    false,
+                    "only RC write, RC send and UD datagram runs and ACK runs form super-trains"
+                ),
             }
         }
         if self.count > 1 && !matches!(self.opcode, Opcode::RcAck) {
             debug_assert_eq!(self.stride, self.payload, "train members are equal-size");
-            debug_assert!(self.stride > 0, "train members carry payload");
+            // Zero-byte messages are legal: a run of them merges with
+            // `stride == payload == 0`, one packet per message.
+            debug_assert!(
+                self.stride > 0 || self.frags_per_msg() == 1,
+                "fragments of one message carry payload"
+            );
             debug_assert!(
                 self.offset + self.frags_per_msg() * self.stride <= self.msg_len,
                 "train overruns its message"
@@ -445,8 +464,8 @@ impl Packet {
                 matches!(
                     self.opcode,
                     Opcode::RcSend { .. } | Opcode::RcWrite { .. } | Opcode::RcReadResponse { .. }
-                ),
-                "only data fragments form trains"
+                ) || (self.opcode == Opcode::UdSend && self.msgs > 1),
+                "only data fragments and datagram runs form trains"
             );
             if let Some(d) = self.data.as_ref() {
                 debug_assert_eq!(d.len(), (self.count * self.stride) as usize);
@@ -691,6 +710,53 @@ mod tests {
             assert_eq!(p.msg_gap_ns, 0);
             assert!(p.tail_is_last());
         }
+    }
+
+    /// A run of `msgs` whole single-fragment messages of `len` bytes, shaped
+    /// as the HCA merges them: `stride` states the per-member coverage.
+    fn message_run(opcode: Opcode, len: u32, msgs: u32) -> Packet {
+        Packet {
+            psn: 30,
+            msg_id: 9,
+            msg_len: len,
+            count: msgs,
+            stride: len,
+            msgs,
+            msg_gap_ns: 1059,
+            ..pkt(opcode, len)
+        }
+    }
+
+    #[test]
+    fn send_and_datagram_runs_validate() {
+        // The `ib_send_bw` shapes: whole RC sends and UD datagrams, one
+        // packet per message, including zero-byte messages.
+        let send = Opcode::RcSend {
+            position: Position::Only,
+        };
+        for len in [1024, 0] {
+            for t in [
+                message_run(send, len, 4),
+                message_run(Opcode::UdSend, len, 4),
+            ] {
+                t.debug_validate_train();
+                for m in 0..4 {
+                    let p = t.msg_train(m);
+                    p.debug_validate_train();
+                    assert_eq!((p.count, p.stride, p.payload), (1, 0, len));
+                    assert_eq!((p.psn, p.msg_id), (30 + m, 9 + m as u64));
+                }
+            }
+        }
+    }
+
+    // The validator is made of debug assertions, so it only bites there.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "form super-trains")]
+    fn read_response_runs_are_not_a_super_train_shape() {
+        let position = Position::Only;
+        message_run(Opcode::RcReadResponse { position }, 1024, 4).debug_validate_train();
     }
 
     #[test]
