@@ -31,6 +31,12 @@ cargo run --release -p bench --bin repro -- --no-coalescing --check results/quic
 echo "==> golden gate, Full fidelity (every recorded figure: data bit-identical, work equal)"
 cargo run --release -p bench --bin repro -- --full --check results
 
+echo "==> golden gate, Full fidelity on the per-fragment wire path (data only)"
+cargo run --release -p bench --bin repro -- --no-coalescing --full --check results
+
+echo "==> rustdoc (warnings are errors: no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> clippy (whole workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -7,7 +7,7 @@
 //! Like `tests/protocols.rs`, this walks a deterministic case grid instead
 //! of drawing from a proptest RNG: every failure reproduces.
 
-use ibfabric::fabric::{EngineProfile, FabricReport};
+use ibfabric::fabric::FabricReport;
 use ibfabric::hca::HcaConfig;
 use ibfabric::perftest::{rc_qp_pair, BwConfig, BwPeer};
 use ibfabric::qp::QpConfig;
@@ -27,11 +27,11 @@ struct Observed {
     report: FabricReport,
 }
 
-/// One RC stream host 0 → last host across a generated spec under
-/// `profile`.
-fn stream_observables(spec: &TopoSpec, profile: EngineProfile, msgs: u64) -> Observed {
+/// One RC stream host 0 → last host across a generated spec, with
+/// coalescing on or off.
+fn stream_observables(spec: &TopoSpec, coalescing: bool, msgs: u64) -> Observed {
     let last = spec.total_hosts() - 1;
-    let (mut f, nodes) = spec.build(23, profile, HcaConfig::default(), |host| {
+    let (mut f, nodes) = spec.build(23, coalescing, HcaConfig::default(), |host| {
         if host == 0 {
             Box::new(BwPeer::sender(BwConfig::new(65536, msgs))) as Box<dyn Ulp>
         } else if host == last {
@@ -70,8 +70,8 @@ fn generated_fabrics_replay_bit_identically_without_coalescing() {
         plain,
     ];
     for (i, spec) in specs.iter().enumerate() {
-        let coalesced = stream_observables(spec, EngineProfile::default(), 64);
-        let per_fragment = stream_observables(spec, EngineProfile::no_coalescing(), 64);
+        let coalesced = stream_observables(spec, true, 64);
+        let per_fragment = stream_observables(spec, false, 64);
         let what = spec.describe();
         assert!(coalesced.delivered > 0, "nothing delivered: {what}");
         assert_eq!(

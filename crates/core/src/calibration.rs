@@ -128,7 +128,7 @@ pub fn run_calibration(cfg: &RunConfig) -> Vec<Check> {
             measured: osu_bw(
                 {
                     let spec = wan_pair(Dur::ZERO);
-                    spec.with_profile(cfg.engine())
+                    spec.with_coalescing(cfg.coalescing)
                         .with_seed(cfg.seed_for(spec.seed))
                 },
                 1 << 20,

@@ -3,13 +3,12 @@
 //! A [`RunConfig`] carries every run knob: fidelity, fragment-train
 //! coalescing, a seed offset, and the worker count. Binaries parse their
 //! flags into one config up front, and everything below — registry
-//! entries, `Scenario::run`, the topology helpers, `FabricBuilder` — takes
-//! it (or the [`EngineProfile`] derived from it) as an argument. Flag order
+//! entries, `Scenario::run`, the topology helpers — takes it as an
+//! argument, and hands `FabricBuilder` its coalescing flag. Flag order
 //! cannot matter and concurrent runs with different configs cannot
 //! interfere.
 
 use crate::Fidelity;
-pub use ibfabric::fabric::EngineProfile;
 
 /// Everything that parameterizes one experiment run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -48,13 +47,6 @@ impl RunConfig {
         RunConfig {
             fidelity: Fidelity::Full,
             ..RunConfig::default()
-        }
-    }
-
-    /// The engine profile to build fabrics with under this config.
-    pub fn engine(&self) -> EngineProfile {
-        EngineProfile {
-            coalescing: self.coalescing,
         }
     }
 
@@ -129,15 +121,5 @@ mod tests {
             "workers is wall-clock only"
         );
         assert_eq!(base.digest().len(), 16, "fixed-width hex");
-    }
-
-    #[test]
-    fn engine_profile_mirrors_config() {
-        let cfg = RunConfig {
-            coalescing: false,
-            ..RunConfig::default()
-        };
-        assert_eq!(cfg.engine(), EngineProfile::no_coalescing());
-        assert_eq!(RunConfig::default().engine(), EngineProfile::default());
     }
 }

@@ -43,7 +43,7 @@ pub fn ext_nfs_write(cfg: &RunConfig) -> Figure {
         if cfg.fidelity == Fidelity::Quick {
             s.file_size = 16 << 20;
         }
-        s.profile = cfg.engine();
+        s.coalescing = cfg.coalescing;
         s.seed = cfg.seed_for(s.seed);
         (t, d, run_read_experiment(s).mbs)
     });
@@ -85,7 +85,7 @@ pub fn ext_rndv_protocols(run: &RunConfig) -> Figure {
         let iters = run.fidelity.iters(3, 10) as u32;
         let spec = wan_pair_with(Dur::from_us(d), cfg);
         let spec = spec
-            .with_profile(run.engine())
+            .with_coalescing(run.coalescing)
             .with_seed(run.seed_for(spec.seed));
         (l, d, osu_bw(spec, 262_144, 16, iters))
     });
@@ -124,7 +124,7 @@ pub fn ext_hierarchical_allreduce(cfg: &RunConfig) -> Figure {
     let res = parallel_map(cfg, pts, |(hier, d)| {
         let spec = JobSpec::two_clusters(per_cluster, per_cluster, Dur::from_us(d));
         let spec = spec
-            .with_profile(cfg.engine())
+            .with_coalescing(cfg.coalescing)
             .with_seed(cfg.seed_for(spec.seed));
         let iters = cfg.fidelity.iters(2, 5) as u32;
         (hier, d, allreduce_latency(spec, 262_144, iters, hier))
@@ -281,7 +281,7 @@ pub fn ext_pfs_striping(cfg: &RunConfig) -> Figure {
             Fidelity::Quick => 32 << 20,
             Fidelity::Full => 128 << 20,
         };
-        s.profile = cfg.engine();
+        s.coalescing = cfg.coalescing;
         s.seed = cfg.seed_for(s.seed);
         (n, d, run_striped_read(s).mbs)
     });

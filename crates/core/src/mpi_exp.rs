@@ -9,11 +9,11 @@ use mpisim::proto::MpiConfig;
 use mpisim::world::JobSpec;
 use simcore::Dur;
 
-/// Apply the run context to a job spec: engine profile plus the config's
-/// seed offset over the spec's canonical seed.
+/// Apply the run context to a job spec: coalescing plus the config's seed
+/// offset over the spec's canonical seed.
 fn contextualize(spec: JobSpec, cfg: &RunConfig) -> JobSpec {
     let seed = cfg.seed_for(spec.seed);
-    spec.with_profile(cfg.engine()).with_seed(seed)
+    spec.with_coalescing(cfg.coalescing).with_seed(seed)
 }
 
 /// Message sizes for the Figure 8 bandwidth sweep.

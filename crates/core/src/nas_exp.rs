@@ -31,7 +31,7 @@ pub fn fig12_nas(cfg: &RunConfig) -> Figure {
     let res = parallel_map(cfg, pts, |(bench, d)| {
         let spec = JobSpec::two_clusters(per_cluster, per_cluster, Dur::from_us(d));
         let spec = spec
-            .with_profile(cfg.engine())
+            .with_coalescing(cfg.coalescing)
             .with_seed(cfg.seed_for(spec.seed));
         let r = run_spec(bench, spec);
         (bench, d, r.time_secs)

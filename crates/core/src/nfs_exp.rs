@@ -15,7 +15,7 @@ fn setup(cfg: &RunConfig, t: Transport, threads: usize, delay: Option<Dur>) -> N
     if cfg.fidelity == Fidelity::Quick {
         s.file_size = 16 << 20;
     }
-    s.profile = cfg.engine();
+    s.coalescing = cfg.coalescing;
     s.seed = cfg.seed_for(s.seed);
     s
 }

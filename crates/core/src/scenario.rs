@@ -600,8 +600,8 @@ impl Scenario {
 
     /// Run the scenario and return its headline number.
     ///
-    /// The config supplies the engine profile (fragment-train coalescing,
-    /// invisible in every result) and the seed offset.
+    /// The config supplies fragment-train coalescing (invisible in every
+    /// result) and the seed offset.
     pub fn run(&self, cfg: &RunConfig) -> ScenarioResult {
         let delay = Dur::from_us(self.topology.delay_us);
         let loss = self.topology.loss_ppm;
@@ -610,7 +610,7 @@ impl Scenario {
         // config's offset) so recorded outputs stay bit-identical.
         let contextualize = |spec: JobSpec| -> JobSpec {
             let seed = cfg.seed_for(spec.seed);
-            spec.with_profile(cfg.engine()).with_seed(seed)
+            spec.with_coalescing(cfg.coalescing).with_seed(seed)
         };
         let result = |metric: &str, value: f64, unit: &str| ScenarioResult {
             name: self.name.clone(),
@@ -844,7 +844,7 @@ impl Scenario {
                 let mut s = NfsSetup::scaled(t, *threads, Some(delay));
                 s.file_size = file_mib << 20;
                 s.write = *write;
-                s.profile = cfg.engine();
+                s.coalescing = cfg.coalescing;
                 s.seed = cfg.seed_for(s.seed);
                 result("throughput", run_read_experiment(s).mbs, "MB/s")
             }

@@ -51,8 +51,10 @@ fn pool_size(cores: usize, claimed: usize, workers: Option<usize>, inputs: usize
 
 /// Map `f` over `inputs` in parallel, preserving order.
 ///
-/// Runs on a pool of scoped worker threads sized by [`pool_size`] that
-/// self-schedule inputs from a shared index in input order. Each worker
+/// Runs on a pool of scoped worker threads that self-schedule inputs from a
+/// shared index in input order. The pool has `min(inputs, free, workers)`
+/// threads, where `free` is the cores no enclosing pool holds (at least 1)
+/// and `workers` is [`RunConfig::workers`], `free` when unset. Each worker
 /// accumulates engine stats into its own thread-local
 /// [`ibfabric::fabric::RunTally`]; the pool merges them back into the
 /// calling thread on join, so per-experiment tallies survive the fan-out.

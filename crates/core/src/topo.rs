@@ -23,7 +23,7 @@ use ibfabric::ulp::Ulp;
 
 pub use ibtopo::{ulp_list, SiteSpec, TopoSpec, WanSpec, WanStyle, Wiring};
 
-/// Lower `spec` into a runnable fabric under the run's engine profile and
+/// Lower `spec` into a runnable fabric under the run's coalescing and
 /// seed policy. `ulp_for(host)` supplies each host's ULP, in site-major
 /// host order. Returns the fabric plus host handles in host-id order.
 pub fn build_topo<F>(
@@ -37,7 +37,7 @@ where
 {
     spec.build(
         cfg.seed_for(seed),
-        cfg.engine(),
+        cfg.coalescing,
         HcaConfig::default(),
         ulp_for,
     )
@@ -54,7 +54,7 @@ pub fn build_pair(
 ) -> (Fabric, NodeHandle, NodeHandle) {
     spec.build_pair(
         cfg.seed_for(seed),
-        cfg.engine(),
+        cfg.coalescing,
         HcaConfig::default(),
         ulp_a,
         ulp_b,

@@ -141,7 +141,7 @@ fn alltoall_latency(cfg: &RunConfig, spec: &TopoSpec, len: u32, iters: u32) -> f
         MpiConfig::default(),
         ibfabric::hca::HcaConfig::default(),
         cfg.seed_for(73),
-        cfg.engine(),
+        cfg.coalescing,
         |rank, n| {
             let mut tags = TagAlloc::default();
             let mut ops = vec![Op::Mark { id: MARK_START }];

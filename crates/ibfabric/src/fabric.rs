@@ -16,33 +16,6 @@ use simcore::{Actor, ActorId, Engine, EngineCounters, Time};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
-/// Engine execution knobs carried by every fabric, set at build time and
-/// immutable afterwards: harnesses thread a profile (usually derived from
-/// `ibwan_core`'s `RunConfig`) down through the experiment constructors
-/// instead of mutating statics. The one knob is A/B-invisible in every
-/// virtual-time observable — enforced by the determinism suites — so a
-/// profile only changes wall-clock behaviour.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct EngineProfile {
-    /// Fragment-train coalescing on the wire path (topology safety checks
-    /// still apply; see [`FabricBuilder::finish`]).
-    pub coalescing: bool,
-}
-
-impl Default for EngineProfile {
-    fn default() -> Self {
-        EngineProfile { coalescing: true }
-    }
-}
-
-impl EngineProfile {
-    /// The default profile with the per-fragment wire path
-    /// (`repro --no-coalescing`).
-    pub fn no_coalescing() -> Self {
-        EngineProfile { coalescing: false }
-    }
-}
-
 /// Engine work accumulated by every [`Fabric::run`] on the current thread
 /// since the last [`reset_run_tally`]. Experiment constructors bury their
 /// fabrics, so the provenance-stamping runner reads per-experiment engine
@@ -184,19 +157,15 @@ pub struct FabricBuilder {
     ports_used: Vec<usize>,
     next_lid: u16,
     nodes: Vec<NodeHandle>,
-    profile: EngineProfile,
+    /// Fragment-train coalescing on the wire path, where the topology can
+    /// carry trains exactly (see [`FabricBuilder::finish`]). It changes wall
+    /// clock only: every virtual-time observable is the same either way.
+    coalescing: bool,
 }
 
 impl FabricBuilder {
-    /// Start building with a deterministic seed and the default
-    /// [`EngineProfile`] (coalescing on).
+    /// Start building with a deterministic seed, coalescing on.
     pub fn new(seed: u64) -> Self {
-        FabricBuilder::with_profile(seed, EngineProfile::default())
-    }
-
-    /// Start building with a deterministic seed and an explicit engine
-    /// profile — the entry point for `RunConfig`-threaded harnesses.
-    pub fn with_profile(seed: u64, profile: EngineProfile) -> Self {
         FabricBuilder {
             engine: Engine::new(seed),
             kinds: Vec::new(),
@@ -205,15 +174,15 @@ impl FabricBuilder {
             ports_used: Vec::new(),
             next_lid: 1,
             nodes: Vec::new(),
-            profile,
+            coalescing: true,
         }
     }
 
-    /// Force the per-fragment path for this fabric — used by components that
-    /// introduce per-fragment divergence trains cannot express (e.g. random
-    /// per-fragment loss injection).
+    /// Force the per-fragment path for this fabric: `repro --no-coalescing`,
+    /// and components that introduce per-fragment divergence trains cannot
+    /// express (e.g. random per-fragment loss injection).
     pub fn disable_coalescing(&mut self) {
-        self.profile.coalescing = false;
+        self.coalescing = false;
     }
 
     fn register<T: PortAttach>(&mut self, actor: Box<T>, kind: Kind) -> ActorId {
@@ -344,7 +313,7 @@ impl FabricBuilder {
             .enumerate()
             .filter(|(_, k)| matches!(k, Kind::Switch))
             .all(|(id, _)| self.ports_used[id] <= 2);
-        let coalesce = self.profile.coalescing && safe;
+        let coalesce = self.coalescing && safe;
         for &NodeHandle { actor, .. } in &self.nodes {
             self.engine
                 .actor_mut::<HcaActor>(actor)

@@ -72,11 +72,6 @@ pub struct QpConfig {
     /// exceed the worst-case RTT of the deployment (IB encodes this as the
     /// "local ACK timeout"; 2000 km of fiber needs > 20 ms).
     pub rto: Dur,
-    /// Minimum run of contiguous full-MTU fragments of one message before
-    /// the sender emits a fragment *train* (one [`Packet`] with `count > 1`)
-    /// instead of individual packets. Only meaningful once the HCA enables
-    /// coalescing on the QP; values below 2 behave as 2.
-    pub coalesce_min_frags: u32,
 }
 
 impl QpConfig {
@@ -90,7 +85,6 @@ impl QpConfig {
             max_outstanding_reads: 4,
             notify_silent_writes: false,
             rto: Dur::from_ms(60),
-            coalesce_min_frags: 2,
         }
     }
 
@@ -104,7 +98,6 @@ impl QpConfig {
             max_outstanding_reads: 0,
             notify_silent_writes: false,
             rto: Dur::from_ms(60),
-            coalesce_min_frags: 2,
         }
     }
 
@@ -159,18 +152,59 @@ impl QpOutput {
     }
 }
 
+/// A message being reassembled from its fragments.
 struct Assembly {
     msg_id: u64,
     msg_len: u32,
-    received: u32,
     imm: u64,
     src: (Lid, Qpn),
     consumes_recv: bool,
     data: BytesMut,
-    expected_offset: u32,
+    /// Bytes assembled so far: the offset the next fragment must start at.
+    received: u32,
     /// A fragment was lost mid-message: ignore the rest until the
     /// retransmitted `First` fragment restarts the assembly.
     poisoned: bool,
+}
+
+impl Assembly {
+    fn new(head: &Packet, consumes_recv: bool) -> Self {
+        Assembly {
+            msg_id: head.msg_id,
+            msg_len: head.msg_len,
+            imm: head.imm,
+            src: (head.src_lid, head.src_qpn),
+            consumes_recv,
+            data: BytesMut::new(),
+            received: 0,
+            poisoned: false,
+        }
+    }
+
+    /// Extend the assembly in `slot` by `pkt`'s `count` contiguous
+    /// fragments. A packet at offset 0 (re)starts it, so a retransmitted
+    /// `First` heals a poisoned assembly; a packet anywhere but the next
+    /// expected offset poisons it. Returns `false` when the fragments are
+    /// dropped: with no assembly (its `First` was lost), or a poisoned or
+    /// mismatched one. A train's members are contiguous, so they all share
+    /// their head's fate, exactly as `count` single fragments would.
+    fn extend(slot: &mut Option<Assembly>, pkt: &Packet, consumes_recv: bool) -> bool {
+        if pkt.offset == 0 {
+            *slot = Some(Assembly::new(pkt, consumes_recv));
+        }
+        let Some(asm) = slot else {
+            return false;
+        };
+        if asm.poisoned || asm.msg_id != pkt.msg_id || asm.received != pkt.offset {
+            asm.poisoned = true;
+            return false;
+        }
+        asm.received += pkt.train_payload_bytes();
+        if let Some(d) = &pkt.data {
+            asm.data.extend_from_slice(d);
+        }
+        true
+    }
 }
 
 struct InflightSend {
@@ -516,120 +550,93 @@ impl Qp {
         self.request_arm(out);
     }
 
+    /// Segment message `msg_id` into MTU fragments with consecutive PSNs:
+    /// Send or RDMA Write fragments, or, for an RDMA Read, the responder's
+    /// read-response fragments. Under coalescing, the leading run of two or
+    /// more full-MTU fragments leaves as one fragment *train* (a [`Packet`]
+    /// with `count > 1`).
+    ///
+    /// Inline data rides in one of two modes: when its length equals the
+    /// message length it is the full payload and is sliced per fragment
+    /// (integrity tests); otherwise it is small ULP metadata (e.g. a TCP or
+    /// RPC header) attached whole to the final fragment, which then stays out
+    /// of the train (train data is either absent or sliced per member).
     fn emit_fragments(&mut self, msg_id: u64, wr: &SendWr, remote: (Lid, Qpn), out: &mut QpOutput) {
+        let opcode = |position| match wr.kind {
+            SendKind::Send => Opcode::RcSend { position },
+            SendKind::RdmaWrite => Opcode::RcWrite { position },
+            SendKind::RdmaRead => Opcode::RcReadResponse { position },
+        };
         let mtu = self.cfg.mtu;
-        let count = (wr.len.max(1)).div_ceil(mtu).max(1);
-        // Inline data rides in one of two modes: when its length equals the
-        // message length it is the full payload and is sliced per fragment
-        // (integrity tests); otherwise it is small ULP metadata (e.g. a TCP
-        // or RPC header) attached whole to the final fragment.
+        let count = wr.len.div_ceil(mtu).max(1);
         let integrity = wr.data.as_ref().is_some_and(|d| d.len() == wr.len as usize);
-        let mut start_idx = 0;
-        if self.coalesce {
-            // Train members must be equal-size (full MTU), and a fragment
-            // carrying whole metadata must stay out (train data is either
-            // absent or sliced per member by `stride`).
-            let metadata_last = wr.data.is_some() && !integrity;
-            let mut train_len = (wr.len / mtu).min(count);
-            if metadata_last && train_len == count {
-                train_len -= 1;
-            }
-            if train_len >= self.cfg.coalesce_min_frags.max(2) {
-                let position = Position::of(0, count);
-                let opcode = match wr.kind {
-                    SendKind::Send => Opcode::RcSend { position },
-                    SendKind::RdmaWrite => Opcode::RcWrite { position },
-                    SendKind::RdmaRead => unreachable!("reads emit a request"),
-                };
-                let data = match &wr.data {
-                    Some(d) if integrity => Some(d.slice(0..(train_len * mtu) as usize)),
-                    _ => None,
-                };
-                let psn = self.next_psn;
-                self.next_psn = self.next_psn.wrapping_add(train_len);
-                out.packets.push(Packet {
-                    dst_lid: remote.0,
-                    src_lid: self.local_lid,
-                    dst_qpn: remote.1,
-                    src_qpn: self.qpn,
-                    opcode,
-                    psn,
-                    payload: mtu,
-                    msg_id,
-                    msg_len: wr.len,
-                    offset: 0,
-                    imm: wr.imm,
-                    count: train_len,
-                    stride: mtu,
-                    gap_ns: 0,
-                    msgs: 1,
-                    msg_gap_ns: 0,
-                    data,
-                });
-                start_idx = train_len;
-            }
+        let mut train = if self.coalesce { wr.len / mtu } else { 0 };
+        if train == count && wr.data.is_some() && !integrity {
+            train -= 1;
         }
-        for idx in start_idx..count {
+        let mut idx = 0;
+        while idx < count {
+            let n = if idx == 0 && train >= 2 { train } else { 1 };
             let offset = idx * mtu;
             let payload = (wr.len - offset).min(mtu);
             let position = Position::of(idx, count);
             let data = match &wr.data {
-                Some(d) if integrity => Some(d.slice(offset as usize..(offset + payload) as usize)),
+                Some(d) if integrity => {
+                    Some(d.slice(offset as usize..(offset + n * payload) as usize))
+                }
                 Some(d) if position.is_last() => Some(d.clone()),
                 _ => None,
             };
-            let opcode = match wr.kind {
-                SendKind::Send => Opcode::RcSend { position },
-                SendKind::RdmaWrite => Opcode::RcWrite { position },
-                SendKind::RdmaRead => unreachable!("reads emit a request"),
-            };
+            let psn = self.next_psn;
+            self.next_psn = psn.wrapping_add(n);
             out.packets.push(Packet {
                 dst_lid: remote.0,
                 src_lid: self.local_lid,
                 dst_qpn: remote.1,
                 src_qpn: self.qpn,
-                opcode,
-                psn: self.bump_psn(),
+                opcode: opcode(position),
+                psn,
                 payload,
                 msg_id,
                 msg_len: wr.len,
                 offset,
                 imm: wr.imm,
-                count: 1,
-                stride: 0,
+                count: n,
+                stride: if n > 1 { mtu } else { 0 },
                 gap_ns: 0,
                 msgs: 1,
                 msg_gap_ns: 0,
                 data,
             });
+            idx += n;
         }
     }
 
-    /// Handle an incoming packet addressed to this QP.
+    /// Handle an incoming packet addressed to this QP. RC data arrives as
+    /// single fragments or as fragment trains (`count > 1`); a train is
+    /// received in one call, with the same outcome, counter for counter and
+    /// ACK for ACK, as its `count` members one after another.
     pub fn on_packet(&mut self, pkt: Packet, out: &mut QpOutput) {
         debug_assert!(
             self.state >= QpState::Rtr,
             "packet for {:?} before RTR",
             self.qpn
         );
-        if pkt.is_train() {
-            // Fragment trains are unpacked analytically: the handlers below
-            // reproduce, counter for counter and ACK for ACK, what `count`
-            // sequential per-fragment deliveries would have done.
-            return match pkt.opcode {
-                Opcode::RcSend { .. } => self.on_data_train(pkt, true, out),
-                Opcode::RcWrite { .. } => self.on_data_train(pkt, false, out),
-                Opcode::RcReadResponse { .. } => self.on_read_response_train(pkt, out),
-                _ => unreachable!("only RC data opcodes form trains"),
-            };
-        }
+        debug_assert!(
+            !pkt.is_train()
+                || matches!(
+                    pkt.opcode,
+                    Opcode::RcSend { .. } | Opcode::RcWrite { .. } | Opcode::RcReadResponse { .. }
+                ),
+            "only RC data opcodes form trains"
+        );
         match pkt.opcode {
             Opcode::UdSend => self.on_ud(pkt, out),
             Opcode::RcAck => self.on_ack(pkt, out),
             Opcode::RcReadRequest => self.on_read_request(pkt, out),
-            Opcode::RcSend { position } => self.on_data(pkt, position, true, out),
-            Opcode::RcWrite { position } => self.on_data(pkt, position, false, out),
-            Opcode::RcReadResponse { position } => self.on_read_response(pkt, position, out),
+            Opcode::RcSend { .. } => self.on_data(pkt, true, out),
+            Opcode::RcWrite { .. } => self.on_data(pkt, false, out),
+            Opcode::RcReadResponse { .. } => self.on_read_response(pkt, out),
         }
     }
 
@@ -654,22 +661,23 @@ impl Qp {
         self.ud_dropped += 1;
     }
 
-    fn on_data(&mut self, pkt: Packet, position: Position, is_send: bool, out: &mut QpOutput) {
-        let src = (pkt.src_lid, pkt.src_qpn);
+    /// Receive `pkt.count` contiguous Send or Write fragments of one message.
+    fn on_data(&mut self, pkt: Packet, is_send: bool, out: &mut QpOutput) {
+        let n = pkt.count as u64;
         // Go-back-N receive discipline: only the next expected message is
         // accepted; earlier ids are retransmitted duplicates (our ACK was
         // lost — re-ACK cumulatively), later ids mean an earlier message
         // was lost entirely (drop; the sender will retransmit in order).
         if pkt.msg_id < self.expected_msg_id {
-            self.dup_fragments += 1;
-            if position.is_last() {
-                let ack = self.make_ack(self.expected_msg_id - 1, src);
+            self.dup_fragments += n;
+            if pkt.tail_is_last() {
+                let ack = self.make_ack(self.expected_msg_id - 1, (pkt.src_lid, pkt.src_qpn));
                 out.packets.push(ack);
             }
             return;
         }
         if pkt.msg_id > self.expected_msg_id {
-            self.gap_drops += 1;
+            self.gap_drops += n;
             if let Some(asm) = self.assembling.as_mut() {
                 // The expected message can never finish cleanly now.
                 asm.poisoned = true;
@@ -677,42 +685,14 @@ impl Qp {
             return;
         }
         let consumes_recv = is_send || pkt.imm != u64::MAX;
-        if position.is_first() {
-            // (Re)start assembly — a retransmitted First heals a poisoned one.
-            self.assembling = Some(Assembly {
-                msg_id: pkt.msg_id,
-                msg_len: pkt.msg_len,
-                received: 0,
-                imm: pkt.imm,
-                src,
-                consumes_recv,
-                data: BytesMut::new(),
-                expected_offset: 0,
-                poisoned: false,
-            });
-        }
-        let Some(asm) = self.assembling.as_mut() else {
-            // Mid-message fragment whose First was lost.
-            self.gap_drops += 1;
-            return;
-        };
-        if asm.poisoned || asm.expected_offset != pkt.offset {
-            asm.poisoned = true;
-            self.gap_drops += 1;
-            return;
-        }
-        asm.received += pkt.payload;
-        asm.expected_offset += pkt.payload;
-        if let Some(d) = pkt.data.as_ref() {
-            asm.data.extend_from_slice(d);
-        }
-        if position.is_last() {
+        if !Assembly::extend(&mut self.assembling, &pkt, consumes_recv) {
+            self.gap_drops += n;
+        } else if pkt.tail_is_last() {
             self.finish_assembly(out);
         }
     }
 
     /// The final fragment of the expected message arrived: deliver it.
-    /// Shared by the per-fragment path and the train tail.
     fn finish_assembly(&mut self, out: &mut QpOutput) {
         let asm = self.assembling.take().unwrap();
         debug_assert_eq!(asm.received, asm.msg_len, "short message");
@@ -748,70 +728,6 @@ impl Qp {
                     len: asm.msg_len,
                 });
             }
-        }
-    }
-
-    /// Receive a fragment train of Send/Write data: the analytic equivalent
-    /// of `count` consecutive [`Qp::on_data`] calls. Train members are
-    /// contiguous equal-size fragments of one message, so the go-back-N
-    /// outcome is all-or-nothing: either every member extends the assembly,
-    /// or every member takes the same dup/gap branch the per-fragment path
-    /// would have taken.
-    fn on_data_train(&mut self, pkt: Packet, is_send: bool, out: &mut QpOutput) {
-        let n = pkt.count as u64;
-        let src = (pkt.src_lid, pkt.src_qpn);
-        if pkt.msg_id < self.expected_msg_id {
-            // Retransmitted duplicates; re-ACK cumulatively if the train tail
-            // is the message's Last fragment (as on_data does per fragment).
-            self.dup_fragments += n;
-            if pkt.tail_is_last() {
-                let ack = self.make_ack(self.expected_msg_id - 1, src);
-                out.packets.push(ack);
-            }
-            return;
-        }
-        if pkt.msg_id > self.expected_msg_id {
-            self.gap_drops += n;
-            if let Some(asm) = self.assembling.as_mut() {
-                asm.poisoned = true;
-            }
-            return;
-        }
-        let consumes_recv = is_send || pkt.imm != u64::MAX;
-        if pkt.offset == 0 {
-            // Head is a First fragment: (re)start assembly.
-            self.assembling = Some(Assembly {
-                msg_id: pkt.msg_id,
-                msg_len: pkt.msg_len,
-                received: 0,
-                imm: pkt.imm,
-                src,
-                consumes_recv,
-                data: BytesMut::new(),
-                expected_offset: 0,
-                poisoned: false,
-            });
-        }
-        let Some(asm) = self.assembling.as_mut() else {
-            // Mid-message train whose First was lost: every member dropped.
-            self.gap_drops += n;
-            return;
-        };
-        if asm.poisoned || asm.expected_offset != pkt.offset {
-            // The head mismatches, so every later member hits the poisoned
-            // branch too.
-            asm.poisoned = true;
-            self.gap_drops += n;
-            return;
-        }
-        let bytes = pkt.count * pkt.stride;
-        asm.received += bytes;
-        asm.expected_offset += bytes;
-        if let Some(d) = pkt.data.as_ref() {
-            asm.data.extend_from_slice(d);
-        }
-        if pkt.tail_is_last() {
-            self.finish_assembly(out);
         }
     }
 
@@ -864,117 +780,27 @@ impl Qp {
 
     fn on_read_request(&mut self, pkt: Packet, out: &mut QpOutput) {
         // The responder HCA streams the data back without host involvement.
-        let remote = (pkt.src_lid, pkt.src_qpn);
-        let wr = SendWr {
-            wr_id: 0,
-            kind: SendKind::Send, // opcode overridden below
-            len: pkt.msg_len,
-            imm: u64::MAX,
-            data: None,
-            ud_dest: None,
-        };
-        let mtu = self.cfg.mtu;
-        let count = (wr.len.max(1)).div_ceil(mtu).max(1);
-        let mut start_idx = 0;
-        if self.coalesce {
-            let train_len = (wr.len / mtu).min(count);
-            if train_len >= self.cfg.coalesce_min_frags.max(2) {
-                let psn = self.next_psn;
-                self.next_psn = self.next_psn.wrapping_add(train_len);
-                out.packets.push(Packet {
-                    dst_lid: remote.0,
-                    src_lid: self.local_lid,
-                    dst_qpn: remote.1,
-                    src_qpn: self.qpn,
-                    opcode: Opcode::RcReadResponse {
-                        position: Position::of(0, count),
-                    },
-                    psn,
-                    payload: mtu,
-                    msg_id: pkt.msg_id,
-                    msg_len: wr.len,
-                    offset: 0,
-                    imm: u64::MAX,
-                    count: train_len,
-                    stride: mtu,
-                    gap_ns: 0,
-                    msgs: 1,
-                    msg_gap_ns: 0,
-                    data: None,
-                });
-                start_idx = train_len;
-            }
-        }
-        for idx in start_idx..count {
-            let offset = idx * mtu;
-            let payload = (wr.len - offset).min(mtu);
-            out.packets.push(Packet {
-                dst_lid: remote.0,
-                src_lid: self.local_lid,
-                dst_qpn: remote.1,
-                src_qpn: self.qpn,
-                opcode: Opcode::RcReadResponse {
-                    position: Position::of(idx, count),
-                },
-                psn: self.bump_psn(),
-                payload,
-                msg_id: pkt.msg_id,
-                msg_len: wr.len,
-                offset,
-                imm: u64::MAX,
-                count: 1,
-                stride: 0,
-                gap_ns: 0,
-                msgs: 1,
-                msg_gap_ns: 0,
-                data: None,
-            });
-        }
+        let wr = SendWr::rdma_read(0, pkt.msg_len);
+        self.emit_fragments(pkt.msg_id, &wr, (pkt.src_lid, pkt.src_qpn), out);
     }
 
-    fn on_read_response(&mut self, pkt: Packet, position: Position, out: &mut QpOutput) {
+    /// Receive `pkt.count` contiguous read-response fragments.
+    fn on_read_response(&mut self, pkt: Packet, out: &mut QpOutput) {
+        let n = pkt.count as u64;
         // Accept only responses for the oldest outstanding read; anything
         // else is a stale duplicate or a response racing a lost request
         // (the retransmission timer recovers both).
-        let Some(front) = self.inflight_reads.front() else {
-            self.dup_fragments += 1;
-            return;
-        };
-        if pkt.msg_id != front.msg_id {
-            self.dup_fragments += 1;
-            return;
-        }
-        if position.is_first() {
-            self.read_assembling = Some(Assembly {
-                msg_id: pkt.msg_id,
-                msg_len: pkt.msg_len,
-                received: 0,
-                imm: u64::MAX,
-                src: (pkt.src_lid, pkt.src_qpn),
-                consumes_recv: false,
-                data: BytesMut::new(),
-                expected_offset: 0,
-                poisoned: false,
-            });
-        }
-        let Some(asm) = self.read_assembling.as_mut() else {
-            self.gap_drops += 1;
-            return;
-        };
-        if asm.poisoned || asm.msg_id != pkt.msg_id || asm.expected_offset != pkt.offset {
-            asm.poisoned = true;
-            self.gap_drops += 1;
-            return;
-        }
-        asm.received += pkt.payload;
-        asm.expected_offset += pkt.payload;
-        if position.is_last() {
+        let oldest = self.inflight_reads.front().map(|r| r.msg_id);
+        if oldest != Some(pkt.msg_id) {
+            self.dup_fragments += n;
+        } else if !Assembly::extend(&mut self.read_assembling, &pkt, false) {
+            self.gap_drops += n;
+        } else if pkt.tail_is_last() {
             self.finish_read_assembly(out);
         }
     }
 
     /// The final read-response fragment arrived: complete the oldest read.
-    /// Shared by the per-fragment path and the train tail.
     fn finish_read_assembly(&mut self, out: &mut QpOutput) {
         let asm = self.read_assembling.take().unwrap();
         debug_assert_eq!(asm.received, asm.msg_len);
@@ -989,55 +815,13 @@ impl Qp {
         self.pump(out);
         self.maybe_disarm(out);
     }
-
-    /// Receive a read-response fragment train: the analytic equivalent of
-    /// `count` consecutive [`Qp::on_read_response`] calls.
-    fn on_read_response_train(&mut self, pkt: Packet, out: &mut QpOutput) {
-        let n = pkt.count as u64;
-        let stale = match self.inflight_reads.front() {
-            None => true,
-            Some(front) => pkt.msg_id != front.msg_id,
-        };
-        if stale {
-            self.dup_fragments += n;
-            return;
-        }
-        if pkt.offset == 0 {
-            self.read_assembling = Some(Assembly {
-                msg_id: pkt.msg_id,
-                msg_len: pkt.msg_len,
-                received: 0,
-                imm: u64::MAX,
-                src: (pkt.src_lid, pkt.src_qpn),
-                consumes_recv: false,
-                data: BytesMut::new(),
-                expected_offset: 0,
-                poisoned: false,
-            });
-        }
-        let Some(asm) = self.read_assembling.as_mut() else {
-            self.gap_drops += n;
-            return;
-        };
-        if asm.poisoned || asm.msg_id != pkt.msg_id || asm.expected_offset != pkt.offset {
-            asm.poisoned = true;
-            self.gap_drops += n;
-            return;
-        }
-        let bytes = pkt.count * pkt.stride;
-        asm.received += bytes;
-        asm.expected_offset += bytes;
-        if pkt.tail_is_last() {
-            self.finish_read_assembly(out);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rc_pair() -> (Qp, Qp) {
+    pub(super) fn rc_pair() -> (Qp, Qp) {
         let mut a = Qp::new(Qpn(10), QpConfig::rc(), Lid(1));
         let mut b = Qp::new(Qpn(20), QpConfig::rc(), Lid(2));
         a.connect((Lid(2), Qpn(20)));
@@ -1667,5 +1451,173 @@ mod state_machine_tests {
         q.post_recv(RecvWr { wr_id: 0 });
         assert_eq!(q.posted_recvs(), 1);
         assert_eq!(q.state(), QpState::Init);
+    }
+}
+
+/// A fragment train is received in one call; these tests pin that its
+/// outcome equals its members' one by one, on every go-back-N branch.
+#[cfg(test)]
+mod train_receive_tests {
+    use super::tests::rc_pair;
+    use super::*;
+    use std::ops::Range;
+
+    const MTU: u32 = crate::types::DEFAULT_MTU;
+    /// A train with a short tail fragment behind it, and a train from
+    /// `First` to `Last`.
+    const LENS: [u32; 2] = [6 * MTU + 100, 4 * MTU];
+
+    /// Members `range` of `pkt` as one packet: what is left of a train
+    /// that lost members on the way, still coalesced.
+    fn members(pkt: &Packet, range: Range<u32>) -> Packet {
+        let mut p = pkt.frag(range.start);
+        if range.len() > 1 {
+            p.count = range.len() as u32;
+            p.stride = pkt.stride;
+            let bytes = (range.start * pkt.stride) as usize..(range.end * pkt.stride) as usize;
+            p.data = pkt.data.as_ref().map(|d| d.slice(bytes));
+        }
+        p
+    }
+
+    /// What a coalescing source emits for `LENS` before any reply reaches
+    /// it: the first emission and two go-back-N retransmissions, one round
+    /// each. The source sends (`read == false`) or answers RDMA reads. Also
+    /// returns the two receivers, each posted for `LENS`.
+    fn emissions(read: bool) -> (Vec<Vec<Packet>>, Qp, Qp) {
+        let ((mut src, mut whole), (_, mut split)) = (rc_pair(), rc_pair());
+        src.set_coalescing(true);
+        let mut rounds = Vec::new();
+        if read {
+            // The receivers are the requesters; their RTOs re-send the
+            // requests, and `src` answers every copy.
+            let mut requests = QpOutput::default();
+            for (i, &len) in LENS.iter().enumerate() {
+                whole.post_send(SendWr::rdma_read(i as u64, len), &mut requests);
+                split.post_send(SendWr::rdma_read(i as u64, len), &mut QpOutput::default());
+            }
+            for _ in 0..3 {
+                let mut responses = QpOutput::default();
+                for p in requests.packets.drain(..) {
+                    src.on_packet(p, &mut responses);
+                }
+                rounds.push(responses.packets);
+                whole.on_retransmit_timer(&mut requests);
+                split.on_retransmit_timer(&mut QpOutput::default());
+            }
+        } else {
+            let mut out = QpOutput::default();
+            for (i, &len) in LENS.iter().enumerate() {
+                whole.post_recv(RecvWr { wr_id: i as u64 });
+                split.post_recv(RecvWr { wr_id: i as u64 });
+                let payload: Bytes = (0..len).map(|b| (b % 251) as u8).collect::<Vec<_>>().into();
+                src.post_send(SendWr::send(i as u64, len, 7).with_data(payload), &mut out);
+            }
+            rounds.push(out.packets);
+            for _ in 0..2 {
+                let mut rt = QpOutput::default();
+                src.on_retransmit_timer(&mut rt);
+                rounds.push(rt.packets);
+            }
+        }
+        assert!(
+            rounds[0].iter().all(|p| p.count > 1 || p.offset > 0),
+            "every fragment but a short tail must ride in a train"
+        );
+        (rounds, whole, split)
+    }
+
+    /// Deliver the rounds of [`emissions`], dropping the members of the
+    /// first round that `lost(msg_id, offset)` names; the retransmissions
+    /// arrive whole. One receiver gets each surviving run of a train as one
+    /// packet, its twin gets the run's members one by one. After every run
+    /// both must have made the same completions and the same ACKs, and
+    /// counted the same duplicates and gap drops. Returns the completions,
+    /// `dup_fragments` and `gap_drops`.
+    fn run_case(read: bool, lost: impl Fn(u64, u32) -> bool) -> (usize, u64, u64) {
+        let (rounds, mut whole, mut split) = emissions(read);
+        let mut completions = 0;
+        for (r, round) in rounds.iter().enumerate() {
+            for pkt in round {
+                let kept = |k: u32| r > 0 || !lost(pkt.msg_id, pkt.offset + k * pkt.stride);
+                let mut k = 0;
+                while k < pkt.count {
+                    let start = k;
+                    while k < pkt.count && kept(k) {
+                        k += 1;
+                    }
+                    if k == start {
+                        k += 1; // a lost member
+                        continue;
+                    }
+                    let run = members(pkt, start..k);
+                    let (mut a, mut b) = (QpOutput::default(), QpOutput::default());
+                    whole.on_packet(run.clone(), &mut a);
+                    for m in 0..run.count {
+                        split.on_packet(run.frag(m), &mut b);
+                    }
+                    let at = format!("round {r}, msg {} members {start}..{k}", pkt.msg_id);
+                    assert_eq!(
+                        format!("{:?}", a.completions),
+                        format!("{:?}", b.completions),
+                        "completions differ at {at}"
+                    );
+                    assert_eq!(
+                        format!("{:?}", a.packets),
+                        format!("{:?}", b.packets),
+                        "ACKs differ at {at}"
+                    );
+                    assert_eq!(
+                        (whole.dup_fragments(), whole.gap_drops()),
+                        (split.dup_fragments(), split.gap_drops()),
+                        "dup/gap counts differ at {at}"
+                    );
+                    completions += a.completions.len();
+                }
+            }
+        }
+        (completions, split.dup_fragments(), split.gap_drops())
+    }
+
+    #[test]
+    fn retransmitted_duplicate_trains_match_their_members() {
+        for read in [false, true] {
+            let (done, dups, gaps) = run_case(read, |_, _| false);
+            assert_eq!(done, LENS.len(), "read={read}");
+            assert!(dups > 0, "read={read}: nothing was a duplicate");
+            assert_eq!(gaps, 0, "read={read}");
+        }
+    }
+
+    #[test]
+    fn a_train_behind_a_lost_message_matches_its_members() {
+        let (done, _, gaps) = run_case(false, |m, _| m == 0);
+        assert_eq!(done, LENS.len());
+        assert!(gaps > 0, "message 1 must be dropped behind the gap");
+        // A response for any read but the oldest counts as a duplicate.
+        let (done, dups, _) = run_case(true, |m, _| m == 0);
+        assert_eq!(done, LENS.len());
+        assert!(dups > 0);
+    }
+
+    #[test]
+    fn a_train_that_lost_its_first_matches_its_members() {
+        for read in [false, true] {
+            let (done, _, gaps) = run_case(read, |m, off| m == 0 && off == 0);
+            assert_eq!(done, LENS.len(), "read={read}");
+            assert!(gaps > 0, "read={read}: headless members must be dropped");
+        }
+    }
+
+    #[test]
+    fn a_train_that_lost_a_middle_fragment_heals_like_its_members() {
+        for read in [false, true] {
+            let (done, _, gaps) = run_case(read, |m, off| m == 0 && off == 2 * MTU);
+            assert_eq!(done, LENS.len(), "read={read}");
+            assert!(
+                gaps > 0,
+                "read={read}: members past the loss must be dropped"
+            );
+        }
     }
 }

@@ -196,7 +196,7 @@ impl Ulp for IpoibNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibfabric::fabric::{EngineProfile, Fabric, NodeHandle};
+    use ibfabric::fabric::{Fabric, NodeHandle};
     use ibfabric::hca::HcaConfig;
     use ibfabric::link::LinkConfig;
     use ibtopo::{SiteSpec, TopoSpec};
@@ -215,7 +215,7 @@ mod tests {
         };
         let (mut f, tx, rx) = spec.build_pair(
             5,
-            EngineProfile::default(),
+            true,
             HcaConfig::default(),
             Box::new(IpoibNode::sender(cfg, tcp, n_streams, bytes)),
             Box::new(IpoibNode::receiver(cfg, tcp, n_streams, bytes)),

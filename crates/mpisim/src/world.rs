@@ -3,7 +3,7 @@
 
 use crate::proto::{MpiConfig, P2p, TOKEN_COPY, TOKEN_FLUSH};
 use crate::script::{Op, ScriptRunner, TOKEN_COMPUTE};
-use ibfabric::fabric::{EngineProfile, Fabric, NodeHandle};
+use ibfabric::fabric::{Fabric, NodeHandle};
 use ibfabric::hca::{HcaConfig, HcaCore};
 use ibfabric::perftest::rc_qp_pair;
 use ibfabric::ulp::Ulp;
@@ -86,8 +86,8 @@ pub struct JobSpec {
     pub hca: HcaConfig,
     /// Engine seed.
     pub seed: u64,
-    /// Engine execution profile (fragment-train coalescing).
-    pub profile: EngineProfile,
+    /// Fragment-train coalescing on the wire path.
+    pub coalescing: bool,
 }
 
 impl JobSpec {
@@ -100,7 +100,7 @@ impl JobSpec {
             mpi: MpiConfig::default(),
             hca: HcaConfig::default(),
             seed: 42,
-            profile: EngineProfile::default(),
+            coalescing: true,
         }
     }
 
@@ -115,9 +115,9 @@ impl JobSpec {
         self
     }
 
-    /// Replace the engine execution profile.
-    pub fn with_profile(mut self, profile: EngineProfile) -> Self {
-        self.profile = profile;
+    /// Turn fragment-train coalescing on or off.
+    pub fn with_coalescing(mut self, coalescing: bool) -> Self {
+        self.coalescing = coalescing;
         self
     }
 
@@ -143,7 +143,14 @@ impl MpiJob {
     /// arbitrary generated fabrics go through [`MpiJob::build_on_topo`].
     pub fn build<F: Fn(usize, usize) -> Vec<Op>>(spec: JobSpec, program: F) -> Self {
         let topo = TopoSpec::clusters(spec.ranks_a, spec.ranks_b, spec.delay);
-        Self::build_on_topo(&topo, spec.mpi, spec.hca, spec.seed, spec.profile, program)
+        Self::build_on_topo(
+            &topo,
+            spec.mpi,
+            spec.hca,
+            spec.seed,
+            spec.coalescing,
+            program,
+        )
     }
 
     /// Build an MPI job on any declarative topology: rank `r` runs on host
@@ -155,12 +162,12 @@ impl MpiJob {
         mpi: MpiConfig,
         hca: HcaConfig,
         seed: u64,
-        profile: EngineProfile,
+        coalescing: bool,
         program: F,
     ) -> Self {
         let n = topo.total_hosts();
         assert!(n >= 1, "need at least one rank");
-        let (mut fabric, nodes) = topo.build(seed, profile, hca, |rank| {
+        let (mut fabric, nodes) = topo.build(seed, coalescing, hca, |rank| {
             Box::new(MpiProcess::new(rank, n, mpi, program(rank, n))) as Box<dyn Ulp>
         });
         // Full RC mesh: one connected QP pair per rank pair.

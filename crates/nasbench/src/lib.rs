@@ -323,14 +323,13 @@ pub struct NasResult {
 }
 
 /// Run `bench` on `ranks_a + ranks_b` ranks across the WAN with the given
-/// one-way delay, using the default job spec (seed 42, default engine
-/// profile).
+/// one-way delay, using the default job spec (seed 42, coalescing on).
 pub fn run(bench: NasBenchmark, ranks_a: usize, ranks_b: usize, delay: Dur) -> NasResult {
     run_spec(bench, JobSpec::two_clusters(ranks_a, ranks_b, delay))
 }
 
 /// Run `bench` on an explicit [`JobSpec`] — callers threading a run context
-/// set the spec's seed and engine profile before passing it in.
+/// set the spec's seed and coalescing before passing it in.
 pub fn run_spec(bench: NasBenchmark, spec: JobSpec) -> NasResult {
     let delay = spec.delay;
     let n = spec.nranks();

@@ -2,7 +2,6 @@
 
 use crate::client::{NfsClient, NfsClientConfig};
 use crate::server::{NfsServer, NfsServerConfig};
-use ibfabric::fabric::EngineProfile;
 use ibfabric::hca::HcaConfig;
 use ibfabric::qp::QpConfig;
 use ibtopo::TopoSpec;
@@ -52,8 +51,8 @@ pub struct NfsSetup {
     /// True to run the IOzone write test instead of read (the paper omits
     /// its write numbers for space; we report them).
     pub write: bool,
-    /// Engine execution profile (fragment-train coalescing).
-    pub profile: EngineProfile,
+    /// Fragment-train coalescing on the wire path.
+    pub coalescing: bool,
     /// Engine seed.
     pub seed: u64,
 }
@@ -68,7 +67,7 @@ impl NfsSetup {
             record_size: 256 << 10,
             delay,
             write: false,
-            profile: EngineProfile::default(),
+            coalescing: true,
             seed: 17,
         }
     }
@@ -83,7 +82,7 @@ impl NfsSetup {
             record_size: 256 << 10,
             delay,
             write: false,
-            profile: EngineProfile::default(),
+            coalescing: true,
             seed: 17,
         }
     }
@@ -145,7 +144,7 @@ pub fn run_read_experiment(setup: NfsSetup) -> NfsThroughput {
     };
     let (mut f, server, client) = spec.build_pair(
         setup.seed,
-        setup.profile,
+        setup.coalescing,
         HcaConfig::default(),
         server_ulp,
         client_ulp,

@@ -3,7 +3,6 @@
 
 use crate::client::{PfsClient, PfsClientConfig};
 use crate::server::{MdsServer, OssServer, OssServerConfig};
-use ibfabric::fabric::EngineProfile;
 use ibfabric::hca::HcaConfig;
 use ibfabric::perftest::rc_qp_pair;
 use ibfabric::qp::QpConfig;
@@ -27,8 +26,8 @@ pub struct PfsSetup {
     pub rpcs_in_flight: usize,
     /// One-way WAN delay; `None` puts the client inside the storage cluster.
     pub delay: Option<Dur>,
-    /// Engine execution profile (fragment-train coalescing).
-    pub profile: EngineProfile,
+    /// Fragment-train coalescing on the wire path.
+    pub coalescing: bool,
     /// Engine seed.
     pub seed: u64,
 }
@@ -42,7 +41,7 @@ impl PfsSetup {
             file_size: 64 << 20,
             rpcs_in_flight: 2,
             delay,
-            profile: EngineProfile::default(),
+            coalescing: true,
             seed: 67,
         }
     }
@@ -84,7 +83,7 @@ pub fn run_striped_read(setup: PfsSetup) -> PfsThroughput {
     let (mut f, nodes) =
         spec.build(
             setup.seed,
-            setup.profile,
+            setup.coalescing,
             HcaConfig::default(),
             |host| match host {
                 0 => Box::new(PfsClient::new(client_cfg)) as Box<dyn Ulp>,

@@ -79,7 +79,7 @@ impl Ulp for SdpNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibfabric::fabric::{EngineProfile, Fabric, NodeHandle};
+    use ibfabric::fabric::{Fabric, NodeHandle};
     use ibfabric::hca::HcaConfig;
     use ibfabric::perftest::rc_qp_pair;
     use ibfabric::qp::QpConfig;
@@ -91,13 +91,8 @@ mod tests {
         tx: Box<SdpNode>,
         rx: Box<SdpNode>,
     ) -> (Fabric, NodeHandle, NodeHandle) {
-        let (mut f, a, c) = TopoSpec::two_site(delay).build_pair(
-            19,
-            EngineProfile::default(),
-            HcaConfig::default(),
-            tx,
-            rx,
-        );
+        let (mut f, a, c) =
+            TopoSpec::two_site(delay).build_pair(19, true, HcaConfig::default(), tx, rx);
         let (qa, qb) = rc_qp_pair(&mut f, a, c, QpConfig::rc());
         f.hca_mut(a).ulp_mut::<SdpNode>().socket.qpn = qa;
         f.hca_mut(c).ulp_mut::<SdpNode>().socket.qpn = qb;

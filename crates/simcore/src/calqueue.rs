@@ -41,7 +41,6 @@
 //! else here — is deterministic.
 
 use crate::engine::{EngineCounters, HeapKey, OCCUPANCY_BUCKETS};
-use crate::time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -301,33 +300,16 @@ impl Calendar {
         self.cursor_sorted = true;
     }
 
-    /// Pop the minimum if it is at or before `deadline` (`None` = unbounded).
-    /// A declined pop still advances the cursor and sorts — both are
-    /// semantically transparent.
-    fn pop_impl(
-        &mut self,
-        deadline: Option<Time>,
-        counters: &mut EngineCounters,
-    ) -> Option<HeapKey> {
+    /// Pop the minimum: the cursor bucket's tail or the fallback top,
+    /// whichever key is smaller.
+    fn pop(&mut self, counters: &mut EngineCounters) -> Option<HeapKey> {
         self.prepare(counters);
-        let bucket_min = self.buckets[self.cursor].last();
-        let (use_fallback, min_at) = match (bucket_min, self.overflow.peek()) {
+        let use_fallback = match (self.buckets[self.cursor].last(), self.overflow.peek()) {
             (None, None) => return None,
-            (Some(b), None) => (false, b.at()),
-            (None, Some(Reverse(o))) => (true, o.at()),
-            (Some(b), Some(Reverse(o))) => {
-                if o < b {
-                    (true, o.at())
-                } else {
-                    (false, b.at())
-                }
-            }
+            (Some(_), None) => false,
+            (None, Some(_)) => true,
+            (Some(b), Some(Reverse(o))) => o < b,
         };
-        if let Some(d) = deadline {
-            if min_at > d {
-                return None;
-            }
-        }
         Some(if use_fallback {
             counters.cal_fallback_hits += 1;
             let Reverse(k) = self.overflow.pop().expect("peeked above");
@@ -340,32 +322,6 @@ impl Calendar {
             }
             k
         })
-    }
-
-    /// Non-mutating minimum lookup: scan to the first occupied bucket, take
-    /// its minimum by full-key comparison, and merge with the fallback top.
-    fn peek_time(&self) -> Option<Time> {
-        let bucket_min = if self.bucket_items == 0 {
-            None
-        } else {
-            let idx = if self.buckets[self.cursor].is_empty() {
-                self.next_occupied(self.cursor).expect("bucket_items > 0")
-            } else {
-                self.cursor
-            };
-            let b = &self.buckets[idx];
-            if idx == self.cursor && self.cursor_sorted {
-                b.last()
-            } else {
-                b.iter().min()
-            }
-        };
-        match (bucket_min, self.overflow.peek()) {
-            (None, None) => None,
-            (Some(b), None) => Some(b.at()),
-            (None, Some(Reverse(o))) => Some(o.at()),
-            (Some(b), Some(Reverse(o))) => Some(if o < b { o.at() } else { b.at() }),
-        }
     }
 }
 
@@ -406,35 +362,12 @@ impl EventQueue {
 
     /// Pop the global minimum.
     pub(crate) fn pop(&mut self, counters: &mut EngineCounters) -> Option<HeapKey> {
-        self.pop_bounded(None, counters)
-    }
-
-    /// Pop the global minimum iff it is at or before `deadline`; otherwise
-    /// leave it queued and return `None`. One traversal — no separate peek.
-    pub(crate) fn pop_before(
-        &mut self,
-        deadline: Time,
-        counters: &mut EngineCounters,
-    ) -> Option<HeapKey> {
-        self.pop_bounded(Some(deadline), counters)
-    }
-
-    fn pop_bounded(
-        &mut self,
-        deadline: Option<Time>,
-        counters: &mut EngineCounters,
-    ) -> Option<HeapKey> {
         let popped = match &mut self.mode {
-            Mode::Heap(w) => match (deadline, w.heap.peek()) {
-                (_, None) => None,
-                (Some(d), Some(Reverse(k))) if k.at() > d => None,
-                _ => {
-                    let Reverse(key) = w.heap.pop().expect("peeked above");
-                    w.observe(key.at().as_ns());
-                    Some(key)
-                }
-            },
-            Mode::Calendar(c) => c.pop_impl(deadline, counters),
+            Mode::Heap(w) => w.heap.pop().map(|Reverse(key)| {
+                w.observe(key.at().as_ns());
+                key
+            }),
+            Mode::Calendar(c) => c.pop(counters),
         };
         if popped.is_some() {
             self.len -= 1;
@@ -476,15 +409,6 @@ impl EventQueue {
         self.mode = Mode::Calendar(cal);
     }
 
-    /// Timestamp of the minimum, without popping (and without mutating — the
-    /// engine exposes this through a shared reference).
-    pub(crate) fn peek_time(&self) -> Option<Time> {
-        match &self.mode {
-            Mode::Heap(w) => w.heap.peek().map(|Reverse(k)| k.at()),
-            Mode::Calendar(c) => c.peek_time(),
-        }
-    }
-
     /// True once the warmup probe has committed to a bucket layout.
     #[cfg(test)]
     pub(crate) fn is_calendar(&self) -> bool {
@@ -495,6 +419,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Time;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -524,9 +449,7 @@ mod tests {
     /// element. `cursor_pct` percent of the pushes aim inside the cursor
     /// bucket's current epoch, the in-place insert path: ties with the last
     /// pop and with the bucket's minimum, and times before and after that
-    /// minimum. A quarter of the pops are `pop_before` with a deadline one
-    /// nanosecond either side of the minimum, or on it. Returns how many
-    /// pushes landed in a sorted cursor bucket.
+    /// minimum. Returns how many pushes landed in a sorted cursor bucket.
     fn check_against_heap(
         seed: u64,
         width: u64,
@@ -581,19 +504,11 @@ mod tests {
                 cal.push(key(t, s, idx));
                 heap.push(Reverse(key(t, s, idx)));
             } else {
-                let got = if rng.gen_range(0..4u32) == 0 {
-                    let Reverse(min) = heap.peek().expect("model non-empty");
-                    let deadline = (min.at().as_ns() + rng.gen_range(0..3u64)).saturating_sub(1);
-                    cal.pop_before(Time::from_ns(deadline), &mut counters)
-                } else {
-                    Some(cal.pop(&mut counters).expect("model non-empty"))
-                };
-                if let Some(got) = got {
-                    let Reverse(want) = heap.pop().expect("model non-empty");
-                    assert_eq!(got, want, "pop order diverged from the heap");
-                    assert_eq!(got.idx, want.idx, "payload index diverged");
-                    last_pop_ns = got.at().as_ns();
-                }
+                let got = cal.pop(&mut counters).expect("model non-empty");
+                let Reverse(want) = heap.pop().expect("model non-empty");
+                assert_eq!(got, want, "pop order diverged from the heap");
+                assert_eq!(got.idx, want.idx, "payload index diverged");
+                last_pop_ns = got.at().as_ns();
             }
             assert_eq!(cal.len(), heap.len());
         }
@@ -743,22 +658,6 @@ mod tests {
             !q.is_calendar(),
             "zero-span warmup must freeze in heap mode"
         );
-    }
-
-    #[test]
-    fn pop_before_respects_the_deadline_exactly() {
-        let mut q = EventQueue::with_calendar(16, 64);
-        let mut counters = EngineCounters::default();
-        q.push(key(100, 0, 0));
-        q.push(key(200, 1, 1));
-        assert!(q.pop_before(Time::from_ns(99), &mut counters).is_none());
-        assert_eq!(q.len(), 2, "declined pops leave the queue intact");
-        let k = q.pop_before(Time::from_ns(100), &mut counters).unwrap();
-        assert_eq!(k.at(), Time::from_ns(100));
-        // Deadline checks see fallback events too.
-        q.push(key(u64::from(u32::MAX) * 4, 2, 2)); // far beyond horizon
-        assert!(q.pop_before(Time::from_ns(150), &mut counters).is_none());
-        assert_eq!(q.pop(&mut counters).unwrap().at(), Time::from_ns(200));
     }
 
     #[test]

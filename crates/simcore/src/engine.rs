@@ -363,7 +363,6 @@ pub(crate) struct Core {
     /// Recycled slab indices.
     pub(crate) free: Vec<u32>,
     pub(crate) rng: SmallRng,
-    pub(crate) stop: bool,
     pub(crate) next_timer_id: u64,
     /// Tombstones for cancelled-but-not-yet-popped timers.
     pub(crate) cancelled: HashSet<u64>,
@@ -445,7 +444,7 @@ impl Core {
 /// Handle given to an actor while it processes an event.
 ///
 /// All side effects an actor can have on the simulation flow through this
-/// context: sending messages, arming timers, and requesting a halt. Scheduled
+/// context: sending messages and arming or cancelling timers. Scheduled
 /// events go straight into the pooled event queue — sequence numbers are
 /// assigned at scheduling time, so same-instant ordering follows emission
 /// order (see the [module docs](self)).
@@ -589,11 +588,6 @@ impl Ctx<'_> {
     pub fn rng(&mut self) -> &mut SmallRng {
         &mut self.core.rng
     }
-
-    /// Ask the engine to stop after the current event is fully processed.
-    pub fn stop(&mut self) {
-        self.core.stop = true;
-    }
 }
 
 /// The discrete-event engine: owns all actors, the event queue, virtual time,
@@ -618,7 +612,6 @@ impl Engine {
                 nodes: Vec::new(),
                 free: Vec::new(),
                 rng: SmallRng::seed_from_u64(seed),
-                stop: false,
                 next_timer_id: 0,
                 cancelled: HashSet::new(),
                 streams: Vec::new(),
@@ -684,14 +677,6 @@ impl Engine {
         self.now
     }
 
-    /// Timestamp of the earliest queued event, or `None` when the queue is
-    /// empty. Cancelled-but-unpopped timers still count (their slot is only
-    /// discovered on pop), which is conservative: the reported time is never
-    /// later than the next dispatch.
-    pub fn next_event_time(&self) -> Option<Time> {
-        self.core.queue.peek_time()
-    }
-
     /// Total events dispatched so far.
     pub fn events_processed(&self) -> u64 {
         self.core.counters.events_processed
@@ -728,45 +713,15 @@ impl Engine {
         );
     }
 
-    /// Cancel a timer from driver code (see [`Ctx::cancel_timer`]).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.core.cancelled.insert(id.0);
-    }
-
-    /// Process a single event. Returns `false` when the queue is empty or a
-    /// stop was requested. Cancelled timers are skipped (virtual time still
-    /// advances past them) and do not count as processed events.
-    pub fn step(&mut self) -> bool {
-        self.step_bounded(None)
-    }
-
-    /// [`Engine::step`] with an optional time bound: an event after
-    /// `deadline` is left in the queue and `false` is returned. The bound is
-    /// re-checked after every skipped cancelled timer — without that, a run
-    /// of cancelled timers below the bound would let the next *live* event
-    /// dispatch arbitrarily far beyond it.
-    ///
-    /// `inline(always)` so each caller gets a copy specialized for its
-    /// constant `deadline` variant — [`Engine::step`] keeps the branch-free
-    /// loop it had before bounded stepping existed.
-    #[inline(always)]
-    fn step_bounded(&mut self, deadline: Option<Time>) -> bool {
+    /// Process a single event. Returns `false` when the queue is empty or the
+    /// event limit is reached. Cancelled timers are skipped (virtual time
+    /// still advances past them) and do not count as processed events.
+    fn step(&mut self) -> bool {
         loop {
-            if self.core.stop || self.core.counters.events_processed >= self.event_limit {
+            if self.core.counters.events_processed >= self.event_limit {
                 return false;
             }
-            // Single-traversal bounded pop: the queue checks the deadline
-            // against its minimum and declines without a separate peek.
-            let key = {
-                let Core {
-                    queue, counters, ..
-                } = &mut self.core;
-                match deadline {
-                    Some(d) => queue.pop_before(d, counters),
-                    None => queue.pop(counters),
-                }
-            };
-            let Some(key) = key else {
+            let Some(key) = self.core.queue.pop(&mut self.core.counters) else {
                 return false;
             };
             debug_assert!(
@@ -843,24 +798,11 @@ impl Engine {
         }
     }
 
-    /// Run until the queue drains or a stop is requested; returns the final
-    /// virtual time.
+    /// Run until the queue drains or the event limit is reached; returns the
+    /// final virtual time.
     pub fn run(&mut self) -> Time {
         while self.step() {}
         self.now
-    }
-
-    /// Run until virtual time would exceed `deadline` (events at exactly
-    /// `deadline` are processed; everything later — including cancelled
-    /// timers — stays queued). Returns the final virtual time.
-    pub fn run_until(&mut self, deadline: Time) -> Time {
-        while self.step_bounded(Some(deadline)) {}
-        self.now
-    }
-
-    /// True once a stop has been requested via [`Ctx::stop`].
-    pub fn stopped(&self) -> bool {
-        self.core.stop
     }
 }
 
@@ -869,13 +811,13 @@ mod tests {
     use super::*;
     use ibwire::{Lid, Opcode, Qpn};
 
-    /// Echoes every message back to the sender after a fixed delay, counting
-    /// deliveries.
+    /// Echoes each message back to the sender after a fixed delay, counting
+    /// deliveries. The `limit`-th delivery is not echoed, so a ping-pong
+    /// ends there and the queue drains.
     struct Echo {
         delay: Dur,
         count: u32,
         limit: u32,
-        fired_timers: Vec<u64>,
     }
 
     impl Echo {
@@ -884,7 +826,6 @@ mod tests {
                 delay,
                 count: 0,
                 limit,
-                fired_timers: Vec::new(),
             }
         }
     }
@@ -897,12 +838,7 @@ mod tests {
                 // construction, which the received `Box<dyn Any>` erased.
                 let v = *msg.downcast::<u8>().expect("echo payload is a u8");
                 ctx.send(from, Box::new(v), self.delay);
-            } else {
-                ctx.stop();
             }
-        }
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
-            self.fired_timers.push(token);
         }
     }
 
@@ -935,9 +871,8 @@ mod tests {
         let b = e.add_actor(Box::new(Echo::new(Dur::from_us(10), 3)));
         e.schedule_message(Time::ZERO, a, b, Box::new(0u8));
         let end = e.run();
-        // b receives at 0, a at 10, b at 20 -> b stops (count==3? b received 2)
         // Sequence: b@0 (b.count=1), a@10 (a.count=1), b@20 (b.count=2),
-        // a@30, b@40 (count=3, stop).
+        // a@30, b@40 (count=3: b stops echoing and the queue drains).
         assert_eq!(end, Time::from_us(40));
         assert_eq!(e.actor::<Echo>(b).count, 3);
         assert_eq!(e.actor::<Echo>(a).count, 2);
@@ -992,24 +927,22 @@ mod tests {
 
     #[test]
     fn timers_fire_with_tokens() {
-        struct T;
+        struct T(Vec<u64>);
         impl Actor for T {
             fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ActorId, _msg: Box<dyn Any>) {
-                ctx.timer(Dur::from_us(1), 7);
                 ctx.timer(Dur::from_us(2), 9);
+                ctx.timer(Dur::from_us(1), 7);
             }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-                if token == 9 {
-                    ctx.stop();
-                }
+            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
+                self.0.push(token);
             }
         }
         let mut e = Engine::new(1);
-        let t = e.add_actor(Box::new(T));
+        let t = e.add_actor(Box::new(T(Vec::new())));
         e.schedule_message(Time::ZERO, t, t, Box::new(()));
         let end = e.run();
         assert_eq!(end, Time::from_us(2));
-        assert!(e.stopped());
+        assert_eq!(e.actor::<T>(t).0, [7, 9]);
     }
 
     #[test]
@@ -1054,45 +987,6 @@ mod tests {
         // Virtual time still advances through the cancelled slot to the
         // surviving timer.
         assert_eq!(end, Time::from_us(60));
-    }
-
-    /// Regression: a cancelled timer sitting below the deadline must not
-    /// let `run_until` dispatch the next live event beyond the deadline.
-    #[test]
-    fn run_until_stops_at_deadline_across_cancelled_timers() {
-        struct T {
-            armed: Option<TimerId>,
-            fired: Vec<u64>,
-        }
-        impl Actor for T {
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ActorId, _msg: Box<dyn Any>) {
-                let id = ctx.timer_cancellable(Dur::from_us(5), 7);
-                ctx.cancel_timer(id);
-                self.armed = Some(id);
-                ctx.timer(Dur::from_us(100), 8); // live, far beyond the deadline
-            }
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
-                self.fired.push(token);
-            }
-        }
-        let mut e = Engine::new(1);
-        let t = e.add_actor(Box::new(T {
-            armed: None,
-            fired: vec![],
-        }));
-        e.schedule_message(Time::ZERO, t, t, Box::new("go"));
-        let end = e.run_until(Time::from_us(10));
-        assert!(
-            end <= Time::from_us(10),
-            "run_until overshot its deadline: {end:?}"
-        );
-        assert!(
-            e.actor::<T>(t).fired.is_empty(),
-            "the 100us timer fired inside a 10us window"
-        );
-        // The live timer is still pending and fires once the window allows.
-        assert_eq!(e.run_until(Time::from_us(100)), Time::from_us(100));
-        assert_eq!(e.actor::<T>(t).fired, vec![8]);
     }
 
     #[test]
@@ -1150,19 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_deadline() {
-        let mut e = Engine::new(1);
-        let a = e.add_actor(Box::new(Echo::new(Dur::from_us(10), u32::MAX)));
-        let b = e.add_actor(Box::new(Echo::new(Dur::from_us(10), u32::MAX)));
-        e.schedule_message(Time::ZERO, a, b, Box::new(0u8));
-        let t = e.run_until(Time::from_us(35));
-        assert!(t <= Time::from_us(35));
-        // Remaining events still queued; continuing works.
-        let t2 = e.run_until(Time::from_us(55));
-        assert!(t2 > t);
-    }
-
-    #[test]
     fn event_limit_halts_runaway() {
         let mut e = Engine::new(1);
         let a = e.add_actor(Box::new(Echo::new(Dur::ZERO, u32::MAX)));
@@ -1204,17 +1085,6 @@ mod tests {
         let mut e = Engine::new(1);
         let a = e.add_actor(Box::new(Other));
         let _ = e.actor::<Echo>(a);
-    }
-
-    #[test]
-    fn next_event_time_peeks_without_popping() {
-        let mut e = Engine::new(1);
-        let a = e.add_actor(Box::new(Echo::new(Dur::ZERO, 1)));
-        assert_eq!(e.next_event_time(), None);
-        e.schedule_message(Time::from_us(7), a, a, Box::new(0u8));
-        e.schedule_message(Time::from_us(3), a, a, Box::new(0u8));
-        assert_eq!(e.next_event_time(), Some(Time::from_us(3)));
-        assert_eq!(e.events_processed(), 0, "peeking must not dispatch");
     }
 
     #[test]
@@ -1399,11 +1269,6 @@ mod tests {
                 script,
                 Box::new(1_000_000 + i),
             );
-        }
-        let mut deadline = Time::ZERO;
-        for _ in 0..40 {
-            deadline += Dur::from_ns(1_500);
-            assert!(e.run_until(deadline) <= deadline);
         }
         e.run();
         let early = e.actor::<Script>(script).early;

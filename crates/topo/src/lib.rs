@@ -29,7 +29,7 @@
 //! bare switch-to-switch WAN cables (no bridges) lowered through
 //! [`FabricBuilder::link`] like any LAN cable.
 
-use ibfabric::fabric::{note_topo, EngineProfile, Fabric, FabricBuilder, NodeHandle};
+use ibfabric::fabric::{note_topo, Fabric, FabricBuilder, NodeHandle};
 use ibfabric::hca::HcaConfig;
 use ibfabric::link::LinkConfig;
 use ibfabric::ulp::Ulp;
@@ -535,17 +535,22 @@ impl TopoSpec {
 
     /// Lower onto a fresh builder and finish it: the one-call path for
     /// experiments. Returns the runnable fabric plus host handles.
+    /// `coalescing: false` forces the per-fragment wire path
+    /// ([`FabricBuilder::disable_coalescing`]).
     pub fn build<F>(
         &self,
         seed: u64,
-        profile: EngineProfile,
+        coalescing: bool,
         hca: HcaConfig,
         ulp_for: F,
     ) -> (Fabric, Vec<NodeHandle>)
     where
         F: FnMut(usize) -> Box<dyn Ulp>,
     {
-        let mut b = FabricBuilder::with_profile(seed, profile);
+        let mut b = FabricBuilder::new(seed);
+        if !coalescing {
+            b.disable_coalescing();
+        }
         let nodes = self.lower(&mut b, hca, ulp_for);
         (b.finish(), nodes)
     }
@@ -555,13 +560,13 @@ impl TopoSpec {
     pub fn build_pair(
         &self,
         seed: u64,
-        profile: EngineProfile,
+        coalescing: bool,
         hca: HcaConfig,
         ulp_a: Box<dyn Ulp>,
         ulp_b: Box<dyn Ulp>,
     ) -> (Fabric, NodeHandle, NodeHandle) {
         assert_eq!(self.total_hosts(), 2, "build_pair needs a two-host spec");
-        let (f, nodes) = self.build(seed, profile, hca, ulp_list(vec![ulp_a, ulp_b]));
+        let (f, nodes) = self.build(seed, coalescing, hca, ulp_list(vec![ulp_a, ulp_b]));
         (f, nodes[0], nodes[1])
     }
 }
@@ -686,8 +691,7 @@ mod tests {
 
     #[test]
     fn fat_tree_lowers_and_routes() {
-        let (f, nodes) =
-            TopoSpec::fat_tree(2).build(1, EngineProfile::default(), HcaConfig::default(), null);
+        let (f, nodes) = TopoSpec::fat_tree(2).build(1, true, HcaConfig::default(), null);
         assert_eq!(nodes.len(), 4);
         // 2 leaves + 1 spine.
         assert_eq!(f.report().switches, 3);
