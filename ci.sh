@@ -18,8 +18,9 @@ cargo test --workspace --quiet
 
 echo "==> benchmark package tests (a package of its own, outside the workspace run above;"
 echo "    one checks every registered experiment sits in exactly one Full workload or in"
-echo "    untimed_at_full)"
-cargo test --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+echo "    untimed_at_full; --locked, as the benchmark itself builds, so a dependency"
+echo "    change that would rewrite its Cargo.lock fails here)"
+cargo test --release --offline --locked --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
 echo "==> golden gate (Quick goldens: figure data bit-identical, work counters equal)"
 cargo run --release -p bench --bin repro -- --check results/quick

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--full] [--json DIR] [--check DIR] [--no-coalescing]
-//!       [--seed N] [--workers N] [--list] [IDS...]
+//!       [--workers N] [--list] [IDS...]
 //!
 //!   IDS       experiment ids to run ("table1", "fig5a", ...; default: all)
 //!   --full    use the Full fidelity (the EXPERIMENTS.md numbers); default
@@ -17,8 +17,6 @@
 //!             combined with --json
 //!   --no-coalescing  force the per-fragment wire path (A/B harness for the
 //!             fragment-train fast path; outputs must be bit-identical)
-//!   --seed N  offset every experiment's canonical seed by N (robustness
-//!             sweeps; N=0 reproduces the recorded goldens)
 //!   --workers N  run up to N simulations at once, never more than the
 //!             free cores (default: one per core). `--workers 1` runs
 //!             them one at a time: slower, least memory
@@ -44,7 +42,7 @@ struct Cli {
 
 fn usage_line() -> &'static str {
     "usage: repro [--full] [--json DIR] [--check DIR] [--no-coalescing]\n\
-     \x20            [--seed N] [--workers N] [--list] [IDS...]"
+     \x20            [--workers N] [--list] [IDS...]"
 }
 
 /// Exit 2 with a parse error — bad usage, not a failed experiment.
@@ -101,15 +99,6 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Cli {
             "--no-coalescing" => {
                 once(&mut seen, "--no-coalescing");
                 cli.cfg.coalescing = false;
-            }
-            "--seed" => {
-                once(&mut seen, "--seed");
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| bad_usage("--seed needs a number"));
-                cli.cfg.seed = v
-                    .parse()
-                    .unwrap_or_else(|_| bad_usage(&format!("--seed: not a number: {v:?}")));
             }
             "--workers" => {
                 once(&mut seen, "--workers");

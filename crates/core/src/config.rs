@@ -18,10 +18,13 @@ pub struct RunConfig {
     /// Fragment-train coalescing on the wire path (`--no-coalescing` clears
     /// it). A/B-invisible in every virtual-time observable.
     pub coalescing: bool,
-    /// Additive offset applied to every experiment's canonical seed via
-    /// [`RunConfig::seed_for`]. The default `0` reproduces the recorded
-    /// goldens bit-for-bit; any other value shifts the whole run onto a
-    /// different deterministic trajectory.
+    /// Additive offset applied to every experiment's canonical engine seed
+    /// via [`RunConfig::seed_for`]; the default `0` reproduces the recorded
+    /// goldens bit-for-bit. The engine RNG draws only for a lossy Longbow,
+    /// so the offset moves `ibwan_sim` scenarios with `loss_ppm > 0`
+    /// (`ibwan_sim --seed N`) and no registered experiment, none of which
+    /// has loss. It is part of [`RunConfig::digest`], and the repo benchmark
+    /// sets it per run.
     pub seed: u64,
     /// Simulations to run at once (`--workers`). `None` runs one per free
     /// core, and `Some(1)` one at a time in the least memory; either way a

@@ -1,11 +1,12 @@
 //! Fabric construction: topology building, cable wiring, and subnet-manager
 //! route computation.
 //!
-//! [`FabricBuilder`] accumulates HCAs, switches, bridges (e.g. the Obsidian
-//! Longbow pair from the `obsidian` crate), and cables; [`FabricBuilder::finish`]
-//! wires egress ports, runs the subnet manager (BFS shortest-path LID routing,
-//! which is how a real SM programs linear forwarding tables), and schedules
-//! every ULP's `start` callback at time zero.
+//! [`FabricBuilder`] accumulates HCAs, switches (among them the two-port
+//! switches the `obsidian` crate configures as Longbow XR units), and
+//! cables; [`FabricBuilder::finish`] wires egress ports, runs the subnet
+//! manager (BFS shortest-path LID routing, which is how a real SM programs
+//! linear forwarding tables), and schedules every ULP's `start` callback at
+//! time zero.
 
 use crate::hca::{HcaActor, HcaConfig, HcaCore, START_TOKEN};
 use crate::link::{EgressPort, LinkConfig};
@@ -108,25 +109,6 @@ fn counters_delta(after: &EngineCounters, before: &EngineCounters) -> EngineCoun
     }
 }
 
-/// Anything the builder can wire a cable into.
-pub trait PortAttach: Actor {
-    /// Attach `egress` as this entity's port `idx`.
-    fn attach_port(&mut self, idx: usize, egress: EgressPort);
-}
-
-impl PortAttach for HcaActor {
-    fn attach_port(&mut self, idx: usize, egress: EgressPort) {
-        assert_eq!(idx, 0, "HCAs are single-ported in this model");
-        self.core_mut().attach_port(egress);
-    }
-}
-
-impl PortAttach for Switch {
-    fn attach_port(&mut self, idx: usize, egress: EgressPort) {
-        Switch::attach_port(self, idx, egress);
-    }
-}
-
 /// A fabric endpoint: the actor id of its HCA and its assigned LID.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct NodeHandle {
@@ -139,19 +121,14 @@ pub struct NodeHandle {
 enum Kind {
     Endpoint(#[allow(dead_code)] Lid),
     Switch,
-    /// Transparent two-port bridge (range extender); no routing table.
-    Bridge,
     /// Non-fabric actor (benchmark drivers etc.).
     Other,
 }
-
-type AttachFn = Box<dyn Fn(&mut Engine, ActorId, usize, EgressPort)>;
 
 /// Builds a fabric on top of a fresh [`Engine`].
 pub struct FabricBuilder {
     engine: Engine,
     kinds: Vec<Kind>,
-    attachers: Vec<Option<AttachFn>>,
     /// adjacency: for each actor, (peer actor, local port idx, link cfg).
     adj: Vec<Vec<(ActorId, usize, LinkConfig)>>,
     ports_used: Vec<usize>,
@@ -169,7 +146,6 @@ impl FabricBuilder {
         FabricBuilder {
             engine: Engine::new(seed),
             kinds: Vec::new(),
-            attachers: Vec::new(),
             adj: Vec::new(),
             ports_used: Vec::new(),
             next_lid: 1,
@@ -185,15 +161,10 @@ impl FabricBuilder {
         self.coalescing = false;
     }
 
-    fn register<T: PortAttach>(&mut self, actor: Box<T>, kind: Kind) -> ActorId {
+    fn register(&mut self, actor: Box<dyn Actor>, kind: Kind) -> ActorId {
         let id = self.engine.add_actor(actor);
         debug_assert_eq!(id, self.kinds.len());
         self.kinds.push(kind);
-        self.attachers.push(Some(Box::new(
-            |eng: &mut Engine, id: ActorId, idx: usize, eg: EgressPort| {
-                eng.actor_mut::<T>(id).attach_port(idx, eg);
-            },
-        )));
         self.adj.push(Vec::new());
         self.ports_used.push(0);
         id
@@ -210,24 +181,20 @@ impl FabricBuilder {
         handle
     }
 
-    /// Add a switch.
+    /// Add a switch with the default forwarding latency.
     pub fn add_switch(&mut self) -> ActorId {
-        self.register(Box::new(Switch::new()), Kind::Switch)
+        self.add_switch_with(Switch::new())
     }
 
-    /// Add a transparent two-port bridge (e.g. an Obsidian Longbow).
-    pub fn add_bridge<T: PortAttach>(&mut self, bridge: Box<T>) -> ActorId {
-        self.register(bridge, Kind::Bridge)
+    /// Add a configured switch (e.g. a Longbow XR unit from the `obsidian`
+    /// crate). The subnet manager routes it like any other.
+    pub fn add_switch_with(&mut self, switch: Switch) -> ActorId {
+        self.register(Box::new(switch), Kind::Switch)
     }
 
     /// Add a non-fabric actor (driver, coordinator). It gets no ports.
     pub fn add_actor(&mut self, actor: Box<dyn Actor>) -> ActorId {
-        let id = self.engine.add_actor(actor);
-        self.kinds.push(Kind::Other);
-        self.attachers.push(None);
-        self.adj.push(Vec::new());
-        self.ports_used.push(0);
-        id
+        self.register(actor, Kind::Other)
     }
 
     /// Mutable engine access during construction (e.g. to configure ULPs).
@@ -258,13 +225,21 @@ impl FabricBuilder {
         // delivery stream.
         self.engine
             .reserve_streams(self.adj.iter().map(Vec::len).sum());
-        for id in 0..self.adj.len() {
-            let Some(attach) = self.attachers[id].as_ref() else {
-                continue;
-            };
-            for &(peer, port, cfg) in &self.adj[id] {
+        for (id, adj) in self.adj.iter().enumerate() {
+            for &(peer, port, cfg) in adj {
                 let egress = EgressPort::new(peer, cfg, self.engine.open_stream());
-                attach(&mut self.engine, id, port, egress);
+                match self.kinds[id] {
+                    Kind::Endpoint(_) => self
+                        .engine
+                        .actor_mut::<HcaActor>(id)
+                        .core_mut()
+                        .attach_port(egress),
+                    Kind::Switch => self
+                        .engine
+                        .actor_mut::<Switch>(id)
+                        .attach_port(port, egress),
+                    Kind::Other => unreachable!("non-fabric actors take no cable"),
+                }
             }
         }
 
@@ -306,7 +281,7 @@ impl FabricBuilder {
         // flows onto one egress port mid-train: a >2-port switch may
         // interleave two flows' fragments on shared egress, which per-train
         // reservation cannot reproduce. Pipeline topologies (HCA–HCA,
-        // HCA–switch–HCA, WAN bridges) are safe.
+        // HCA–switch–HCA, a Longbow pair's two-port units) are safe.
         let safe = self
             .kinds
             .iter()
@@ -410,13 +385,13 @@ impl Fabric {
 pub struct FabricReport {
     /// Endpoint count.
     pub nodes: usize,
-    /// Switch count.
+    /// Switch count, Longbow XR units included (each is a two-port switch).
     pub switches: usize,
     /// Packets emitted by all HCAs (data + ACKs + retransmissions).
     pub hca_packets_sent: u64,
     /// Packets delivered to all HCAs.
     pub hca_packets_received: u64,
-    /// Forwarding operations across all switches.
+    /// Packets forwarded across all switches, Longbow XR units included.
     pub switch_packets_forwarded: u64,
     /// Event-engine hot-path counters (allocations, pool hits, queue depth).
     pub engine_counters: simcore::EngineCounters,

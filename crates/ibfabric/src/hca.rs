@@ -342,7 +342,7 @@ impl HcaCore {
     ///   completion delivery survive the merge bit-for-bit;
     /// - UD datagrams (the `ib_send_bw -c UD` regime): each member's SendDone
     ///   stays due at its own wire-out, and the receiver replays each member
-    ///   as an ordinary datagram (see [`Self::handle_datagram_run`]);
+    ///   as an ordinary datagram (see [`Self::datagrams_due`]);
     /// - hardware-generated cumulative ACKs — the control return path.
     fn merge_head_eligible(&self, pkt: &Packet) -> bool {
         if !(self.coalescing
@@ -456,76 +456,79 @@ impl HcaCore {
         Self::emit_completions(ctx, cqes);
     }
 
-    /// Handle a packet arriving from the wire.
+    /// Handle a packet arriving from the wire: `msgs ≥ 1` whole messages
+    /// (see [`Packet::msgs`]), each received at its tail fragment's arrival
+    /// instant within this one event. The HCA's single full-duplex cable
+    /// serializes arrivals, so no other packet can land between a packet's
+    /// head and its last fragment. A lone packet is a run of one message
+    /// whose tail is its head. The ACKs and sends a message provokes enqueue
+    /// at its tail, so a run's replies merge into one return-path run.
     fn handle_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         debug_assert_eq!(pkt.dst_lid, self.lid, "packet routed to wrong HCA");
-        if pkt.msgs > 1 {
-            // A two-level super-train: replay each message at its own
-            // virtual instant within this one event.
-            return match pkt.opcode {
-                Opcode::RcAck => self.handle_ack_run(ctx, pkt),
-                Opcode::RcWrite { .. } | Opcode::RcSend { .. } => self.handle_super_train(ctx, pkt),
-                Opcode::UdSend => self.handle_datagram_run(ctx, pkt),
-                _ => unreachable!("only RC data, UD datagram and ACK runs form super-trains"),
-            };
-        }
-        if pkt.is_train() && pkt.gap_ns > 0 {
-            // A train's head just arrived; its protocol outcome (cumulative
-            // ACK, completion, assembly advance) belongs to the *tail*
-            // arrival instant, exactly when the last per-fragment delivery
-            // would have happened. Replay the outcome under the tail's
-            // virtual clock right now instead of paying a second self-event:
-            // the HCA's single full-duplex cable serializes arrivals, so no
-            // other packet can land between head and tail anyway. The whole
-            // train is counted here, once (the replayed call sees a train
-            // and skips the per-packet count).
-            self.packets_received += pkt.count as u64;
-            let tail = ctx.now() + Dur::from_ns(pkt.gap_ns) * (pkt.count as u64 - 1);
-            let mut pkt = pkt;
-            pkt.gap_ns = 0;
-            return ctx.at_instant(tail, |ctx| self.handle_packet(ctx, pkt));
-        }
-        if !pkt.is_train() {
-            self.packets_received += 1;
-        }
-        let train_count = pkt.count;
-        let qpn = pkt.dst_qpn;
-        let consumes_recv = matches!(
-            pkt.opcode,
-            crate::packet::Opcode::UdSend | crate::packet::Opcode::RcSend { .. }
-        );
-        let mut out = self.qps.take_scratch();
-        if matches!(pkt.opcode, Opcode::UdSend) && self.recv_cover(qpn, ctx.now()) == 0 {
-            // Every WQE queued, if any, is a re-post due after this instant.
-            self.qps.qp_mut(qpn).drop_ud();
-        } else {
-            self.qps.qp_mut(qpn).on_packet(pkt, &mut out);
-        }
-        self.arm_if_requested(ctx, qpn, &out);
-        // ACKs / read responses leave immediately (hardware path, no host).
-        let now = ctx.now();
-        let extra = if consumes_recv {
-            self.cfg.recv_overhead
-        } else {
-            Dur::ZERO
-        };
-        let port = self.port.as_mut().expect("HCA port not wired");
+        let port = self.port.as_ref().expect("HCA port not wired");
         if port.credited() {
-            debug_assert_eq!(train_count, 1, "trains never cross credited links");
+            debug_assert_eq!(pkt.count, 1, "trains never cross credited links");
             // Our receive buffer is drained: return the link-level credit.
-            let latency = port.config().latency;
-            ctx.send(port.peer, Box::new(CreditMsg), latency);
+            ctx.send(port.peer, Box::new(CreditMsg), port.config().latency);
         }
+        // Messages due now: a datagram run may leave some for later.
+        let due = match pkt.opcode {
+            Opcode::UdSend => self.datagrams_due(ctx, &pkt),
+            _ => {
+                self.packets_received += pkt.count as u64;
+                pkt.msgs
+            }
+        };
+        let head = ctx.now();
+        let f = pkt.frags_per_msg();
+        let tail = |m: u32| head + Dur::from_ns(pkt.member_arrival_offset_ns((m + 1) * f - 1));
+        if pkt.msgs == 1 {
+            if due == 1 {
+                let at = tail(0);
+                self.receive_message(ctx, pkt, at, None);
+            }
+            return;
+        }
+        let mut cqes = Vec::new();
+        for m in 0..due {
+            self.receive_message(ctx, pkt.msg_train(m), tail(m), Some(&mut cqes));
+        }
+        Self::emit_completions(ctx, cqes);
+    }
+
+    /// Receive one message — whole, or the fragments of it a train carries
+    /// — at `tail`, its last fragment's arrival instant. The QP's ACKs and
+    /// read responses leave from `tail` (hardware path, no host) and its
+    /// retransmission timer runs from `tail`. Each completion is due
+    /// `cq_latency` after `tail`, plus the receive overhead when the message
+    /// consumed a receive WQE. A run's completions collect in `run` to leave
+    /// as one [`CompletionRun`]; a lone message's leave one event each.
+    fn receive_message(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        msg: Packet,
+        tail: Time,
+        run: Option<&mut Vec<(Time, Completion)>>,
+    ) {
+        let qpn = msg.dst_qpn;
+        let mut done = tail + self.cfg.cq_latency;
+        if matches!(msg.opcode, Opcode::UdSend | Opcode::RcSend { .. }) {
+            done += self.cfg.recv_overhead;
+        }
+        let mut out = self.qps.take_scratch();
+        self.qps.qp_mut(qpn).on_packet(msg, &mut out);
+        self.arm_if_requested_at(ctx, qpn, &out, tail);
         for p in out.packets.drain(..) {
             self.packets_sent += p.count as u64;
-            self.enqueue_tx(ctx, now, p);
+            self.enqueue_tx(ctx, tail, p);
         }
-        for c in out.completions.drain(..) {
-            ctx.send(
-                ctx.self_id(),
-                Box::new(CompletionDelivery(c)),
-                self.cfg.cq_latency + extra,
-            );
+        match run {
+            Some(cqes) => cqes.extend(out.completions.drain(..).map(|c| (done, c))),
+            None => {
+                for c in out.completions.drain(..) {
+                    ctx.send_at(ctx.self_id(), Box::new(CompletionDelivery(c)), done);
+                }
+            }
         }
         debug_assert!(
             out.tx_completions.is_empty(),
@@ -534,127 +537,33 @@ impl HcaCore {
         self.qps.put_scratch(out);
     }
 
-    /// A run of whole data messages (silent writes or sends) arrived as one
-    /// super-train: replay each message's protocol outcome at its own
-    /// virtual tail instant, within this one event. The per-message
-    /// cumulative ACKs merge into a single return-path ACK run via
-    /// [`Self::enqueue_tx`].
-    fn handle_super_train(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        self.packets_received += pkt.count as u64;
-        debug_assert!(
-            self.port.as_ref().is_some_and(|p| !p.credited()),
-            "super-trains never cross credited links"
-        );
-        // Sends consume a receive WQE per member; silent writes don't. The
-        // same per-completion surcharge the per-message path applies.
-        let extra = if matches!(pkt.opcode, Opcode::RcSend { .. }) {
-            self.cfg.recv_overhead
-        } else {
-            Dur::ZERO
-        };
-        let f = pkt.frags_per_msg();
-        let qpn = pkt.dst_qpn;
-        let head = ctx.now();
-        let mut out = self.qps.take_scratch();
-        let mut cqes: Vec<(Time, Completion)> = Vec::new();
-        for m in 0..pkt.msgs {
-            // The message's outcome belongs at its tail-fragment arrival,
-            // exactly when the per-message train delivery would have run.
-            let tail_m = head + Dur::from_ns(pkt.member_arrival_offset_ns((m + 1) * f - 1));
-            self.qps.qp_mut(qpn).on_packet(pkt.msg_train(m), &mut out);
-            self.arm_if_requested_at(ctx, qpn, &out, tail_m);
-            for p in out.packets.drain(..) {
-                self.packets_sent += p.count as u64;
-                self.enqueue_tx(ctx, tail_m, p);
-            }
-            for c in out.completions.drain(..) {
-                cqes.push((tail_m + self.cfg.cq_latency + extra, c));
-            }
-            debug_assert!(out.tx_completions.is_empty());
-            out.reset();
-        }
-        self.qps.put_scratch(out);
-        Self::emit_completions(ctx, cqes);
-    }
-
-    /// A run of datagrams to one UD QP arrived as one super-train. Each member
-    /// is an ordinary datagram at its own arrival instant: it takes one
-    /// receive WQE and completes `cq_latency + recv_overhead` later, or
-    /// counts in `ud_dropped` when none is posted. This event replays the
-    /// members that WQEs already posted by the head's arrival cover
-    /// ([`Self::recv_cover`]), and the head itself, which is due now, drops
-    /// if uncovered. Whether a later member finds a WQE depends on re-posts
-    /// still to come, so the rest arrive again, as one packet, at the first
-    /// of their own instants.
-    fn handle_datagram_run(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        debug_assert!(
-            self.port.as_ref().is_some_and(|p| !p.credited()),
-            "super-trains never cross credited links"
-        );
+    /// How many of a run of `msgs ≥ 1` datagrams to one UD QP this event
+    /// receives. Each is an ordinary datagram at its own arrival instant: it
+    /// takes one receive WQE and completes `cq_latency + recv_overhead`
+    /// later, or counts in `ud_dropped` when none is posted. This event
+    /// receives the members that WQEs already posted by the head's arrival
+    /// cover ([`Self::recv_cover`]), and the head itself, which is due now,
+    /// drops here if uncovered. Whether a later member finds a WQE depends on
+    /// re-posts still to come, so the rest arrive again, as one packet, at
+    /// the first of their own instants.
+    fn datagrams_due(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> u32 {
         let qpn = pkt.dst_qpn;
         let head = ctx.now();
         let covered = self.recv_cover(qpn, head).min(pkt.msgs as usize) as u32;
         let due = covered.max(1);
         self.packets_received += due as u64;
-        let done = self.cfg.cq_latency + self.cfg.recv_overhead;
-        let mut out = self.qps.take_scratch();
-        let mut cqes = Vec::with_capacity(covered as usize);
-        let qp = self.qps.qp_mut(qpn);
         if covered == 0 {
-            qp.drop_ud();
+            self.qps.qp_mut(qpn).drop_ud();
         }
-        for m in 0..covered {
-            qp.on_packet(pkt.msg_train(m), &mut out);
-        }
-        // Each covered member took a WQE: the `m`th RecvDone is member `m`'s.
-        debug_assert_eq!(out.completions.len(), covered as usize);
-        cqes.extend(out.completions.drain(..).zip(0..).map(|(c, m)| {
-            let at = head + Dur::from_ns(pkt.member_arrival_offset_ns(m));
-            (at + done, c)
-        }));
-        self.qps.put_scratch(out);
         if due < pkt.msgs {
             let at = head + Dur::from_ns(pkt.member_arrival_offset_ns(due));
             let rest = pkt.msg_slice(due, pkt.msgs - due);
             ctx.send_at(ctx.self_id(), rest, at);
         }
-        Self::emit_completions(ctx, cqes);
+        covered
     }
 
-    /// A cumulative-ACK run arrived as one event: replay each ACK at its own
-    /// virtual arrival instant. Messages pumped out of the reopened window
-    /// re-enter [`Self::enqueue_tx`] at those instants, so the forward path
-    /// stays coalesced through steady state.
-    fn handle_ack_run(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        self.packets_received += pkt.count as u64;
-        debug_assert!(
-            self.port.as_ref().is_some_and(|p| !p.credited()),
-            "super-trains never cross credited links"
-        );
-        let qpn = pkt.dst_qpn;
-        let head = ctx.now();
-        let mut out = self.qps.take_scratch();
-        let mut cqes: Vec<(Time, Completion)> = Vec::new();
-        for k in 0..pkt.count {
-            let a_k = head + Dur::from_ns(pkt.member_arrival_offset_ns(k));
-            self.qps.qp_mut(qpn).on_packet(pkt.frag(k), &mut out);
-            self.arm_if_requested_at(ctx, qpn, &out, a_k);
-            for p in out.packets.drain(..) {
-                self.packets_sent += p.count as u64;
-                self.enqueue_tx(ctx, a_k, p);
-            }
-            for c in out.completions.drain(..) {
-                // ACKs consume no receive WQE: no receive overhead.
-                cqes.push((a_k + self.cfg.cq_latency, c));
-            }
-            debug_assert!(out.tx_completions.is_empty());
-            out.reset();
-        }
-        self.qps.put_scratch(out);
-        Self::emit_completions(ctx, cqes);
-    }
-
-    /// Deliver a replay loop's accumulated completions. A lone CQE takes the
+    /// Deliver a run's accumulated completions. A lone CQE takes the
     /// ordinary per-completion event; two or more ride one [`CompletionRun`]
     /// event, popped at the first member's delivery instant and replayed
     /// member-by-member at the original virtual times — so a window's worth
@@ -697,11 +606,11 @@ impl HcaCore {
 struct CompletionDelivery(Completion);
 
 /// Internal self-message carrying a batch of CQEs whose delivery events were
-/// coalesced into one. Formed by the super-train and ACK-run replay paths
-/// when one train's replay yields several completions: the event pops at the
-/// first member's instant and each `(at, cqe)` replays under
-/// [`Ctx::at_instant`], so the ULP observes exactly the timestamps, timers,
-/// and sends it would have produced from separate deliveries.
+/// coalesced into one. Formed when receiving a run of messages yields
+/// several completions: the event pops at the first member's instant and
+/// each `(at, cqe)` replays under [`Ctx::at_instant`], so the ULP observes
+/// exactly the timestamps, timers, and sends it would have produced from
+/// separate deliveries.
 struct CompletionRun(Vec<(Time, Completion)>);
 
 /// The engine actor pairing an [`HcaCore`] with its [`Ulp`].
@@ -838,10 +747,26 @@ mod tests {
         crate::fabric::NodeHandle,
         crate::fabric::NodeHandle,
     ) {
+        pair_on(LinkConfig::ddr_lan(), true)
+    }
+
+    /// Two [`Recorder`]s with connected RC QPs on one `cable`, with or
+    /// without trains.
+    fn pair_on(
+        cable: LinkConfig,
+        coalescing: bool,
+    ) -> (
+        crate::fabric::Fabric,
+        crate::fabric::NodeHandle,
+        crate::fabric::NodeHandle,
+    ) {
         let mut b = FabricBuilder::new(2);
+        if !coalescing {
+            b.disable_coalescing();
+        }
         let a = b.add_hca(HcaConfig::default(), Box::new(Recorder::new()));
         let c = b.add_hca(HcaConfig::default(), Box::new(Recorder::new()));
-        b.link(a.actor, c.actor, LinkConfig::ddr_lan());
+        b.link(a.actor, c.actor, cable);
         let mut f = b.finish();
         let (qa, qb) = crate::perftest::rc_qp_pair(&mut f, a, c, QpConfig::rc());
         f.hca_mut(a).ulp_mut::<Recorder>().qpn = qa;
@@ -872,6 +797,30 @@ mod tests {
         assert_eq!(rx.recv_done_at.len(), 1);
         // ACK round trip: sender completes after (or with) receiver.
         assert!(tx.send_done_at[0] >= rx.recv_done_at[0] - Dur::from_us(1));
+    }
+
+    #[test]
+    fn rc_streams_both_ways_over_a_credited_cable() {
+        // Two receive buffers per direction: each HCA returns a packet's
+        // credit on arrival, before its QP acts on the packet. Every message
+        // arrives, and the per-fragment wire path sees the same completions.
+        let completions = |coalescing| {
+            let (mut f, a, c) = pair_on(LinkConfig::ddr_lan().with_credits(2), coalescing);
+            let sizes = vec![64, 5000, 2048, 100, 9000, 32, 4096, 700];
+            for node in [a, c] {
+                f.hca_mut(node).ulp_mut::<Recorder>().to_send = sizes.clone();
+            }
+            f.run();
+            [a, c].map(|node| {
+                let r = f.hca(node).ulp::<Recorder>();
+                (r.send_done_at.clone(), r.recv_done_at.clone())
+            })
+        };
+        let coalesced = completions(true);
+        for (sent, received) in &coalesced {
+            assert_eq!((sent.len(), received.len()), (8, 8));
+        }
+        assert_eq!(coalesced, completions(false));
     }
 
     #[test]

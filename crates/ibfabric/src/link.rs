@@ -146,12 +146,13 @@ impl EgressPort {
         (finish + self.cfg.latency, pkt)
     }
 
-    /// Submit a whole fragment train (head arriving at `ready`, member `k`
-    /// at `ready + k * gap_ns`) as one serialization reservation. Returns the
-    /// head's arrival time at the peer after rewriting `pkt.gap_ns` to the
-    /// departure spacing, or `None` when the link cannot carry the train as a
-    /// unit (credited link, or no closed-form service pattern) and the caller
-    /// must de-coalesce via [`EgressPort::transmit_seq`].
+    /// Submit a whole train (member `k` arriving at `ready` plus
+    /// [`Packet::member_arrival_offset_ns`]) as one serialization
+    /// reservation. Returns the head's arrival time at the peer after
+    /// rewriting `pkt`'s spacing to the departure pattern, or `None` when the
+    /// link cannot carry the train as a unit (credited link, or no
+    /// closed-form service pattern) and the caller must de-coalesce via
+    /// [`EgressPort::transmit_seq`].
     fn transmit_train(&mut self, ready: Time, pkt: &mut Packet) -> Option<Time> {
         debug_assert!(pkt.is_train());
         if self.credits.is_some() {
@@ -159,25 +160,18 @@ impl EgressPort {
             // credited link as a unit.
             return None;
         }
-        if pkt.msgs > 1 {
-            // Two-level super-train (back-to-back messages, or an ACK run):
-            // one reservation for the whole pattern.
-            let (head_finish, gap_out, msg_gap_out) = self.tx.reserve_train2(
-                ready,
-                pkt.msgs,
-                pkt.frags_per_msg(),
-                pkt.wire_bytes(),
-                Dur::from_ns(pkt.gap_ns),
-                Dur::from_ns(pkt.msg_gap_ns),
-            )?;
-            pkt.gap_ns = gap_out.as_ns();
-            pkt.msg_gap_ns = msg_gap_out.as_ns();
-            return Some(head_finish + self.cfg.latency);
-        }
-        let (head_finish, gap_out) =
-            self.tx
-                .reserve_train(ready, pkt.count, pkt.wire_bytes(), Dur::from_ns(pkt.gap_ns))?;
+        let (head_finish, gap_out, msg_gap_out) = self.tx.reserve_train(
+            ready,
+            pkt.msgs,
+            pkt.frags_per_msg(),
+            pkt.wire_bytes(),
+            Dur::from_ns(pkt.gap_ns),
+            Dur::from_ns(pkt.msg_gap_ns),
+        )?;
         pkt.gap_ns = gap_out.as_ns();
+        if pkt.msgs > 1 {
+            pkt.msg_gap_ns = msg_gap_out.as_ns();
+        }
         Some(head_finish + self.cfg.latency)
     }
 
@@ -369,10 +363,11 @@ mod tests {
         let cfg = LinkConfig::sdr_lan();
         let mut a = egress(cfg);
         let mut b = egress(cfg);
-        a.transmit(Time::ZERO, pkt(8000));
-        b.transmit(Time::ZERO, pkt(8000));
-        // Train arrives spaced wider than service while the port is busy:
-        // reserve_train declines and transmit_seq must de-coalesce exactly.
+        a.transmit(Time::ZERO, pkt(4000));
+        b.transmit(Time::ZERO, pkt(4000));
+        // Train arrives spaced wider than service while the port is busy,
+        // and the backlog drains mid-train: reserve_train declines and
+        // transmit_seq must de-coalesce exactly.
         let t = train(1000, 5, 3000);
         let golden = per_fragment_schedule(&mut a, Time::from_ns(100), &t);
         let mut got = Vec::new();
@@ -382,6 +377,35 @@ mod tests {
         });
         assert_eq!(got, golden);
         assert_eq!(a.next_free(), b.next_free());
+    }
+
+    #[test]
+    fn train_behind_deep_backlog_rides_whole() {
+        let cfg = LinkConfig::sdr_lan();
+        let mut a = egress(cfg);
+        let mut b = egress(cfg);
+        a.transmit(Time::ZERO, pkt(8000));
+        b.transmit(Time::ZERO, pkt(8000));
+        // The same slow train behind a backlog deep enough that every member
+        // has arrived by its turn: one back-to-back reservation.
+        let t = train(1000, 5, 3000);
+        let golden = per_fragment_schedule(&mut a, Time::from_ns(100), &t);
+        let mut deliveries = Vec::new();
+        b.transmit_seq(Time::from_ns(100), t, &mut |arrival, p| {
+            deliveries.push((arrival, p))
+        });
+        assert_eq!(
+            deliveries.len(),
+            1,
+            "a deep backlog must carry the train whole"
+        );
+        assert_eq!(
+            deliveries[0].1.msg_gap_ns, 0,
+            "a one-message train has no message gap"
+        );
+        assert_eq!(expand(&deliveries), golden);
+        assert_eq!(a.next_free(), b.next_free());
+        assert_eq!(a.busy_time(), b.busy_time());
     }
 
     /// fig13a forward shape: `msgs` back-to-back whole 2-fragment writes.

@@ -1,4 +1,4 @@
-//! The wire unit forwarded between fabric actors (HCAs, switches, Longbows).
+//! The wire unit forwarded between fabric actors (HCAs and switches).
 //!
 //! The packet types live in the `ibwire` leaf crate so the simulation
 //! engine's typed packet lane ([`simcore::Msg::Packet`]) can carry them by

@@ -3,21 +3,27 @@
 
 use crate::link::{CreditMsg, EgressPort};
 use crate::packet::Packet;
-use simcore::{Actor, ActorId, Ctx, Dur};
+use simcore::{Actor, ActorId, Ctx, Dur, Rng as _};
 use std::any::Any;
 
 /// A LID-routed switch with per-port egress serialization.
 ///
 /// The model is store-and-forward with a fixed forwarding latency; real IB
 /// switches cut through (~200 ns), which the forwarding latency approximates
-/// for the small packets that dominate latency measurements.
+/// for the small packets that dominate latency measurements. A switch may
+/// also drop packets at random ([`Switch::with_loss`]): that, with a long
+/// forwarding latency, is how the `obsidian` crate models a Longbow XR unit.
 pub struct Switch {
     fwd_latency: Dur,
+    /// Drop probability per arriving packet, in parts per million
+    /// (0 = lossless).
+    loss_per_million: u32,
     ports: Vec<Option<EgressPort>>,
     /// Forwarding table indexed directly by LID (LIDs are small and dense,
     /// so a flat table beats hashing on the per-packet path).
     routes: Vec<Option<usize>>,
     forwarded: u64,
+    dropped: u64,
 }
 
 impl Switch {
@@ -26,14 +32,25 @@ impl Switch {
         Self::with_latency(Dur::from_ns(200))
     }
 
-    /// A switch with an explicit forwarding latency.
+    /// A lossless switch with an explicit forwarding latency.
     pub fn with_latency(fwd_latency: Dur) -> Self {
         Switch {
             fwd_latency,
+            loss_per_million: 0,
             ports: Vec::new(),
             routes: Vec::new(),
             forwarded: 0,
+            dropped: 0,
         }
+    }
+
+    /// This switch, dropping each packet with probability
+    /// `loss_per_million / 10^6`, rolled with the engine RNG in arrival
+    /// order. Loss is per packet, so a fabric with a lossy switch must run
+    /// without trains ([`crate::fabric::FabricBuilder::disable_coalescing`]).
+    pub fn with_loss(mut self, loss_per_million: u32) -> Self {
+        self.loss_per_million = loss_per_million;
+        self
     }
 
     /// Attach `egress` as port `idx` (used by the fabric builder).
@@ -63,6 +80,11 @@ impl Switch {
     pub fn forwarded(&self) -> u64 {
         self.forwarded
     }
+
+    /// Packets dropped by injected loss so far.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
 }
 
 impl Default for Switch {
@@ -86,6 +108,13 @@ impl Actor for Switch {
                 debug_assert_eq!(pkt.count, 1, "trains never cross credited links");
                 let latency = in_port.config().latency;
                 ctx.send(from, Box::new(CreditMsg), latency);
+            }
+        }
+        if self.loss_per_million > 0 {
+            debug_assert_eq!(pkt.count, 1, "lossy fabrics carry no trains");
+            if ctx.rng().gen_range(0..1_000_000u32) < self.loss_per_million {
+                self.dropped += 1;
+                return;
             }
         }
         let port_idx = self

@@ -270,8 +270,8 @@ impl Packet {
     /// Materialize member `k` of a train as a standalone single-fragment
     /// packet — PSN, offset, position, and (for integrity payloads) the data
     /// slice are exactly what the per-fragment path would have produced.
-    /// Used by hops that must de-coalesce (credited links, non-uniform
-    /// backlog, lossy WAN segments).
+    /// Used by hops that must de-coalesce (credited links, a backlog that
+    /// drains mid-train).
     ///
     /// # Panics
     /// Debug-asserts `k < count`.

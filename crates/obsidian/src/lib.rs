@@ -4,9 +4,11 @@
 //! A pair of Longbows forms a point-to-point long-haul link; in the paper's
 //! "basic switch mode" the pair appears to the subnet manager as a two-ported
 //! switch, unifying the two cluster subnets transparently except for the
-//! added wire latency. The devices carry IB traffic at **SDR rate (8 Gb/s
-//! data)** over the WAN even when the clusters are DDR internally — the reason
-//! the paper's NFS LAN-to-WAN comparison drops ~36%.
+//! added wire latency. The model takes that literally: each unit is an
+//! `ibfabric` [`Switch`] with two ports, configured by [`LongbowConfig`]. The
+//! devices carry IB traffic at **SDR rate (8 Gb/s data)** over the WAN even
+//! when the clusters are DDR internally — the reason the paper's NFS
+//! LAN-to-WAN comparison drops ~36%.
 //!
 //! The XR's signature feature — the one the whole paper leans on — is its
 //! **web-configurable packet delay**, used to emulate WAN separation: each
@@ -19,12 +21,10 @@
 //! assert_eq!(wire_delay_for_km(1000), Dur::from_us(5000)); // Table 1 row 4
 //! ```
 
-use ibfabric::fabric::{FabricBuilder, PortAttach};
-use ibfabric::link::{CreditMsg, EgressPort, LinkConfig};
-use ibfabric::packet::Packet;
-use rand::Rng as _;
-use simcore::{Actor, ActorId, Ctx, Dur, Rate};
-use std::any::Any;
+use ibfabric::fabric::FabricBuilder;
+use ibfabric::link::LinkConfig;
+use ibfabric::switch::Switch;
+use simcore::{ActorId, Dur, Rate};
 
 /// Speed-of-light-in-fiber wire delay for an emulated distance, one way:
 /// 5 µs per km, exactly the paper's Table 1 mapping.
@@ -63,120 +63,15 @@ impl Default for LongbowConfig {
     }
 }
 
-/// One Longbow XR unit: a transparent two-port store-and-forward bridge.
-///
-/// Packets entering either port leave through the other after the transit
-/// latency plus the configured injected delay. Serialization rates are
-/// carried by the attached links (the WAN cable runs at SDR).
-pub struct Longbow {
-    cfg: LongbowConfig,
-    ports: [Option<EgressPort>; 2],
-    forwarded: u64,
-    dropped: u64,
-}
-
-impl Longbow {
-    /// New unit with `cfg`.
-    pub fn new(cfg: LongbowConfig) -> Self {
-        Longbow {
-            cfg,
-            ports: [None, None],
-            forwarded: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Reconfigure the injected delay (the "web interface" knob).
-    pub fn set_injected_delay(&mut self, d: Dur) {
-        self.cfg.injected_delay = d;
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> LongbowConfig {
-        self.cfg
-    }
-
-    /// Packets forwarded so far.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Packets dropped by injected loss so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl PortAttach for Longbow {
-    fn attach_port(&mut self, idx: usize, egress: EgressPort) {
-        assert!(idx < 2, "Longbows are two-ported");
-        assert!(self.ports[idx].is_none(), "port {idx} already attached");
-        self.ports[idx] = Some(egress);
-    }
-}
-
-impl Longbow {
-    /// Ingress side for a message from neighbor `from`; egress is the other
-    /// port.
-    fn ingress_idx(&self, from: ActorId) -> usize {
-        let in0 = self.ports[0].as_ref().map(|p| p.peer) == Some(from);
-        debug_assert!(
-            in0 || self.ports[1].as_ref().map(|p| p.peer) == Some(from),
-            "packet from an actor on neither port"
-        );
-        if in0 {
-            0
-        } else {
-            1
-        }
-    }
-}
-
-impl Actor for Longbow {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: ActorId, pkt: Packet) {
-        let in_idx = self.ingress_idx(from);
-        let out_idx = 1 - in_idx;
-        // Deep internal buffers: the ingress credit returns immediately.
-        if self.ports[in_idx].as_ref().is_some_and(|p| p.credited()) {
-            debug_assert_eq!(pkt.count, 1, "trains never cross credited links");
-            let latency = self.ports[in_idx].as_ref().unwrap().config().latency;
-            ctx.send(from, Box::new(CreditMsg), latency);
-        }
-        // The transit + injected delay shifts every train member uniformly,
-        // so a train crosses the unit with its gap intact.
-        let ready = ctx.now() + self.cfg.transit_latency + self.cfg.injected_delay;
-        let port = self.ports[out_idx]
-            .as_mut()
-            .expect("Longbow egress port not attached");
-        if self.cfg.loss_per_million == 0 {
-            self.forwarded += pkt.count as u64;
-            port.send(ctx, ready, pkt);
-            return;
-        }
-        // Loss is rolled per fragment, so trains must de-coalesce here: each
-        // member gets its own dice roll at its own arrival instant. (Fabrics
-        // with lossy Longbows disable coalescing entirely — see
-        // `LongbowPair::insert_with` — so this loop normally sees only single
-        // packets.)
-        for k in 0..pkt.count {
-            if ctx.rng().gen_range(0..1_000_000u32) < self.cfg.loss_per_million {
-                self.dropped += 1;
-                continue;
-            }
-            self.forwarded += 1;
-            let at = ready + Dur::from_ns(pkt.member_arrival_offset_ns(k));
-            port.send(ctx, at, pkt.frag(k));
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ActorId, msg: Box<dyn Any>) {
-        msg.downcast::<CreditMsg>()
-            .expect("Longbow received an unexpected control message");
-        let in_idx = self.ingress_idx(from);
-        self.ports[in_idx]
-            .as_mut()
-            .expect("credit on unattached port")
-            .credit_returned(ctx);
+impl LongbowConfig {
+    /// One unit as the subnet sees it: a two-port store-and-forward
+    /// [`Switch`] whose forwarding latency is the transit latency plus the
+    /// injected delay, and which drops packets at `loss_per_million`.
+    /// Serialization rates are carried by the attached links (the WAN cable
+    /// runs at SDR).
+    pub fn unit(self) -> Switch {
+        Switch::with_latency(self.transit_latency + self.injected_delay)
+            .with_loss(self.loss_per_million)
     }
 }
 
@@ -251,8 +146,8 @@ impl LongbowPair {
         credits: usize,
     ) -> LongbowPair {
         let cfg = LongbowConfig::default(); // no injected delay
-        let a = builder.add_bridge(Box::new(Longbow::new(cfg)));
-        let b = builder.add_bridge(Box::new(Longbow::new(cfg)));
+        let a = builder.add_switch_with(cfg.unit());
+        let b = builder.add_switch_with(cfg.unit());
         let wan = LinkConfig {
             rate: Rate::from_gbps(8),
             latency: Dur::from_ns(100) + delay, // distance as real propagation
@@ -279,8 +174,8 @@ impl LongbowPair {
             // the per-fragment path so results match bit for bit.
             builder.disable_coalescing();
         }
-        let a = builder.add_bridge(Box::new(Longbow::new(cfg)));
-        let b = builder.add_bridge(Box::new(Longbow::new(cfg)));
+        let a = builder.add_switch_with(cfg.unit());
+        let b = builder.add_switch_with(cfg.unit());
         builder.link(switch_a, a, local_cable());
         builder.link(a, b, wan_cable());
         builder.link(b, switch_b, local_cable());
@@ -492,27 +387,25 @@ mod tests {
         let (qa, qb) = rc_qp_pair(&mut f, n1, n2, qp);
         f.hca_mut(n1).ulp_mut::<BwPeer>().qpn = qa;
         f.hca_mut(n2).ulp_mut::<BwPeer>().qpn = qb;
-        f.run();
+        let end = f.run();
         assert_eq!(f.hca(n2).ulp::<BwPeer>().received(), 200);
-        let retx = f.hca(n1).core().qp(qa).retransmit_rounds();
-        assert!(retx > 0, "2% loss must trigger retransmissions");
-        // The loss-recovery counters must surface at every layer: the units
-        // record what they dropped, and the receiving QP records both the
-        // go-back-N casualties (gap_drops) and the duplicates the 50 us
-        // one-way delay makes inevitable (retransmissions racing in-flight
-        // ACKs).
-        let dropped = f.engine.actor::<Longbow>(pair.a).dropped()
-            + f.engine.actor::<Longbow>(pair.b).dropped();
-        assert!(dropped > 0, "2% loss over 800 fragments must drop some");
+        // The loss-recovery counters surface at every layer: the units
+        // record what they forwarded and dropped, the sender its go-back-N
+        // rounds, and the receiving QP both the go-back-N casualties
+        // (gap_drops) and the duplicates the 50 us one-way delay makes
+        // inevitable (retransmissions racing in-flight ACKs). Every figure
+        // here follows from the order of the units' draws from the engine
+        // RNG, so pinning them exactly pins that order.
+        let unit = |id| {
+            let u = f.engine.actor::<Switch>(id);
+            (u.forwarded(), u.dropped())
+        };
+        assert_eq!(unit(pair.a), (1092, 26));
+        assert_eq!(unit(pair.b), (1076, 26));
+        assert_eq!(f.hca(n1).core().qp(qa).retransmit_rounds(), 17);
         let rx_qp = f.hca(n2).core().qp(qb);
-        assert!(
-            rx_qp.gap_drops() > 0,
-            "lost fragments must strand later ones"
-        );
-        assert!(
-            rx_qp.dup_fragments() > 0,
-            "go-back-N under WAN delay must re-deliver some fragments"
-        );
+        assert_eq!((rx_qp.gap_drops(), rx_qp.dup_fragments()), (472, 1));
+        assert_eq!(end, simcore::Time::from_ms(64));
     }
 
     #[test]

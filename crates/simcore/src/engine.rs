@@ -170,7 +170,7 @@ pub trait Actor: Any + Send {
 
     /// Deliver a packet-lane message sent by `from`.
     ///
-    /// Only fabric entities (HCAs, switches, bridges) receive packets; the
+    /// Only fabric entities (HCAs, switches) receive packets; the
     /// default implementation treats a packet arriving anywhere else as a
     /// wiring bug.
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: ActorId, _pkt: Packet) {
@@ -750,19 +750,16 @@ impl Engine {
                 }
             }
             self.core.counters.events_processed += 1;
-            // Train accounting: a packet-lane delivery with `count > 1` and a
-            // real arrival pattern moved `count` members across this hop in
-            // one event — data fragments on the forward path, cumulative-ACK
-            // runs on the return path. (`gap_ns == 0 && msgs <= 1` marks a
-            // train's deferred tail self-delivery at the destination HCA —
-            // the fragments were already counted when the train arrived, so
-            // it is excluded.)
+            // Train accounting: a packet-lane delivery with `count > 1`
+            // moved `count` members across this hop in one event — data
+            // fragments and datagram runs on the forward path,
+            // cumulative-ACK runs on the return path.
             if let EventKind::Message {
                 msg: Msg::Packet(p),
                 ..
             } = &kind
             {
-                if p.count > 1 && (p.gap_ns > 0 || p.msgs > 1) {
+                if p.count > 1 {
                     if matches!(p.opcode, ibwire::Opcode::RcAck) {
                         self.core.counters.control_trains += 1;
                         self.core.counters.control_coalesced += (p.count - 1) as u64;

@@ -44,6 +44,9 @@ pub mod time;
 
 pub use engine::{Actor, ActorId, Ctx, Engine, EngineCounters, Msg, StreamId, TimerId};
 pub use ibwire::Packet;
+/// The trait to draw from [`Ctx::rng`] with, re-exported so actors can draw
+/// without depending on `rand`.
+pub use rand::Rng;
 pub use rate::{Rate, SerialResource};
 pub use stats::{OnlineStats, TimeSeries};
 pub use time::{Dur, Time};

@@ -109,57 +109,12 @@ impl SerialResource {
         (start, finish)
     }
 
-    /// Occupy the resource for a train of `n` equal jobs of `bytes` each whose
-    /// arrivals are spaced `gap` apart starting at `ready`, **iff** the train's
-    /// per-job service pattern has a closed form. Returns
-    /// `(head_finish, gap_out)` where `gap_out` is the departure spacing, or
-    /// `None` when the pattern is irregular and the caller must fall back to
-    /// `n` individual `reserve` calls at `ready + k * gap`.
-    ///
-    /// Exactness: the two closed forms below reproduce, job for job, what the
-    /// per-fragment `reserve` loop would compute.
-    ///
-    /// 1. `service >= gap` (arrivals at least as fast as service): job `k`
-    ///    starts at `start + k * service` where `start = max(ready,
-    ///    next_free)` — by induction, each job's predecessor finishes no
-    ///    earlier than the job arrives, so service is back-to-back and
-    ///    departures are spaced exactly `service`.
-    /// 2. `service < gap` and the resource is idle at `ready`: every job finds
-    ///    the resource idle (its predecessor finished `gap - service` before it
-    ///    arrives), so job `k` runs at `ready + k * gap` and departures keep
-    ///    the arrival spacing `gap`.
-    ///
-    /// Any other case (slow arrivals into a backlog) drains the backlog
-    /// mid-train and has no single departure spacing.
-    pub fn reserve_train(
-        &mut self,
-        ready: Time,
-        n: u32,
-        bytes: u64,
-        gap: Dur,
-    ) -> Option<(Time, Dur)> {
-        debug_assert!(n >= 1);
-        let service = self.rate.tx_time(bytes);
-        if service >= gap {
-            let start = ready.max(self.next_free);
-            let total = service * n as u64;
-            self.next_free = start + total;
-            self.busy += total;
-            Some((start + service, service))
-        } else if self.next_free <= ready {
-            self.next_free = ready + gap * (n as u64 - 1) + service;
-            self.busy += service * n as u64;
-            Some((ready + service, gap))
-        } else {
-            None
-        }
-    }
-
     /// Occupy the resource for a **two-level** train: `msgs` messages of
     /// `frags` fragments each (`msgs * frags` jobs of `bytes`), fragments
     /// spaced `gap` apart within a message and message heads spaced `msg_gap`
     /// apart, all measured from `ready`. Member `k = m * frags + j` arrives at
-    /// `ready + m * msg_gap + j * gap`.
+    /// `ready + m * msg_gap + j * gap`. A train of one message is `msgs = 1`,
+    /// where `msg_gap` plays no part.
     ///
     /// Returns `(head_finish, gap_out, msg_gap_out)` describing the departure
     /// pattern in the same two-level form (member `k` departs at
@@ -188,7 +143,7 @@ impl SerialResource {
     ///    message boundary stays independent iff
     ///    `(frags-1) * g + service <= msg_gap`, and the departure pattern is
     ///    `(g, msg_gap)`.
-    pub fn reserve_train2(
+    pub fn reserve_train(
         &mut self,
         ready: Time,
         msgs: u32,
@@ -283,89 +238,9 @@ mod tests {
         assert_eq!(res.busy_time(), Dur::from_ns(3000));
     }
 
-    /// Per-fragment reference: reserve each member of the train individually
-    /// at its own arrival time; return the sequence of finish times.
-    fn per_fragment(
-        res: &mut SerialResource,
-        ready: Time,
-        n: u32,
-        bytes: u64,
-        gap: Dur,
-    ) -> Vec<Time> {
-        (0..n)
-            .map(|k| res.reserve(ready + gap * k as u64, bytes).1)
-            .collect()
-    }
-
-    #[test]
-    fn reserve_train_back_to_back_matches_per_fragment() {
-        // service (1000ns) >= gap (600ns): departures pack at service spacing.
-        let mut a = SerialResource::new(Rate::from_gbps(8));
-        let mut b = a;
-        let golden = per_fragment(&mut a, Time::from_ns(50), 5, 1000, Dur::from_ns(600));
-        let (head, gap_out) = b
-            .reserve_train(Time::from_ns(50), 5, 1000, Dur::from_ns(600))
-            .unwrap();
-        assert_eq!(head, golden[0]);
-        assert_eq!(gap_out, Dur::from_ns(1000));
-        for (k, g) in golden.iter().enumerate() {
-            assert_eq!(head + gap_out * k as u64, *g);
-        }
-        assert_eq!(a, b); // next_free and busy agree too
-    }
-
-    #[test]
-    fn reserve_train_behind_backlog_matches_per_fragment() {
-        // Resource busy until t=3000 when the train arrives at t=100.
-        let mut a = SerialResource::new(Rate::from_gbps(8));
-        a.reserve(Time::ZERO, 3000);
-        let mut b = a;
-        let golden = per_fragment(&mut a, Time::from_ns(100), 4, 1000, Dur::from_ns(1000));
-        let (head, gap_out) = b
-            .reserve_train(Time::from_ns(100), 4, 1000, Dur::from_ns(1000))
-            .unwrap();
-        assert_eq!(head, golden[0]);
-        for (k, g) in golden.iter().enumerate() {
-            assert_eq!(head + gap_out * k as u64, *g);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reserve_train_slow_arrivals_idle_matches_per_fragment() {
-        // service (500ns) < gap (1000ns) on an idle resource: departures keep
-        // the arrival spacing.
-        let mut a = SerialResource::new(Rate::from_gbps(16));
-        let mut b = a;
-        let golden = per_fragment(&mut a, Time::from_ns(200), 6, 1000, Dur::from_ns(1000));
-        let (head, gap_out) = b
-            .reserve_train(Time::from_ns(200), 6, 1000, Dur::from_ns(1000))
-            .unwrap();
-        assert_eq!(head, golden[0]);
-        assert_eq!(gap_out, Dur::from_ns(1000));
-        for (k, g) in golden.iter().enumerate() {
-            assert_eq!(head + gap_out * k as u64, *g);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reserve_train_slow_arrivals_into_backlog_declines() {
-        // service < gap but the resource is busy at `ready`: the backlog
-        // drains mid-train, so there is no closed form — caller must
-        // de-coalesce.
-        let mut res = SerialResource::new(Rate::from_gbps(16));
-        res.reserve(Time::ZERO, 4000); // busy until 2000ns
-        let untouched = res;
-        assert!(res
-            .reserve_train(Time::from_ns(100), 4, 1000, Dur::from_ns(1000))
-            .is_none());
-        assert_eq!(res, untouched); // declining must not mutate state
-    }
-
-    /// Two-level per-member reference: reserve each member of a super-train at
-    /// its own two-level arrival time; return the finish-time sequence.
-    fn per_member2(
+    /// Per-member reference: reserve each member of a train at its own
+    /// two-level arrival time; return the finish-time sequence.
+    fn per_member(
         res: &mut SerialResource,
         ready: Time,
         msgs: u32,
@@ -383,9 +258,11 @@ mod tests {
             .collect()
     }
 
-    /// Expand a `(head_finish, gap_out, msg_gap_out)` answer to per-member
-    /// finish times and compare against the reference loop.
-    fn check_train2(
+    /// Reserve a train on a resource busy until `idle_until` and, if it
+    /// accepts, expand its `(head_finish, gap_out, msg_gap_out)` answer to
+    /// per-member finish times and compare against the reference loop.
+    /// Returns whether the train was accepted.
+    fn check_train(
         idle_until: u64,
         ready: u64,
         msgs: u32,
@@ -393,7 +270,7 @@ mod tests {
         bytes: u64,
         gap: u64,
         msg_gap: u64,
-    ) {
+    ) -> bool {
         let mut a = SerialResource::new(Rate::from_gbps(8));
         if idle_until > 0 {
             a.reserve(Time::ZERO, idle_until); // 1 ns/byte: busy until idle_until
@@ -404,14 +281,15 @@ mod tests {
             Dur::from_ns(gap),
             Dur::from_ns(msg_gap),
         );
-        let golden = per_member2(&mut a, ready, msgs, frags, bytes, gap, msg_gap);
-        match b.reserve_train2(ready, msgs, frags, bytes, gap, msg_gap) {
+        let golden = per_member(&mut a, ready, msgs, frags, bytes, gap, msg_gap);
+        match b.reserve_train(ready, msgs, frags, bytes, gap, msg_gap) {
             Some((head, g_out, mg_out)) => {
                 for (k, want) in golden.iter().enumerate() {
                     let (m, j) = (k as u64 / frags as u64, k as u64 % frags as u64);
                     assert_eq!(head + mg_out * m + g_out * j, *want, "member {k}");
                 }
                 assert_eq!(a, b, "next_free/busy must match the reference loop");
+                true
             }
             None => {
                 // Declining is always allowed (caller de-coalesces) but must
@@ -421,63 +299,75 @@ mod tests {
                     fresh.reserve(Time::ZERO, idle_until);
                 }
                 assert_eq!(b, fresh);
+                false
             }
         }
     }
 
     #[test]
-    fn reserve_train2_back_to_back_matches_per_member() {
+    fn reserve_train_back_to_back_matches_per_member() {
+        // One message, service (1000ns) >= gap (600ns): departures pack at
+        // service spacing, from idle and behind a backlog alike.
+        assert!(check_train(0, 50, 1, 5, 1000, 600, 0));
+        assert!(check_train(3000, 100, 1, 4, 1000, 1000, 0));
         // fig13a forward shape behind a backlog: 4 msgs x 2 frags of 2090B,
         // frag gap 1045 < service 2090, msg_gap 4180 = 2 * 2090. Lateness is 0
         // (msg_gap == frags * service, gap < service) so back-to-back applies
         // even from idle.
-        check_train2(0, 50, 4, 2, 2090, 1045, 4180);
-        check_train2(20_000, 50, 4, 2, 2090, 1045, 4180);
+        assert!(check_train(0, 50, 4, 2, 2090, 1045, 4180));
+        assert!(check_train(20_000, 50, 4, 2, 2090, 1045, 4180));
     }
 
     #[test]
-    fn reserve_train2_pattern_preserving_matches_per_member() {
+    fn reserve_train_pattern_preserving_matches_per_member() {
+        // One message, service (500ns) < gap (1000ns) on an idle resource:
+        // departures keep the arrival spacing.
+        assert!(check_train(0, 200, 1, 6, 500, 1000, 0));
         // Slow arrivals on an idle resource: service 1000 < gap 1500,
         // (frags-1)*gap + service = 4000 <= msg_gap 6000.
-        check_train2(0, 200, 3, 3, 1000, 1500, 6000);
+        assert!(check_train(0, 200, 3, 3, 1000, 1500, 6000));
         // One fragment per message (an ACK run): service 30 << msg_gap 4180.
-        check_train2(0, 0, 5, 1, 30, 0, 4180);
+        assert!(check_train(0, 0, 5, 1, 30, 0, 4180));
     }
 
     #[test]
-    fn reserve_train2_compacts_messages_on_idle_resource() {
+    fn reserve_train_compacts_messages_on_idle_resource() {
         // The ACK-pump shape: messages of back-to-back fragments (gap 0 <
         // service) whose heads ride a wide grid. Each message compacts to
         // `service` spacing while the grid passes through.
         // DDR hop: service 1045, gap 0, msg_gap 4180 >= 2*1045.
-        check_train2(0, 50, 32, 2, 1045, 0, 4180);
+        assert!(check_train(0, 50, 32, 2, 1045, 0, 4180));
         // Intermediate gap, still below service: compaction is exact
         // (fragment j starts at j*service >= j*gap).
-        check_train2(0, 50, 4, 3, 1000, 700, 6000);
+        assert!(check_train(0, 50, 4, 3, 1000, 700, 6000));
         // Boundary: (frags-1)*service + service == msg_gap exactly.
-        check_train2(0, 0, 3, 2, 1000, 0, 2000);
+        assert!(check_train(0, 0, 3, 2, 1000, 0, 2000));
         // Just under the boundary the message-independent form is invalid
         // (tail overlaps the next head) but back-to-back takes over: with
         // msg_gap < frags * service the lateness is zero from idle.
-        check_train2(0, 0, 3, 2, 1000, 0, 1999);
+        assert!(check_train(0, 0, 3, 2, 1000, 0, 1999));
     }
 
     #[test]
-    fn reserve_train2_deep_backlog_absorbs_slow_arrivals() {
+    fn reserve_train_deep_backlog_absorbs_slow_arrivals() {
         // Slow arrivals (lateness > 0) but the backlog is deep enough that
         // every member has arrived by its service slot: back-to-back form.
         // lateness = (3-1)*(6000-3000) + (2-1)*(1500-1000) = 6500; backlog
         // start - ready = 20000 - 200 >= 6500.
-        check_train2(20_000, 200, 3, 2, 1000, 1500, 6000);
+        assert!(check_train(20_000, 200, 3, 2, 1000, 1500, 6000));
+        // One message: 500 ns members from 100 ns at 1000 ns gaps behind a
+        // resource busy until 2000 ns. Lateness 3 * 500 = 1500 <= 1900, so
+        // the whole train departs back-to-back.
+        assert!(check_train(2000, 100, 1, 4, 500, 1000, 0));
     }
 
     #[test]
-    fn reserve_train2_partial_backlog_declines() {
+    fn reserve_train_partial_backlog_declines() {
         // Backlog drains mid-train: no closed form.
         let mut res = SerialResource::new(Rate::from_gbps(8));
         res.reserve(Time::ZERO, 3000);
         assert!(res
-            .reserve_train2(
+            .reserve_train(
                 Time::from_ns(100),
                 3,
                 2,
@@ -486,22 +376,10 @@ mod tests {
                 Dur::from_ns(6000)
             )
             .is_none());
-        check_train2(3000, 100, 3, 2, 1000, 1500, 6000);
-    }
-
-    #[test]
-    fn reserve_train2_degenerates_to_reserve_train() {
-        // msgs == 1 must agree with the single-level closed forms.
-        let mut a = SerialResource::new(Rate::from_gbps(8));
-        let mut b = a;
-        let (h1, g1) = a
-            .reserve_train(Time::from_ns(50), 5, 1000, Dur::from_ns(600))
-            .unwrap();
-        let (h2, g2, _) = b
-            .reserve_train2(Time::from_ns(50), 1, 5, 1000, Dur::from_ns(600), Dur::ZERO)
-            .unwrap();
-        assert_eq!((h1, g1), (h2, g2));
-        assert_eq!(a, b);
+        assert!(!check_train(3000, 100, 3, 2, 1000, 1500, 6000));
+        // One message, busy only until 1000 ns: lateness 1500 > 900, and the
+        // third member finds the resource idle.
+        assert!(!check_train(1000, 100, 1, 4, 500, 1000, 0));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! WAN cables come in three styles ([`WanStyle`]): Longbow range-extender
 //! pairs (optionally lossy), shallow-buffered Longbows whose emulated
 //! distance is true wire propagation against a bounded credit pool, and
-//! bare switch-to-switch WAN cables (no bridges) lowered through
+//! bare switch-to-switch WAN cables (no Longbows) lowered through
 //! [`FabricBuilder::link`] like any LAN cable.
 
 use ibfabric::fabric::{note_topo, Fabric, FabricBuilder, NodeHandle};
@@ -120,7 +120,7 @@ pub enum WanStyle {
 /// One WAN cable between two sites' attachment switches.
 #[derive(Copy, Clone, Debug)]
 pub struct WanSpec {
-    /// Index of the site the cable leaves (its bridge pair's A side).
+    /// Index of the site the cable leaves (its Longbow pair's A side).
     pub from: usize,
     /// Index of the site the cable enters.
     pub to: usize,
@@ -519,7 +519,7 @@ impl TopoSpec {
                 }
                 WanStyle::Plain => {
                     // A bare long-haul cable: SDR rate, distance as true
-                    // propagation, deep (uncredited) buffers, no bridges.
+                    // propagation, deep (uncredited) buffers, no Longbows.
                     let cable = LinkConfig {
                         rate: Rate::from_gbps(8),
                         latency: Dur::from_ns(100) + w.delay,
