@@ -16,6 +16,14 @@ cargo build --workspace --release
 echo "==> tests (whole workspace, the bench package's determinism A/B suite included)"
 cargo test --workspace --quiet
 
+echo "==> examples (release, each run to completion; lossy_wan asserts exactly-once delivery"
+echo "    under 0.1-5% WAN loss, wan_planner that its plan delivers the bandwidth it promised)"
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "--> $name"
+    cargo run --release --quiet --example "$name" > /dev/null
+done
+
 echo "==> benchmark package tests (a package of its own, outside the workspace run above;"
 echo "    one checks every registered experiment sits in exactly one Full workload or in"
 echo "    untimed_at_full; --locked, as the benchmark itself builds, so a dependency"

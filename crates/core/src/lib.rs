@@ -28,11 +28,11 @@
 //! paper's units. Experiments accept a [`Fidelity`] knob: `Quick` for CI
 //! and tests, `Full` for the recorded `EXPERIMENTS.md` numbers.
 //!
-//! The paper's proposed optimizations all have first-class switches here:
+//! The paper's proposed optimizations have first-class switches here:
 //! rendezvous-threshold tuning and WAN-adaptive selection ([`adaptive`]),
-//! parallel streams (Figures 6/7/10), message coalescing
-//! (`mpisim::proto::CoalesceConfig`), and hierarchical collectives
-//! (Figure 11).
+//! parallel streams (Figures 6/7/10) and hierarchical collectives
+//! (Figure 11). Its small-message coalescing is not modeled: every MPI send
+//! leaves as its own IB message.
 
 pub mod adaptive;
 pub mod analysis;

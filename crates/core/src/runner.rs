@@ -70,7 +70,6 @@ impl Provenance {
                     ("events_allocated".into(), num(c.events_allocated)),
                     ("pool_hits".into(), num(c.pool_hits)),
                     ("peak_queue_len".into(), num(c.peak_queue_len)),
-                    ("timers_cancelled".into(), num(c.timers_cancelled)),
                     ("trains_emitted".into(), num(c.trains_emitted)),
                     ("fragments_coalesced".into(), num(c.fragments_coalesced)),
                     ("control_trains".into(), num(c.control_trains)),

@@ -35,7 +35,8 @@ use tcpstack::{TcpConfig, TCP_IP_HEADER};
 pub struct Topology {
     /// One-way emulated wire delay in microseconds (5 µs ≈ 1 km).
     pub delay_us: u64,
-    /// WAN packet loss, parts per million (verbs workloads only).
+    /// WAN packet loss, parts per million, below 1,000,000 (RC verbs
+    /// workloads only: see [`Workload::tolerates_loss`]).
     pub loss_ppm: u32,
 }
 
@@ -228,6 +229,24 @@ const NFS_TRANSPORTS: Names<NfsTransport> = Names {
 };
 
 impl Workload {
+    /// Whether [`Scenario::run`] can run this workload on a lossy WAN. Only
+    /// the RC verbs benchmarks recover from drops (go-back-N
+    /// retransmission); every other workload models a pristine WAN.
+    pub fn tolerates_loss(&self) -> bool {
+        match self {
+            Workload::VerbsLatency { mode, .. } => {
+                matches!(
+                    LATENCY_MODES.get(mode),
+                    Ok(LatMode::SendRc | LatMode::WriteRc)
+                )
+            }
+            Workload::VerbsBandwidth { transport, .. } => {
+                VERBS_TRANSPORTS.get(transport) == Ok(false)
+            }
+            _ => false,
+        }
+    }
+
     /// Serialize to the internally-tagged JSON layout (`"kind"` tag,
     /// snake_case variant names) scenario files use.
     pub fn to_value(&self) -> minijson::Value {
@@ -559,19 +578,27 @@ impl Scenario {
             }
         };
         let loss_ppm = opt_u64(topo, "loss_ppm")?;
+        // At 1,000,000 every packet drops, and an RC run retransmits forever.
+        let loss_ppm = u32::try_from(loss_ppm)
+            .ok()
+            .filter(|&ppm| ppm < 1_000_000)
+            .ok_or_else(|| {
+                format!("scenario: field \"loss_ppm\" is {loss_ppm}: the limit is 999999")
+            })?;
         let topology = Topology {
             delay_us: opt_u64(topo, "delay_us")?,
-            loss_ppm: u32::try_from(loss_ppm).map_err(|_| {
-                format!(
-                    "scenario: field \"loss_ppm\" is {loss_ppm}: the limit is {}",
-                    u32::MAX
-                )
-            })?,
+            loss_ppm,
         };
         let workload = Workload::from_value(
             v.get("workload")
                 .ok_or_else(|| "scenario: missing \"workload\"".to_string())?,
         )?;
+        if loss_ppm > 0 && !workload.tolerates_loss() {
+            return Err(format!(
+                "scenario: field \"loss_ppm\" is {loss_ppm}: only the RC verbs workloads \
+                 (verbs_latency send_rc or write_rc, verbs_bandwidth rc) run on a lossy WAN"
+            ));
+        }
         Ok(Scenario {
             name,
             seed,
@@ -1057,7 +1084,7 @@ mod tests {
                 seed: 10 + i as u64,
                 topology: Topology {
                     delay_us: 100 * i as u64,
-                    loss_ppm: if i % 2 == 0 { 0 } else { 500 },
+                    loss_ppm: if w.tolerates_loss() { 500 } else { 0 },
                 },
                 workload: w,
             };
@@ -1251,6 +1278,37 @@ mod tests {
         assert!(Scenario::from_json(wrapping_loss)
             .unwrap_err()
             .contains(r#""loss_ppm" is 4294967296"#));
+        // Every packet drops: an RC run would retransmit forever.
+        let total_loss = r#"{ "name": "x", "topology": { "delay_us": 10, "loss_ppm": 1000000 }, "workload": { "kind": "verbs_bandwidth", "transport": "rc", "size": 4096, "iters": 4 } }"#;
+        assert!(Scenario::from_json(total_loss)
+            .unwrap_err()
+            .contains(r#""loss_ppm" is 1000000"#));
+        // Only the RC verbs workloads retransmit.
+        for workload in [
+            r#"{ "kind": "mpi_latency", "size": 4, "iters": 5 }"#,
+            r#"{ "kind": "verbs_latency", "mode": "send_ud", "size": 4, "iters": 5 }"#,
+            r#"{ "kind": "verbs_bandwidth", "transport": "ud", "size": 4, "iters": 5 }"#,
+        ] {
+            let lossy = format!(
+                r#"{{ "name": "x", "topology": {{ "loss_ppm": 100 }}, "workload": {workload} }}"#
+            );
+            assert!(Scenario::from_json(&lossy)
+                .unwrap_err()
+                .contains(r#""loss_ppm" is 100"#));
+        }
+        for workload in [
+            r#"{ "kind": "verbs_latency", "mode": "send_rc", "size": 4, "iters": 5 }"#,
+            r#"{ "kind": "verbs_latency", "mode": "write_rc", "size": 4, "iters": 5 }"#,
+            r#"{ "kind": "verbs_bandwidth", "transport": "rc", "size": 4, "iters": 5 }"#,
+        ] {
+            let lossy = format!(
+                r#"{{ "name": "x", "topology": {{ "loss_ppm": 999999 }}, "workload": {workload} }}"#
+            );
+            assert_eq!(
+                Scenario::from_json(&lossy).unwrap().topology.loss_ppm,
+                999_999
+            );
+        }
         assert!(Scenario::from_json("not json at all").is_err());
     }
 

@@ -97,7 +97,6 @@ fn counters_delta(after: &EngineCounters, before: &EngineCounters) -> EngineCoun
         events_allocated: after.events_allocated - before.events_allocated,
         pool_hits: after.pool_hits - before.pool_hits,
         peak_queue_len: after.peak_queue_len,
-        timers_cancelled: after.timers_cancelled - before.timers_cancelled,
         trains_emitted: after.trains_emitted - before.trains_emitted,
         fragments_coalesced: after.fragments_coalesced - before.fragments_coalesced,
         control_trains: after.control_trains - before.control_trains,
@@ -197,11 +196,6 @@ impl FabricBuilder {
         self.register(actor, Kind::Other)
     }
 
-    /// Mutable engine access during construction (e.g. to configure ULPs).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
     /// Cable two fabric entities together with symmetric link parameters.
     pub fn link(&mut self, a: ActorId, b: ActorId, cfg: LinkConfig) {
         for &(id, peer) in &[(a, b), (b, a)] {
@@ -252,10 +246,9 @@ impl FabricBuilder {
             seen[end] = true;
             queue.push_back(end);
             while let Some(u) = queue.pop_front() {
-                // Iterate copies to appease the borrow checker.
-                let neighbors: Vec<(ActorId, usize)> =
-                    self.adj[u].iter().map(|&(p, _, _)| (p, 0)).collect();
-                for (v, _) in neighbors {
+                // `adj`, `kinds` and `engine` are disjoint fields, so the
+                // neighbor list is read in place while switches are routed.
+                for &(v, _, _) in &self.adj[u] {
                     if seen[v] {
                         continue;
                     }

@@ -5,7 +5,7 @@
 use crate::link::{CreditMsg, EgressPort};
 use crate::packet::{Opcode, Packet};
 use crate::qp::{Qp, QpConfig, QpOutput, Qpn, TransportType};
-use crate::slab::QpSlab;
+use crate::slab::{QpSlab, RtoPop};
 use crate::types::Lid;
 use crate::ulp::Ulp;
 use crate::verbs::{Completion, RecvWr, SendWr};
@@ -196,34 +196,41 @@ impl HcaCore {
     /// Arm/disarm as [`Self::arm_if_requested`], but measure the RTO from
     /// `virt_now` — the virtual instant a batched member loop is replaying —
     /// rather than the event's own timestamp, so the timer fires exactly when
-    /// the per-member execution would have armed it.
+    /// the per-member execution would have armed it. A timer event is queued
+    /// only when the QP has none queued at or before the deadline
+    /// ([`QpSlab::arm_rto`]).
     fn arm_if_requested_at(&mut self, ctx: &mut Ctx<'_>, qpn: Qpn, out: &QpOutput, virt_now: Time) {
         debug_assert!(
             !(out.arm_retransmit && out.disarm_retransmit),
             "a QP cannot arm and disarm in the same output"
         );
         if out.arm_retransmit {
-            let rto = self.qps.qp(qpn).config().rto;
-            let delay = rto + (virt_now - ctx.now());
-            let id = ctx.timer_cancellable(delay, RETRANSMIT_BASE + qpn.0 as u64);
-            self.qps.arm_rto(qpn, id);
+            let deadline = virt_now + self.qps.qp(qpn).config().rto;
+            if self.qps.arm_rto(qpn, deadline) {
+                ctx.timer_at(deadline, RETRANSMIT_BASE + qpn.0 as u64);
+            }
         }
         if out.disarm_retransmit {
-            if let Some(id) = self.qps.take_rto(qpn) {
-                ctx.cancel_timer(id);
-            }
+            self.qps.disarm_rto(qpn);
         }
     }
 
-    /// A per-QP retransmission timer fired (routed by [`HcaActor`]).
-    pub fn on_retransmit_timer(&mut self, ctx: &mut Ctx<'_>, qpn: Qpn) {
-        self.qps.take_rto(qpn); // it just fired
-        let mut out = self.qps.take_scratch();
-        self.qps.qp_mut(qpn).on_retransmit_timer(&mut out);
-        self.arm_if_requested(ctx, qpn, &out);
-        let now = ctx.now();
-        self.flush(ctx, now, &mut out);
-        self.qps.put_scratch(out);
+    /// A per-QP retransmission-timer event popped (routed by [`HcaActor`]):
+    /// ignore it, re-queue it at the QP's later deadline, or run the
+    /// timeout, as [`QpSlab::rto_popped`] says.
+    pub(crate) fn on_retransmit_timer(&mut self, ctx: &mut Ctx<'_>, qpn: Qpn) {
+        match self.qps.rto_popped(qpn, ctx.now()) {
+            RtoPop::Stale => {}
+            RtoPop::Requeue(deadline) => ctx.timer_at(deadline, RETRANSMIT_BASE + qpn.0 as u64),
+            RtoPop::Fire => {
+                let mut out = self.qps.take_scratch();
+                self.qps.qp_mut(qpn).on_retransmit_timer(&mut out);
+                self.arm_if_requested(ctx, qpn, &out);
+                let now = ctx.now();
+                self.flush(ctx, now, &mut out);
+                self.qps.put_scratch(out);
+            }
+        }
     }
 
     /// Post a receive WQE (no wire effect; negligible cost).
@@ -594,11 +601,6 @@ impl HcaCore {
     pub fn attach_port(&mut self, egress: EgressPort) {
         assert!(self.port.is_none(), "HCA port already attached");
         self.port = Some(egress);
-    }
-
-    /// The neighbor actor this HCA's cable runs to.
-    pub fn port_peer(&self) -> Option<ActorId> {
-        self.port.as_ref().map(|p| p.peer)
     }
 }
 

@@ -356,6 +356,28 @@ mod tests {
         assert_eq!(f.hca(a).ulp::<PingPong>().samples.count(), 100);
     }
 
+    /// Each round quiesces both QPs, which disarm their retransmission
+    /// timers, and re-arms them on the next send. Each QP keeps one timer
+    /// event queued, re-queued from its deadline, so the queue stays a few
+    /// events deep over all 1,000 rounds.
+    #[test]
+    fn rc_ping_pong_keeps_the_event_queue_shallow() {
+        let (mut f, a, b) = back_to_back(
+            Box::new(PingPong::new(LatMode::SendRc, true, 64, 1000)),
+            Box::new(PingPong::new(LatMode::SendRc, false, 64, 1000)),
+        );
+        let (qa, qb) = rc_qp_pair(&mut f, a, b, QpConfig::rc());
+        f.hca_mut(a).ulp_mut::<PingPong>().qpn = qa;
+        f.hca_mut(b).ulp_mut::<PingPong>().qpn = qb;
+        f.run();
+        let pp = f.hca(a).ulp::<PingPong>();
+        assert_eq!(pp.samples.count(), 1000);
+        // Pinned: how the timer events are queued must not move a latency.
+        assert_eq!(pp.mean_latency_us(), 1.153);
+        let peak = f.report().engine_counters.peak_queue_len;
+        assert!(peak <= 8, "{peak} queue residents");
+    }
+
     #[test]
     fn write_latency_beats_send_latency() {
         let (mut f, a, b) = back_to_back(

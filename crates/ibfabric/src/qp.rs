@@ -10,7 +10,7 @@
 //!
 //! RC guarantees reliable in-order delivery with ACKs, which bounds how much
 //! data a QP can keep un-acknowledged "in the pipe". The model enforces
-//! [`QpConfig::max_inflight_msgs`] (default 16) and an optional byte cap.
+//! [`QpConfig::max_inflight_msgs`] (default 16).
 //! Over a WAN with round-trip time `RTT`, a stream of `S`-byte messages can
 //! therefore sustain at most `max_inflight_msgs * S / RTT` — exactly the
 //! medium-message bandwidth collapse of Figure 5 of the paper, and the reason
@@ -60,8 +60,6 @@ pub struct QpConfig {
     /// RC: maximum outstanding (un-ACKed) messages. The paper's testbed
     /// behaviour calibrates to 16.
     pub max_inflight_msgs: usize,
-    /// RC: cap on outstanding bytes (at least one message is always allowed).
-    pub max_inflight_bytes: u64,
     /// RC: maximum outstanding RDMA reads (IB "initiator depth").
     pub max_outstanding_reads: usize,
     /// Deliver [`Completion::WriteArrived`] for silent RDMA writes (models a
@@ -81,7 +79,6 @@ impl QpConfig {
             transport: TransportType::Rc,
             mtu: crate::types::DEFAULT_MTU,
             max_inflight_msgs: 16,
-            max_inflight_bytes: u64::MAX,
             max_outstanding_reads: 4,
             notify_silent_writes: false,
             rto: Dur::from_ms(60),
@@ -94,17 +91,10 @@ impl QpConfig {
             transport: TransportType::Ud,
             mtu: crate::types::DEFAULT_MTU,
             max_inflight_msgs: usize::MAX,
-            max_inflight_bytes: u64::MAX,
             max_outstanding_reads: 0,
             notify_silent_writes: false,
             rto: Dur::from_ms(60),
         }
-    }
-
-    /// Override the MTU.
-    pub fn with_mtu(mut self, mtu: u32) -> Self {
-        self.mtu = mtu;
-        self
     }
 
     /// Override the RC message window.
@@ -133,9 +123,9 @@ pub struct QpOutput {
     pub tx_completions: Vec<Completion>,
     /// The HCA must (re-)arm this QP's retransmission timer.
     pub arm_retransmit: bool,
-    /// The send pipeline quiesced (nothing un-ACKed remains): the HCA should
-    /// cancel the armed retransmission timer instead of letting it fire as a
-    /// stale no-op.
+    /// The send pipeline quiesced (nothing un-ACKed remains): the HCA
+    /// clears the retransmission deadline, so the timer event already
+    /// queued pops as a no-op (see [`crate::slab`]).
     pub disarm_retransmit: bool,
 }
 
@@ -222,7 +212,6 @@ pub struct Qp {
     // --- sender state ---
     sq: VecDeque<SendWr>,
     inflight: VecDeque<InflightSend>,
-    inflight_bytes: u64,
     inflight_reads: VecDeque<InflightSend>,
     next_send_msg_id: u64,
     next_read_msg_id: u64,
@@ -264,7 +253,6 @@ impl Qp {
             remote: None,
             sq: VecDeque::new(),
             inflight: VecDeque::new(),
-            inflight_bytes: 0,
             inflight_reads: VecDeque::new(),
             next_send_msg_id: 0,
             next_read_msg_id: 0,
@@ -442,14 +430,8 @@ impl Qp {
                 if self.inflight_reads.len() >= self.cfg.max_outstanding_reads {
                     break;
                 }
-            } else {
-                let would_be_bytes = self.inflight_bytes + front.len as u64;
-                let window_open = self.inflight.is_empty()
-                    || (self.inflight.len() < self.cfg.max_inflight_msgs
-                        && would_be_bytes <= self.cfg.max_inflight_bytes);
-                if !window_open {
-                    break;
-                }
+            } else if self.inflight.len() >= self.cfg.max_inflight_msgs.max(1) {
+                break; // a window of 0 still lets one message through
             }
             let wr = self.sq.pop_front().unwrap();
             self.start_message(wr, out);
@@ -469,7 +451,6 @@ impl Qp {
                 self.next_send_msg_id += 1;
                 let remote = self.remote.expect("RC QP not connected");
                 self.emit_fragments(msg_id, &wr, remote, out);
-                self.inflight_bytes += wr.len as u64;
                 self.inflight.push_back(InflightSend { msg_id, wr });
             }
         }
@@ -506,7 +487,7 @@ impl Qp {
         }
     }
 
-    /// Ask the HCA to cancel the retransmission timer once nothing un-ACKed
+    /// Ask the HCA to disarm the retransmission timer once nothing un-ACKed
     /// remains (the window is empty, so `pump` has also drained the send
     /// queue).
     fn maybe_disarm(&mut self, out: &mut QpOutput) {
@@ -761,7 +742,6 @@ impl Qp {
                 break;
             }
             let done = self.inflight.pop_front().unwrap();
-            self.inflight_bytes -= done.wr.len as u64;
             out.completions.push(Completion::SendDone {
                 qpn: self.qpn,
                 wr_id: done.wr.wr_id,
@@ -934,24 +914,6 @@ mod tests {
         assert_eq!(cb.len(), 20);
         assert_eq!(a.pending_sends(), 0);
         assert_eq!(a.inflight_msgs(), 0);
-    }
-
-    #[test]
-    fn rc_byte_cap_allows_single_oversized_message() {
-        let mut a = Qp::new(
-            Qpn(1),
-            QpConfig {
-                max_inflight_bytes: 1000,
-                ..QpConfig::rc()
-            },
-            Lid(1),
-        );
-        a.connect((Lid(2), Qpn(2)));
-        let mut out = QpOutput::default();
-        a.post_send(SendWr::send(1, 5000, 0), &mut out); // > cap, but alone: allowed
-        a.post_send(SendWr::send(2, 100, 0), &mut out); // blocked by cap
-        assert_eq!(a.inflight_msgs(), 1);
-        assert_eq!(a.pending_sends(), 1);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl Switch {
         self.routes[i] = Some(port);
     }
 
-    /// Number of attached ports.
-    pub fn port_count(&self) -> usize {
-        self.ports.len()
-    }
-
     /// Packets forwarded so far.
     pub fn forwarded(&self) -> u64 {
         self.forwarded

@@ -8,8 +8,6 @@
 //!   *rendezvous* protocol (RTS → CTS → zero-copy RDMA write → FIN) above
 //!   it. The threshold defaults to MVAPICH2's 8 KB and is tunable — raising
 //!   it to 64 KB over a 10 ms WAN link is exactly the Figure 9 optimization.
-//! * **Message coalescing** ([`proto`]): optional batching of small sends,
-//!   one of the paper's proposed WAN optimizations.
 //! * **Collectives** ([`coll`]): broadcast (binomial for small messages,
 //!   scatter + ring-allgather for large, like MVAPICH2), the WAN-aware
 //!   *hierarchical* broadcast of Figure 11, dissemination barrier,
@@ -23,6 +21,9 @@
 //! * **OSU-style benchmarks** ([`mod@bench`]): `osu_latency`, `osu_bw`,
 //!   `osu_bibw`, multi-pair message rate, and the paper's modified
 //!   `osu_bcast` (root waits for the ACK of the farthest process).
+//!
+//! The paper also proposes coalescing small messages over the WAN; that is
+//! not modeled here: every MPI send leaves as its own IB message.
 
 //! ```
 //! use mpisim::bench::{osu_latency, wan_pair};

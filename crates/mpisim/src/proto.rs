@@ -1,5 +1,6 @@
-//! The MPI point-to-point engine: eager and rendezvous protocols, matching,
-//! and optional small-message coalescing.
+//! The MPI point-to-point engine: eager and rendezvous protocols and
+//! matching. Every send leaves as its own IB message: the paper's proposed
+//! small-message coalescing is not modeled.
 //!
 //! ## Protocol trade-off (the heart of Figure 9)
 //!
@@ -13,7 +14,7 @@
 //! messages; over a 10 ms WAN the handshake is ruinous for medium messages,
 //! which is why the paper tunes the threshold from 8 KB to 64 KB.
 
-use crate::wire::{MpiWire, BATCH_HEADER_BYTES, BATCH_ITEM_BYTES, CTRL_BYTES, EAGER_HEADER_BYTES};
+use crate::wire::{MpiWire, CTRL_BYTES, EAGER_HEADER_BYTES};
 use ibfabric::hca::HcaCore;
 use ibfabric::qp::{QpConfig, Qpn};
 use ibfabric::verbs::{Completion, RecvWr, SendWr};
@@ -30,33 +31,9 @@ pub struct MpiEvent {
     pub req: ReqId,
 }
 
-/// Timer token the owning ULP must route to [`P2p::on_timer`]: deferred
-/// copy completions.
+/// Timer token the owning ULP must route to [`P2p::on_copy_timer`]:
+/// deferred copy completions.
 pub const TOKEN_COPY: u64 = 10;
-/// Timer token the owning ULP must route to [`P2p::on_timer`]: coalescing
-/// flush deadline.
-pub const TOKEN_FLUSH: u64 = 11;
-
-/// Small-message coalescing parameters (a paper-proposed WAN optimization).
-#[derive(Copy, Clone, Debug)]
-pub struct CoalesceConfig {
-    /// Only messages up to this size are batched.
-    pub max_msg: u32,
-    /// Flush a peer's batch once it holds this many payload bytes.
-    pub flush_bytes: u32,
-    /// Flush all batches this long after the first unflushed message.
-    pub flush_delay: Dur,
-}
-
-impl Default for CoalesceConfig {
-    fn default() -> Self {
-        CoalesceConfig {
-            max_msg: 1024,
-            flush_bytes: 16384,
-            flush_delay: Dur::from_us(10),
-        }
-    }
-}
 
 /// Which rendezvous data-movement scheme large messages use — the three
 /// MVAPICH2 designs.
@@ -88,8 +65,6 @@ pub struct MpiConfig {
     pub sw_overhead: Dur,
     /// Transport parameters for the per-peer RC QPs.
     pub qp: QpConfig,
-    /// Optional small-message coalescing.
-    pub coalescing: Option<CoalesceConfig>,
 }
 
 impl Default for MpiConfig {
@@ -101,7 +76,6 @@ impl Default for MpiConfig {
             copy_rate: Rate::from_ps_per_byte(250), // ~4 GB/s memcpy
             sw_overhead: Dur::from_ns(200),
             qp: QpConfig::rc(),
-            coalescing: None,
         }
     }
 }
@@ -148,12 +122,6 @@ enum WrPurpose {
     RgetRead { rndv: u32, peer: usize },
 }
 
-#[derive(Default)]
-struct Batch {
-    items: Vec<(u32, u32)>,
-    bytes: u32,
-}
-
 /// Per-process point-to-point engine.
 pub struct P2p {
     rank: usize,
@@ -172,8 +140,6 @@ pub struct P2p {
     cpu: SerialResource,
     deferred: VecDeque<ReqId>,
     events: Vec<MpiEvent>,
-    batches: Vec<Batch>,
-    flush_armed: bool,
     bytes_sent: u64,
     msgs_sent: u64,
     send_size_log2: [u64; 33],
@@ -200,8 +166,6 @@ impl P2p {
             cpu: SerialResource::new(Rate::INFINITE),
             deferred: VecDeque::new(),
             events: Vec::new(),
-            batches: (0..nranks).map(|_| Batch::default()).collect(),
-            flush_armed: false,
             bytes_sent: 0,
             msgs_sent: 0,
             send_size_log2: [0; 33],
@@ -299,12 +263,6 @@ impl P2p {
         };
         self.send_size_log2[bucket] += 1;
         self.bytes_to_peer[to] += len as u64;
-        if let Some(c) = self.cfg.coalescing {
-            if len <= c.max_msg {
-                self.coalesce(hca, ctx, to, tag, len, req, c);
-                return req;
-            }
-        }
         if len <= self.cfg.eager_threshold {
             // Eager: copy to bounce buffer, send, complete locally.
             let work = self.cfg.sw_overhead + self.cfg.copy_rate.tx_time(len as u64);
@@ -332,43 +290,6 @@ impl P2p {
             );
         }
         req
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn coalesce(
-        &mut self,
-        hca: &mut HcaCore,
-        ctx: &mut Ctx<'_>,
-        to: usize,
-        tag: u32,
-        len: u32,
-        req: ReqId,
-        c: CoalesceConfig,
-    ) {
-        let work = self.cfg.sw_overhead + self.cfg.copy_rate.tx_time(len as u64);
-        let (_, fin) = self.cpu.reserve_dur(ctx.now(), work);
-        self.defer_done(ctx, req, fin); // buffered: completes locally
-        let batch = &mut self.batches[to];
-        batch.items.push((tag, len));
-        batch.bytes += len;
-        if batch.bytes >= c.flush_bytes {
-            self.flush_batch(hca, ctx, to);
-        } else if !self.flush_armed {
-            self.flush_armed = true;
-            ctx.timer(c.flush_delay, TOKEN_FLUSH);
-        }
-    }
-
-    fn flush_batch(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>, peer: usize) {
-        let batch = std::mem::take(&mut self.batches[peer]);
-        if batch.items.is_empty() {
-            return;
-        }
-        let wire_len =
-            batch.bytes + BATCH_HEADER_BYTES + BATCH_ITEM_BYTES * batch.items.len() as u32;
-        let wr =
-            SendWr::send(0, wire_len, 0).with_meta(MpiWire::Batch { items: batch.items }.encode());
-        hca.post_send_after(ctx, self.qpn(peer), wr, ctx.now());
     }
 
     /// Nonblocking receive matching `(from, tag)`.
@@ -492,11 +413,6 @@ impl P2p {
     fn on_wire(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>, src: usize, wire: MpiWire) {
         match wire {
             MpiWire::Eager { tag, len } => self.deliver_eager(ctx, src, tag, len),
-            MpiWire::Batch { items } => {
-                for (tag, len) in items {
-                    self.deliver_eager(ctx, src, tag, len);
-                }
-            }
             MpiWire::Rts { tag, len, rndv } => {
                 if let Some(pos) = self
                     .posted
@@ -599,25 +515,13 @@ impl P2p {
         }
     }
 
-    /// Route a ULP timer with [`TOKEN_COPY`] or [`TOKEN_FLUSH`] here.
-    pub fn on_timer(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>, token: u64) {
-        match token {
-            TOKEN_COPY => {
-                let req = self
-                    .deferred
-                    .pop_front()
-                    .expect("copy timer with empty deferred queue");
-                self.events.push(MpiEvent { req });
-            }
-            TOKEN_FLUSH => {
-                self.flush_armed = false;
-                for peer in 0..self.nranks {
-                    if !self.batches[peer].items.is_empty() {
-                        self.flush_batch(hca, ctx, peer);
-                    }
-                }
-            }
-            other => panic!("unknown proto timer token {other}"),
-        }
+    /// Route a ULP timer with [`TOKEN_COPY`] here: the oldest deferred copy
+    /// has finished.
+    pub fn on_copy_timer(&mut self) {
+        let req = self
+            .deferred
+            .pop_front()
+            .expect("copy timer with empty deferred queue");
+        self.events.push(MpiEvent { req });
     }
 }

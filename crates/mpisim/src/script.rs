@@ -119,15 +119,6 @@ impl ScriptRunner {
         self.marks.iter().find(|(m, _)| *m == id).map(|&(_, t)| t)
     }
 
-    /// All timestamps recorded for marker `id`.
-    pub fn marks_for(&self, id: u32) -> Vec<Time> {
-        self.marks
-            .iter()
-            .filter(|(m, _)| *m == id)
-            .map(|&(_, t)| t)
-            .collect()
-    }
-
     /// A request completed.
     pub fn note_done(&mut self, req: ReqId) {
         let was = self.waiting.remove(&req);

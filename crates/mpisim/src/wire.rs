@@ -6,10 +6,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 pub const EAGER_HEADER_BYTES: u32 = 48;
 /// Wire size of a rendezvous control message (RTS/CTS/FIN).
 pub const CTRL_BYTES: u32 = 64;
-/// Wire overhead of a coalesced batch, plus per-item envelope.
-pub const BATCH_HEADER_BYTES: u32 = 32;
-/// Per-item envelope inside a coalesced batch.
-pub const BATCH_ITEM_BYTES: u32 = 16;
 
 /// MPI protocol messages exchanged between rank pairs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,11 +39,6 @@ pub enum MpiWire {
         tag: u32,
         /// Payload length.
         len: u32,
-    },
-    /// A coalesced batch of small eager messages.
-    Batch {
-        /// (tag, len) of each packed message, in order.
-        items: Vec<(u32, u32)>,
     },
     /// RGET rendezvous: receiver finished RDMA-reading the data.
     Done {
@@ -92,14 +83,6 @@ impl MpiWire {
                 b.put_u32(*tag);
                 b.put_u32(*len);
             }
-            MpiWire::Batch { items } => {
-                b.put_u8(4);
-                b.put_u32(items.len() as u32);
-                for (tag, len) in items {
-                    b.put_u32(*tag);
-                    b.put_u32(*len);
-                }
-            }
             MpiWire::Done { rndv } => {
                 b.put_u8(5);
                 b.put_u32(*rndv);
@@ -135,14 +118,6 @@ impl MpiWire {
                 tag: buf.get_u32(),
                 len: buf.get_u32(),
             },
-            4 => {
-                let n = buf.get_u32() as usize;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push((buf.get_u32(), buf.get_u32()));
-                }
-                MpiWire::Batch { items }
-            }
             5 => MpiWire::Done {
                 rndv: buf.get_u32(),
             },
@@ -174,9 +149,6 @@ mod tests {
                 rndv: 42,
                 tag: 1,
                 len: 1 << 20,
-            },
-            MpiWire::Batch {
-                items: vec![(1, 10), (2, 20), (3, 30)],
             },
             MpiWire::Done { rndv: 9 },
             MpiWire::R3Data {

@@ -1,7 +1,7 @@
 //! MPI job construction: lays ranks across the cluster-of-clusters topology
 //! and wires the QP mesh.
 
-use crate::proto::{MpiConfig, P2p, TOKEN_COPY, TOKEN_FLUSH};
+use crate::proto::{MpiConfig, P2p, TOKEN_COPY};
 use crate::script::{Op, ScriptRunner, TOKEN_COMPUTE};
 use ibfabric::fabric::{Fabric, NodeHandle};
 use ibfabric::hca::{HcaConfig, HcaCore};
@@ -63,7 +63,7 @@ impl Ulp for MpiProcess {
     fn on_timer(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>, token: u64) {
         match token {
             TOKEN_COMPUTE => self.runner.on_compute_done(),
-            TOKEN_COPY | TOKEN_FLUSH => self.proto.on_timer(hca, ctx, token),
+            TOKEN_COPY => self.proto.on_copy_timer(),
             other => panic!("unknown timer token {other}"),
         }
         self.pump(hca, ctx);

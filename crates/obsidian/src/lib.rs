@@ -24,7 +24,7 @@
 use ibfabric::fabric::FabricBuilder;
 use ibfabric::link::LinkConfig;
 use ibfabric::switch::Switch;
-use simcore::{ActorId, Dur, Rate};
+use simcore::{ActorId, Dur};
 
 /// Speed-of-light-in-fiber wire delay for an emulated distance, one way:
 /// 5 µs per km, exactly the paper's Table 1 mapping.
@@ -72,26 +72,6 @@ impl LongbowConfig {
     pub fn unit(self) -> Switch {
         Switch::with_latency(self.transit_latency + self.injected_delay)
             .with_loss(self.loss_per_million)
-    }
-}
-
-/// The WAN cable between two Longbows: SDR data rate, negligible intrinsic
-/// propagation (distance is emulated with injected delay, as in the paper).
-pub fn wan_cable() -> LinkConfig {
-    LinkConfig {
-        rate: Rate::from_gbps(8),
-        latency: Dur::from_ns(100),
-        credit_packets: None,
-    }
-}
-
-/// The short local cable from a cluster's core switch into its Longbow.
-/// The Longbow's IB side runs at SDR 4x.
-pub fn local_cable() -> LinkConfig {
-    LinkConfig {
-        rate: Rate::from_gbps(8),
-        latency: Dur::from_ns(100),
-        credit_packets: None,
     }
 }
 
@@ -148,14 +128,15 @@ impl LongbowPair {
         let cfg = LongbowConfig::default(); // no injected delay
         let a = builder.add_switch_with(cfg.unit());
         let b = builder.add_switch_with(cfg.unit());
+        let sdr = LinkConfig::sdr_lan();
         let wan = LinkConfig {
-            rate: Rate::from_gbps(8),
-            latency: Dur::from_ns(100) + delay, // distance as real propagation
-            credit_packets: Some(credits),
-        };
-        builder.link(switch_a, a, local_cable());
+            latency: sdr.latency + delay, // distance as real propagation
+            ..sdr
+        }
+        .with_credits(credits);
+        builder.link(switch_a, a, sdr);
         builder.link(a, b, wan);
-        builder.link(b, switch_b, local_cable());
+        builder.link(b, switch_b, sdr);
         LongbowPair { a, b }
     }
 
@@ -176,9 +157,13 @@ impl LongbowPair {
         }
         let a = builder.add_switch_with(cfg.unit());
         let b = builder.add_switch_with(cfg.unit());
-        builder.link(switch_a, a, local_cable());
-        builder.link(a, b, wan_cable());
-        builder.link(b, switch_b, local_cable());
+        // Every cable of the pair is SDR: the Longbow's IB side runs at SDR
+        // 4x, and the WAN cable's own propagation is negligible (distance is
+        // the units' injected delay, as in the paper).
+        let sdr = LinkConfig::sdr_lan();
+        builder.link(switch_a, a, sdr);
+        builder.link(a, b, sdr);
+        builder.link(b, switch_b, sdr);
         LongbowPair { a, b }
     }
 }

@@ -5,7 +5,7 @@ use crate::wire::{SdpWire, BSDH_BYTES, SDP_CTRL_BYTES};
 use ibfabric::hca::HcaCore;
 use ibfabric::qp::Qpn;
 use ibfabric::verbs::{Completion, RecvWr, SendKind, SendWr};
-use simcore::{Ctx, Dur, Rate, SerialResource};
+use simcore::{Ctx, Rate, SerialResource};
 use std::collections::{HashMap, VecDeque};
 
 /// SDP socket parameters.
@@ -205,10 +205,5 @@ impl SdpSocket {
     /// Current send credits (diagnostics).
     pub fn credits(&self) -> u32 {
         self.credits
-    }
-
-    /// Copy work accumulated (utilization diagnostics).
-    pub fn copy_busy(&self) -> Dur {
-        self.cpu.busy_time()
     }
 }

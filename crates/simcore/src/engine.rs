@@ -62,7 +62,7 @@ use ibwire::Packet;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::any::Any;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Index of an actor within an [`Engine`].
 pub type ActorId = usize;
@@ -135,10 +135,6 @@ impl<T: Any + Send> From<Box<T>> for Msg {
     }
 }
 
-/// Handle to a cancellable timer armed via [`Ctx::timer_cancellable`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
-
 /// Handle to a delivery stream opened with [`Engine::open_stream`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StreamId(u32);
@@ -191,9 +187,6 @@ pub(crate) enum EventKind {
     Timer {
         actor: ActorId,
         token: u64,
-        /// `Some` for cancellable timers; checked against the tombstone set
-        /// when popped.
-        cancel_id: Option<TimerId>,
     },
 }
 
@@ -256,8 +249,7 @@ pub const OCCUPANCY_BUCKETS: usize = 8;
 /// equal field for field.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Events dispatched to actors (cancelled timers are not dispatched and
-    /// are excluded).
+    /// Events dispatched to actors.
     pub events_processed: u64,
     /// Event nodes that required a fresh heap allocation (slab growth). In
     /// steady state this should plateau while `pool_hits` keeps climbing.
@@ -268,8 +260,6 @@ pub struct EngineCounters {
     /// a delivery stream contributes only its earliest pending key, not the
     /// keys waiting behind it (see the [module docs](self)).
     pub peak_queue_len: u64,
-    /// Timers that were cancelled before firing and skipped on pop.
-    pub timers_cancelled: u64,
     /// Fragment-train hop deliveries dispatched: packet-lane events whose
     /// packet carried `count > 1` fragments across a hop as one event.
     pub trains_emitted: u64,
@@ -334,7 +324,6 @@ impl std::ops::AddAssign for EngineCounters {
         self.events_allocated += rhs.events_allocated;
         self.pool_hits += rhs.pool_hits;
         self.peak_queue_len = self.peak_queue_len.max(rhs.peak_queue_len);
-        self.timers_cancelled += rhs.timers_cancelled;
         self.trains_emitted += rhs.trains_emitted;
         self.fragments_coalesced += rhs.fragments_coalesced;
         self.control_trains += rhs.control_trains;
@@ -363,9 +352,6 @@ pub(crate) struct Core {
     /// Recycled slab indices.
     pub(crate) free: Vec<u32>,
     pub(crate) rng: SmallRng,
-    pub(crate) next_timer_id: u64,
-    /// Tombstones for cancelled-but-not-yet-popped timers.
-    pub(crate) cancelled: HashSet<u64>,
     /// Delivery streams, indexed by `StreamId`.
     streams: Vec<Stream>,
     pub(crate) counters: EngineCounters,
@@ -444,7 +430,9 @@ impl Core {
 /// Handle given to an actor while it processes an event.
 ///
 /// All side effects an actor can have on the simulation flow through this
-/// context: sending messages and arming or cancelling timers. Scheduled
+/// context: sending messages and arming timers. A timer cannot be
+/// cancelled: an actor that may no longer want one keeps the instant it is
+/// due and ignores the event when it pops. Scheduled
 /// events go straight into the pooled event queue — sequence numbers are
 /// assigned at scheduling time, so same-instant ordering follows emission
 /// order (see the [module docs](self)).
@@ -526,37 +514,8 @@ impl Ctx<'_> {
             EventKind::Timer {
                 actor: self.self_id,
                 token,
-                cancel_id: None,
             },
         );
-    }
-
-    /// Arm a cancellable timer on the current actor; the returned [`TimerId`]
-    /// can be passed to [`Ctx::cancel_timer`] before the timer fires.
-    pub fn timer_cancellable(&mut self, delay: Dur, token: u64) -> TimerId {
-        let at = self.now + delay;
-        let id = TimerId(self.core.next_timer_id);
-        self.core.next_timer_id += 1;
-        self.core.push_event(
-            at,
-            EventKind::Timer {
-                actor: self.self_id,
-                token,
-                cancel_id: Some(id),
-            },
-        );
-        id
-    }
-
-    /// Cancel a timer armed with [`Ctx::timer_cancellable`].
-    ///
-    /// The timer's queue entry is skipped when popped: it is not dispatched
-    /// and not counted in `events_processed` (it shows up in
-    /// [`EngineCounters::timers_cancelled`] instead). Cancelling a timer that
-    /// has already fired leaves a permanent tombstone — only cancel timers
-    /// you know are still armed.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.core.cancelled.insert(id.0);
     }
 
     /// Run `f` with the clock temporarily set to `at` (`at >= now`). Replay
@@ -612,8 +571,6 @@ impl Engine {
                 nodes: Vec::new(),
                 free: Vec::new(),
                 rng: SmallRng::seed_from_u64(seed),
-                next_timer_id: 0,
-                cancelled: HashSet::new(),
                 streams: Vec::new(),
                 counters: EngineCounters::default(),
             },
@@ -647,11 +604,6 @@ impl Engine {
     pub fn add_actor(&mut self, actor: Box<dyn Actor>) -> ActorId {
         self.actors.push(actor);
         self.actors.len() - 1
-    }
-
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
     }
 
     /// Mutable access to a concrete actor, for setup and result collection.
@@ -703,96 +655,75 @@ impl Engine {
     /// Schedule a timer on `actor` from outside any actor (driver code).
     pub fn schedule_timer(&mut self, at: Time, actor: ActorId, token: u64) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
-        self.core.push_event(
-            at,
-            EventKind::Timer {
-                actor,
-                token,
-                cancel_id: None,
-            },
-        );
+        self.core.push_event(at, EventKind::Timer { actor, token });
     }
 
     /// Process a single event. Returns `false` when the queue is empty or the
-    /// event limit is reached. Cancelled timers are skipped (virtual time
-    /// still advances past them) and do not count as processed events.
+    /// event limit is reached.
     fn step(&mut self) -> bool {
-        loop {
-            if self.core.counters.events_processed >= self.event_limit {
-                return false;
-            }
-            let Some(key) = self.core.queue.pop(&mut self.core.counters) else {
-                return false;
-            };
-            debug_assert!(
-                key.at() >= self.now,
-                "time went backwards: popped event at {:?} behind now {:?}",
-                key.at(),
-                self.now
-            );
-            self.now = key.at();
-            if key.stream != NO_STREAM {
-                self.core.advance_stream(key.stream);
-            }
-            let kind = self.core.nodes[key.idx as usize]
-                .take()
-                .expect("heap key points at an empty slab slot");
-            self.core.free.push(key.idx);
-
-            if let EventKind::Timer {
-                cancel_id: Some(id),
-                ..
-            } = &kind
-            {
-                if self.core.cancelled.remove(&id.0) {
-                    self.core.counters.timers_cancelled += 1;
-                    continue; // skipped: not dispatched, not counted
-                }
-            }
-            self.core.counters.events_processed += 1;
-            // Train accounting: a packet-lane delivery with `count > 1`
-            // moved `count` members across this hop in one event — data
-            // fragments and datagram runs on the forward path,
-            // cumulative-ACK runs on the return path.
-            if let EventKind::Message {
-                msg: Msg::Packet(p),
-                ..
-            } = &kind
-            {
-                if p.count > 1 {
-                    if matches!(p.opcode, ibwire::Opcode::RcAck) {
-                        self.core.counters.control_trains += 1;
-                        self.core.counters.control_coalesced += (p.count - 1) as u64;
-                    } else {
-                        self.core.counters.trains_emitted += 1;
-                        self.core.counters.fragments_coalesced += (p.count - 1) as u64;
-                    }
-                }
-            }
-
-            let actor_id = match &kind {
-                EventKind::Message { to, .. } => *to,
-                EventKind::Timer { actor, .. } => *actor,
-            };
-            // Split-borrow: the dispatched actor comes out of `self.actors`
-            // while `Ctx` borrows `self.core` — disjoint fields, so handlers
-            // schedule directly into the event queue with no intermediate
-            // buffering (and no per-event take/put of the actor box).
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: actor_id,
-                core: &mut self.core,
-            };
-            let actor = &mut self.actors[actor_id];
-            match kind {
-                EventKind::Message { from, msg, .. } => match msg {
-                    Msg::Packet(pkt) => actor.on_packet(&mut ctx, from, pkt),
-                    Msg::Ctrl(b) => actor.on_message(&mut ctx, from, b),
-                },
-                EventKind::Timer { token, .. } => actor.on_timer(&mut ctx, token),
-            }
-            return true;
+        if self.core.counters.events_processed >= self.event_limit {
+            return false;
         }
+        let Some(key) = self.core.queue.pop(&mut self.core.counters) else {
+            return false;
+        };
+        debug_assert!(
+            key.at() >= self.now,
+            "time went backwards: popped event at {:?} behind now {:?}",
+            key.at(),
+            self.now
+        );
+        self.now = key.at();
+        if key.stream != NO_STREAM {
+            self.core.advance_stream(key.stream);
+        }
+        let kind = self.core.nodes[key.idx as usize]
+            .take()
+            .expect("heap key points at an empty slab slot");
+        self.core.free.push(key.idx);
+        self.core.counters.events_processed += 1;
+        // Train accounting: a packet-lane delivery with `count > 1` moved
+        // `count` members across this hop in one event — data fragments and
+        // datagram runs on the forward path, cumulative-ACK runs on the
+        // return path.
+        if let EventKind::Message {
+            msg: Msg::Packet(p),
+            ..
+        } = &kind
+        {
+            if p.count > 1 {
+                if matches!(p.opcode, ibwire::Opcode::RcAck) {
+                    self.core.counters.control_trains += 1;
+                    self.core.counters.control_coalesced += (p.count - 1) as u64;
+                } else {
+                    self.core.counters.trains_emitted += 1;
+                    self.core.counters.fragments_coalesced += (p.count - 1) as u64;
+                }
+            }
+        }
+
+        let actor_id = match &kind {
+            EventKind::Message { to, .. } => *to,
+            EventKind::Timer { actor, .. } => *actor,
+        };
+        // Split-borrow: the dispatched actor comes out of `self.actors`
+        // while `Ctx` borrows `self.core` — disjoint fields, so handlers
+        // schedule directly into the event queue with no intermediate
+        // buffering (and no per-event take/put of the actor box).
+        let mut ctx = Ctx {
+            now: self.now,
+            self_id: actor_id,
+            core: &mut self.core,
+        };
+        let actor = &mut self.actors[actor_id];
+        match kind {
+            EventKind::Message { from, msg, .. } => match msg {
+                Msg::Packet(pkt) => actor.on_packet(&mut ctx, from, pkt),
+                Msg::Ctrl(b) => actor.on_message(&mut ctx, from, b),
+            },
+            EventKind::Timer { token, .. } => actor.on_timer(&mut ctx, token),
+        }
+        true
     }
 
     /// Run until the queue drains or the event limit is reached; returns the
@@ -943,50 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_timer_is_skipped_and_counted() {
-        struct T {
-            armed: Option<TimerId>,
-            fired: Vec<u64>,
-        }
-        impl Actor for T {
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ActorId, msg: Box<dyn Any>) {
-                match *msg.downcast::<&'static str>().unwrap() {
-                    "arm" => {
-                        self.armed = Some(ctx.timer_cancellable(Dur::from_us(50), 7));
-                        // A second, uncancelled timer proves only the
-                        // cancelled one is suppressed.
-                        ctx.timer(Dur::from_us(60), 8);
-                    }
-                    "cancel" => ctx.cancel_timer(self.armed.take().unwrap()),
-                    _ => unreachable!(),
-                }
-            }
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
-                self.fired.push(token);
-            }
-        }
-        let mut e = Engine::new(1);
-        let t = e.add_actor(Box::new(T {
-            armed: None,
-            fired: vec![],
-        }));
-        e.schedule_message(Time::ZERO, t, t, Box::new("arm"));
-        e.schedule_message(Time::from_us(10), t, t, Box::new("cancel"));
-        let end = e.run();
-        assert_eq!(
-            e.actor::<T>(t).fired,
-            vec![8],
-            "cancelled timer must not fire"
-        );
-        assert_eq!(e.counters().timers_cancelled, 1);
-        // 2 messages + 1 surviving timer; the skipped pop is not processed.
-        assert_eq!(e.events_processed(), 3);
-        // Virtual time still advances through the cancelled slot to the
-        // surviving timer.
-        assert_eq!(end, Time::from_us(60));
-    }
-
-    #[test]
     fn packet_lane_dispatches_to_on_packet() {
         struct PktSink {
             packets: Vec<u32>,
@@ -1091,7 +978,6 @@ mod tests {
             events_allocated: 2,
             pool_hits: 8,
             peak_queue_len: 5,
-            timers_cancelled: 1,
             trains_emitted: 3,
             fragments_coalesced: 30,
             control_trains: 2,
@@ -1104,7 +990,6 @@ mod tests {
             events_allocated: 1,
             pool_hits: 3,
             peak_queue_len: 9,
-            timers_cancelled: 0,
             trains_emitted: 1,
             fragments_coalesced: 10,
             control_trains: 1,
@@ -1118,7 +1003,6 @@ mod tests {
         assert_eq!(m.events_allocated, 3);
         assert_eq!(m.pool_hits, 11);
         assert_eq!(m.peak_queue_len, 9, "peak is a max across disjoint queues");
-        assert_eq!(m.timers_cancelled, 1);
         assert_eq!(m.trains_emitted, 4);
         assert_eq!(m.fragments_coalesced, 40);
         assert_eq!(m.control_trains, 3);
@@ -1133,8 +1017,8 @@ mod tests {
 
     const SCRIPT_STREAMS: usize = 4;
 
-    /// Drives a seeded mix of stream sends, direct sends and cancellable
-    /// timers from every event it handles. With `streams == None` each
+    /// Drives a seeded mix of stream sends, direct sends and timers from
+    /// every event it handles. With `streams == None` each
     /// stream send becomes a direct `send_at` to the same actor at the same
     /// time.
     struct Script {
@@ -1142,8 +1026,6 @@ mod tests {
         sinks: Vec<ActorId>,
         /// Latest time sent on each stream.
         tails: [Time; SCRIPT_STREAMS],
-        /// Pending cancellable timers by token.
-        armed: Vec<(u64, TimerId)>,
         budget: u32,
         next_tag: u64,
         /// Stream sends timed before their stream's latest send.
@@ -1188,14 +1070,9 @@ mod tests {
                     };
                     let at = now + Dur::from_ns(ctx.rng().gen_range(0..3_000u64));
                     ctx.send_at(to, Box::new(tag), at);
-                } else if roll < 92 || self.armed.is_empty() {
-                    let delay = Dur::from_ns(ctx.rng().gen_range(0..4_000u64));
-                    let id = ctx.timer_cancellable(delay, tag);
-                    self.armed.push((tag, id));
                 } else {
-                    let i = ctx.rng().gen_range(0..self.armed.len());
-                    let (_, id) = self.armed.swap_remove(i);
-                    ctx.cancel_timer(id);
+                    let delay = Dur::from_ns(ctx.rng().gen_range(0..4_000u64));
+                    ctx.timer(delay, tag);
                 }
             }
         }
@@ -1208,7 +1085,6 @@ mod tests {
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
             log_dispatch(&self.log, ctx, token);
-            self.armed.retain(|&(t, _)| t != token);
             self.act(ctx);
         }
     }
@@ -1241,7 +1117,6 @@ mod tests {
             streams: None,
             sinks: Vec::new(),
             tails: [Time::ZERO; SCRIPT_STREAMS],
-            armed: Vec::new(),
             budget: 6_000,
             next_tag: 0,
             early: 0,
@@ -1284,10 +1159,6 @@ mod tests {
                 direct_log.len()
             );
             assert!(early > 200, "seed {seed}: only {early} early stream sends");
-            assert!(
-                direct.timers_cancelled > 0,
-                "seed {seed}: no timer was cancelled"
-            );
             let diverged = direct_log.iter().zip(&stream_log).position(|(d, s)| d != s);
             if let Some(i) = diverged {
                 panic!(

@@ -18,7 +18,6 @@ use ibwan_repro::ibfabric::{Fabric, NodeHandle};
 use ibwan_repro::ibwan_core::{build_pair, RunConfig, TopoSpec};
 use ibwan_repro::ipoib::node::{IpoibConfig, IpoibMode, IpoibNode};
 use ibwan_repro::mpisim::coll;
-use ibwan_repro::mpisim::script::Op;
 use ibwan_repro::mpisim::world::{JobSpec, MpiJob};
 use ibwan_repro::simcore::{Ctx, Dur};
 use ibwan_repro::tcpstack::TcpConfig;
@@ -410,47 +409,5 @@ fn deterministic_replay() {
             f.run().as_ns()
         };
         assert_eq!(run(&sizes), run(&sizes), "seed {seed}");
-    }
-}
-
-/// Message coalescing preserves message count and total bytes.
-#[test]
-fn coalescing_preserves_messages() {
-    use ibwan_repro::mpisim::proto::{CoalesceConfig, MpiConfig};
-    for &(count, len) in &[(1u32, 1u32), (199, 1023), (64, 512), (150, 3), (7, 777)] {
-        let cfg = MpiConfig {
-            coalescing: Some(CoalesceConfig::default()),
-            ..MpiConfig::default()
-        };
-        let spec = JobSpec::two_clusters(1, 1, Dur::from_us(100)).with_mpi(cfg);
-        let mut job = MpiJob::build(spec, |rank, _| {
-            if rank == 0 {
-                vec![
-                    Op::SendWindow {
-                        to: 1,
-                        len,
-                        tag: 1,
-                        count,
-                    },
-                    Op::Recv { from: 1, tag: 2 },
-                ]
-            } else {
-                vec![
-                    Op::RecvWindow {
-                        from: 0,
-                        tag: 1,
-                        count,
-                    },
-                    Op::Send {
-                        to: 0,
-                        len: 4,
-                        tag: 2,
-                    },
-                ]
-            }
-        });
-        job.run();
-        assert_eq!(job.process(0).proto.msgs_sent(), count as u64);
-        assert_eq!(job.process(0).proto.bytes_sent(), count as u64 * len as u64);
     }
 }
