@@ -24,6 +24,21 @@ for example in examples/*.rs; do
     cargo run --release --quiet --example "$name" > /dev/null
 done
 
+echo "==> scenario CLI (ibwan_sim --example runs through ibwan_sim; a missing scenario"
+echo "    file exits 2)"
+scenario_dir=$(mktemp -d)
+trap 'rm -rf "$scenario_dir"' EXIT
+cargo run --release --quiet -p bench --bin ibwan_sim -- --example > "$scenario_dir/example.json"
+cargo run --release --quiet -p bench --bin ibwan_sim -- "$scenario_dir/example.json" > /dev/null
+status=0
+cargo run --release --quiet -p bench --bin ibwan_sim -- "$scenario_dir/missing.json" \
+    > /dev/null 2> "$scenario_dir/stderr" || status=$?
+if [ "$status" -ne 2 ]; then
+    cat "$scenario_dir/stderr" >&2
+    echo "ibwan_sim on a missing scenario file exited $status, want 2" >&2
+    exit 1
+fi
+
 echo "==> benchmark package tests (a package of its own, outside the workspace run above;"
 echo "    one checks every registered experiment sits in exactly one Full workload or in"
 echo "    untimed_at_full; --locked, as the benchmark itself builds, so a dependency"

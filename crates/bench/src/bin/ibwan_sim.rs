@@ -14,8 +14,8 @@
 //! All flags are parsed into one [`RunConfig`] before any scenario runs —
 //! flag order never matters, and `--no-coalescing` is a plain config field
 //! (results are identical either way; timing A/B only).
-//! Unknown or duplicate flags, and a scenario file the parser rejects,
-//! exit 2.
+//! Unknown or duplicate flags, a scenario file that cannot be read and one
+//! the parser rejects exit 2.
 
 use ibwan_core::runner;
 use ibwan_core::scenario::{example_scenario, Scenario};
@@ -93,8 +93,10 @@ fn main() {
 
     let mut results = Vec::new();
     for file in &files {
-        let text =
-            std::fs::read_to_string(file).unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
+        let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
+            eprintln!("ibwan-sim: cannot read {file}: {e}");
+            std::process::exit(2);
+        });
         let scenario = Scenario::from_json(&text).unwrap_or_else(|e| {
             eprintln!("ibwan-sim: cannot parse {file}: {e}");
             std::process::exit(2);

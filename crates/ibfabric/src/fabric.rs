@@ -221,7 +221,7 @@ impl FabricBuilder {
             .reserve_streams(self.adj.iter().map(Vec::len).sum());
         for (id, adj) in self.adj.iter().enumerate() {
             for &(peer, port, cfg) in adj {
-                let egress = EgressPort::new(peer, cfg, self.engine.open_stream());
+                let egress = EgressPort::new(peer, cfg, self.engine.open_stream(id, peer));
                 match self.kinds[id] {
                     Kind::Endpoint(_) => self
                         .engine

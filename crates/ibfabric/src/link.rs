@@ -72,7 +72,8 @@ pub struct EgressPort {
 
 impl EgressPort {
     /// New egress port towards `peer`, scheduling its deliveries on
-    /// `stream`, which no other sender may use.
+    /// `stream`, opened from the port's owner to `peer` and used by no
+    /// other sender.
     pub fn new(peer: ActorId, cfg: LinkConfig, stream: StreamId) -> Self {
         EgressPort {
             peer,
@@ -92,9 +93,9 @@ impl EgressPort {
     /// waits in the port until [`EgressPort::credit_returned`] releases it.
     ///
     /// Every reservation starts no earlier than the previous one finished,
-    /// so the port's delivery times never decrease and every delivery
-    /// extends the port's stream: the event queue holds one delivery per
-    /// port however deep the port's backlog.
+    /// so the port's delivery times never decrease, as its stream requires:
+    /// the event queue holds one delivery per port however deep the port's
+    /// backlog, and the backlog waits in the stream.
     pub fn send(&mut self, ctx: &mut Ctx<'_>, ready: Time, pkt: Packet) {
         self.send_reporting(ctx, ready, pkt, |_, _| {});
     }
@@ -109,10 +110,10 @@ impl EgressPort {
         pkt: Packet,
         mut departed: impl FnMut(Time, &Packet),
     ) {
-        let (stream, peer, latency) = (self.stream, self.peer, self.cfg.latency);
+        let (stream, latency) = (self.stream, self.cfg.latency);
         self.transmit_seq(ready, pkt, &mut |arrival, p| {
             departed(arrival - latency, &p);
-            ctx.send_stream(stream, peer, p, arrival)
+            ctx.send_stream(stream, p, arrival)
         });
     }
 
@@ -120,7 +121,7 @@ impl EgressPort {
     /// if any, takes it and goes on the wire.
     pub fn credit_returned(&mut self, ctx: &mut Ctx<'_>) {
         if let Some((arrival, pkt)) = self.take_credit(ctx.now()) {
-            ctx.send_stream(self.stream, self.peer, pkt, arrival);
+            ctx.send_stream(self.stream, pkt, arrival);
         }
     }
 
@@ -269,7 +270,7 @@ mod tests {
     /// A port whose stream comes from a throwaway engine: these tests read
     /// the reservations directly and never schedule a delivery.
     fn egress(cfg: LinkConfig) -> EgressPort {
-        EgressPort::new(0, cfg, simcore::Engine::new(0).open_stream())
+        EgressPort::new(0, cfg, simcore::Engine::new(0).open_stream(0, 0))
     }
 
     fn pkt(payload: u32) -> Packet {
@@ -597,20 +598,21 @@ mod tests {
     }
 
     /// Everything a port sends rides its stream: a five-packet backlog
-    /// keeps one delivery in the event queue, and the arrivals keep the
-    /// wire's back-to-back schedule.
+    /// keeps one delivery in the event queue and takes no slab node, and
+    /// the arrivals keep the wire's back-to-back schedule.
     #[test]
     fn a_backlogged_port_keeps_one_delivery_queued() {
         use simcore::{Actor, Engine};
         use std::any::Any;
         struct Sender {
-            port: EgressPort,
+            port: Option<EgressPort>,
         }
         impl Actor for Sender {
             fn on_message(&mut self, ctx: &mut Ctx<'_>, _: ActorId, _: Box<dyn Any>) {
                 let now = ctx.now();
+                let port = self.port.as_mut().expect("port attached");
                 for _ in 0..5 {
-                    self.port.send(ctx, now, pkt(930));
+                    port.send(ctx, now, pkt(930));
                 }
             }
         }
@@ -632,15 +634,22 @@ mod tests {
         };
         let mut e = Engine::new(1);
         let sink = e.add_actor(Box::new(Sink { arrivals: vec![] }));
-        let port = EgressPort::new(sink, cfg, e.open_stream());
-        let tx = e.add_actor(Box::new(Sender { port }));
+        let tx = e.add_actor(Box::new(Sender { port: None }));
+        let port = EgressPort::new(sink, cfg, e.open_stream(tx, sink));
+        e.actor_mut::<Sender>(tx).port = Some(port);
         e.schedule_message(Time::ZERO, tx, tx, Box::new(()));
         e.run();
         let want: Vec<Time> = (1..=5)
             .map(|k| Time::from_ns(1000 * k) + Dur::from_us(1))
             .collect();
         assert_eq!(e.actor::<Sink>(sink).arrivals, want);
-        assert_eq!(e.counters().peak_queue_len, 1);
+        let c = e.counters();
+        assert_eq!(c.peak_queue_len, 1);
+        assert_eq!(
+            c.events_allocated, 1,
+            "only the kick takes a slab node: {c:?}"
+        );
+        assert_eq!(c.events_processed, 6);
     }
 
     #[test]

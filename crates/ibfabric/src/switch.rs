@@ -19,6 +19,9 @@ pub struct Switch {
     /// (0 = lossless).
     loss_per_million: u32,
     ports: Vec<Option<EgressPort>>,
+    /// Some attached port is credited, so arrivals may owe their ingress
+    /// link a credit.
+    credited: bool,
     /// Forwarding table indexed directly by LID (LIDs are small and dense,
     /// so a flat table beats hashing on the per-packet path).
     routes: Vec<Option<usize>>,
@@ -38,6 +41,7 @@ impl Switch {
             fwd_latency,
             loss_per_million: 0,
             ports: Vec::new(),
+            credited: false,
             routes: Vec::new(),
             forwarded: 0,
             dropped: 0,
@@ -59,6 +63,7 @@ impl Switch {
             self.ports.resize_with(idx + 1, || None);
         }
         assert!(self.ports[idx].is_none(), "port {idx} already attached");
+        self.credited |= egress.credited();
         self.ports[idx] = Some(egress);
     }
 
@@ -97,12 +102,15 @@ impl Switch {
 impl Actor for Switch {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: ActorId, pkt: Packet) {
         // Ingress buffer freed once the packet moves to the egress queue:
-        // return the link-level credit to the upstream neighbor.
-        if let Some(in_port) = self.port_to(from) {
-            if in_port.credited() {
-                debug_assert_eq!(pkt.count, 1, "trains never cross credited links");
-                let latency = in_port.config().latency;
-                ctx.send(from, Box::new(CreditMsg), latency);
+        // return the link-level credit to the upstream neighbor. Only a
+        // switch with a credited port looks its ingress port up.
+        if self.credited {
+            if let Some(in_port) = self.port_to(from) {
+                if in_port.credited() {
+                    debug_assert_eq!(pkt.count, 1, "trains never cross credited links");
+                    let latency = in_port.config().latency;
+                    ctx.send(from, Box::new(CreditMsg), latency);
+                }
             }
         }
         if self.loss_per_million > 0 {
@@ -185,7 +193,9 @@ mod tests {
     fn forwards_by_lid_with_latency() {
         let mut e = Engine::new(1);
         let sink = e.add_actor(Box::new(Sink { arrivals: vec![] }));
-        let mut sw = Switch::new();
+        let swid = e.add_actor(Box::new(Switch::new()));
+        let stream = e.open_stream(swid, sink);
+        let sw = e.actor_mut::<Switch>(swid);
         sw.attach_port(
             0,
             EgressPort::new(
@@ -195,11 +205,10 @@ mod tests {
                     latency: Dur::from_ns(100),
                     credit_packets: None,
                 },
-                e.open_stream(),
+                stream,
             ),
         );
         sw.set_route(5, 0);
-        let swid = e.add_actor(Box::new(sw));
         e.schedule_message(Time::ZERO, swid, swid, test_packet(5, 930));
         e.run();
         // 200ns fwd + (930+70)ns serialization + 100ns propagation = 1300ns.

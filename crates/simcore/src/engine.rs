@@ -26,12 +26,14 @@
 //!
 //! ## Event pooling
 //!
-//! Event payloads live in a slab (`Vec<Option<EventKind>>` plus a free list);
-//! the event queue orders only compact 32-byte `(time, seq, index)` keys.
-//! Steady-state simulation allocates nothing per event: nodes are recycled
-//! through the free list ([`EngineCounters::pool_hits`]) and the slab only
-//! grows while the in-flight event population reaches a new high
-//! ([`EngineCounters::events_allocated`]).
+//! Event payloads scheduled with [`Ctx::send_at`] and timers live in a slab
+//! (`Vec<Option<EventKind>>` plus a free list); the event queue orders only
+//! compact 32-byte `(time, seq, index)` keys. Steady-state simulation
+//! allocates nothing per event: nodes are recycled through the free list
+//! ([`EngineCounters::pool_hits`]) and the slab only grows while the
+//! in-flight population of such events reaches a new high
+//! ([`EngineCounters::events_allocated`]). Deliveries sent on a stream
+//! (below) take no slab node.
 //!
 //! ## Same-timestamp ordering
 //!
@@ -47,14 +49,18 @@
 //!
 //! A link's egress port schedules each packet's arrival as soon as it
 //! reserves the wire, so a congested port's whole backlog would otherwise sit
-//! in the event queue. A port instead sends through its own stream
-//! ([`Engine::open_stream`], [`Ctx::send_stream`]): the queue holds only the
-//! stream's earliest key, and its later keys wait in a per-stream FIFO with
-//! the `(time, seq)` they got when scheduled. When the head pops, the next
-//! key is pushed. A key that would not extend its stream's tail is pushed
-//! directly, so every FIFO stays sorted and the queue always holds each
-//! stream's minimum. The global minimum is therefore always queued, and the
-//! pop order is exactly the one direct sends would give.
+//! in the event queue and the slab. A port instead sends through a stream of
+//! its own, bound to the port's owner and peer when it is opened
+//! ([`Engine::open_stream`], [`Ctx::send_stream`]). The stream keeps its
+//! packets inline in a FIFO, each with the `(time, seq)` it got when
+//! scheduled, and the queue holds only the front's key. When that key pops,
+//! the engine takes the front packet, queues the next front's key and
+//! dispatches the packet. A stream's times never decrease (a send before
+//! its stream's tail panics), so each FIFO is sorted, the queue always holds
+//! each stream's minimum, and the pop order is exactly the one direct sends
+//! would give. FIFOs are built of page-sized chunks from one pool the
+//! engine's streams share, so a drained burst's memory serves the next
+//! burst on any port.
 
 use crate::calqueue::EventQueue;
 use crate::time::{Dur, Time};
@@ -139,18 +145,22 @@ impl<T: Any + Send> From<Box<T>> for Msg {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StreamId(u32);
 
-/// [`HeapKey::stream`] of a key that heads no stream.
-const NO_STREAM: u32 = u32::MAX;
+/// Deliveries per stream chunk: 32 entries of 128 bytes fill one 4 KiB page.
+const CHUNK: usize = 32;
 
-/// One delivery stream: the keys scheduled behind its queued head.
-#[derive(Default)]
+/// At most [`CHUNK`] consecutive deliveries of one stream, each with its
+/// `HeapKey::order`.
+type Chunk = VecDeque<(u128, Packet)>;
+
+/// One delivery stream: the packets one actor has scheduled for one peer,
+/// in key order, which never decreases. They wait in chunks taken from the
+/// engine's shared pool: no chunk is empty, only the last one takes
+/// pushes, and the front's key is in the event queue whenever the stream
+/// holds a delivery.
 struct Stream {
-    /// Keys after the head, in key order, each tagged with this stream.
-    later: VecDeque<HeapKey>,
-    /// Order of the stream's last key (the head when `later` is empty).
-    tail: u128,
-    /// The stream's earliest key is in the event queue.
-    queued: bool,
+    from: ActorId,
+    to: ActorId,
+    chunks: VecDeque<Chunk>,
 }
 
 /// A simulation entity driven by messages and timers.
@@ -190,28 +200,33 @@ pub(crate) enum EventKind {
     },
 }
 
-/// Compact queue entry: the event payload lives in the slab at `idx`, so
-/// queue operations move 32 bytes instead of a full event node. `(time, seq)`
-/// is packed into one `u128` so each ordering comparison is a single wide
-/// integer compare.
+/// Compact queue entry: the event payload lives in the slab at `idx`, or at
+/// the front of stream `idx`, so queue operations move 32 bytes instead of a
+/// full event node. `(time, seq)` is packed into one `u128` so each ordering
+/// comparison is a single wide integer compare.
 #[derive(Debug)]
 pub(crate) struct HeapKey {
     /// `(at.as_ns() << 64) | seq` — orders by time, then scheduling order.
     order: u128,
     pub(crate) idx: u32,
-    /// The stream this key heads, or `NO_STREAM`. Sits in the padding the
-    /// `u128` alignment leaves, so streams cost the queue no space.
-    stream: u32,
+    /// `idx` names a delivery stream, not a slab slot. Sits in the padding
+    /// the `u128` alignment leaves, so streams cost the queue no space.
+    stream: bool,
 }
 
 impl HeapKey {
     #[inline]
     pub(crate) fn new(at: Time, seq: u64, idx: u32) -> Self {
         HeapKey {
-            order: ((at.as_ns() as u128) << 64) | seq as u128,
+            order: Self::order(at, seq),
             idx,
-            stream: NO_STREAM,
+            stream: false,
         }
+    }
+
+    #[inline]
+    fn order(at: Time, seq: u64) -> u128 {
+        ((at.as_ns() as u128) << 64) | seq as u128
     }
 
     #[inline]
@@ -253,12 +268,14 @@ pub struct EngineCounters {
     pub events_processed: u64,
     /// Event nodes that required a fresh heap allocation (slab growth). In
     /// steady state this should plateau while `pool_hits` keeps climbing.
+    /// Only direct sends and timers take slab nodes; stream deliveries
+    /// wait inline in their stream (see the [module docs](self)).
     pub events_allocated: u64,
     /// Event nodes recycled from the free pool instead of allocated.
     pub pool_hits: u64,
     /// High-water mark of the event queue length. Counts queue residents:
-    /// a delivery stream contributes only its earliest pending key, not the
-    /// keys waiting behind it (see the [module docs](self)).
+    /// a delivery stream contributes only its front's key, not the
+    /// deliveries waiting behind it (see the [module docs](self)).
     pub peak_queue_len: u64,
     /// Fragment-train hop deliveries dispatched: packet-lane events whose
     /// packet carried `count > 1` fragments across a hop as one event.
@@ -354,10 +371,22 @@ pub(crate) struct Core {
     pub(crate) rng: SmallRng,
     /// Delivery streams, indexed by `StreamId`.
     streams: Vec<Stream>,
+    /// Empty chunks, shared by every stream: a stream takes one when its
+    /// last chunk is full and gives each back as it drains, so a burst on
+    /// one port leaves memory the next port's burst reuses.
+    spare: Vec<Chunk>,
     pub(crate) counters: EngineCounters,
 }
 
 impl Core {
+    /// Take the next sequence number.
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
     /// Acquire a slab slot for `kind` — from the free pool when possible —
     /// and key it at `at` with the next sequence number.
     #[inline]
@@ -373,9 +402,7 @@ impl Core {
             self.nodes.push(Some(kind));
             idx
         };
-        let seq = self.seq;
-        self.seq += 1;
-        HeapKey::new(at, seq, idx)
+        HeapKey::new(at, self.next_seq(), idx)
     }
 
     /// Push `key` into the queue and track the queue's high-water mark.
@@ -395,34 +422,74 @@ impl Core {
         self.enqueue(key);
     }
 
-    /// Schedule `kind` at `at` on `stream`: into the queue if the stream is
-    /// idle, behind its tail if the key extends it, and straight into the
-    /// queue otherwise.
+    /// Append `pkt`, due at `at`, to `stream`, queueing its key if it is
+    /// the stream's front.
+    ///
+    /// # Panics
+    /// Panics if `at` precedes the stream's last delivery.
     #[inline]
-    fn push_stream_event(&mut self, stream: StreamId, at: Time, kind: EventKind) {
-        let mut key = self.new_key(at, kind);
+    fn push_stream(&mut self, stream: StreamId, at: Time, pkt: Packet) {
+        let order = HeapKey::order(at, self.next_seq());
         let s = &mut self.streams[stream.0 as usize];
-        if !s.queued {
-            s.queued = true;
-            s.tail = key.order;
-            key.stream = stream.0;
-            self.enqueue(key);
-        } else if key.order > s.tail {
-            s.tail = key.order;
-            key.stream = stream.0;
-            s.later.push_back(key);
-        } else {
-            self.enqueue(key);
+        let idle = match s.chunks.back() {
+            None => true,
+            Some(last) => {
+                let &(tail, _) = last.back().expect("a stream holds no empty chunk");
+                assert!(
+                    order > tail,
+                    "stream send at {at:?} precedes its stream's tail at {:?}",
+                    Time::from_ns((tail >> 64) as u64)
+                );
+                false
+            }
+        };
+        match s.chunks.back_mut() {
+            Some(last) if last.len() < CHUNK => last.push_back((order, pkt)),
+            _ => {
+                let mut chunk = self
+                    .spare
+                    .pop()
+                    .unwrap_or_else(|| VecDeque::with_capacity(CHUNK));
+                chunk.push_back((order, pkt));
+                s.chunks.push_back(chunk);
+            }
+        }
+        if idle {
+            self.enqueue(HeapKey {
+                order,
+                idx: stream.0,
+                stream: true,
+            });
         }
     }
 
-    /// The head of `stream` just popped: queue its next key, if any.
+    /// The front key of `stream` just popped: take its packet and queue the
+    /// next front's key, if any.
     #[inline]
-    fn advance_stream(&mut self, stream: u32) {
+    fn pop_stream(&mut self, stream: u32) -> EventKind {
         let s = &mut self.streams[stream as usize];
-        match s.later.pop_front() {
-            Some(next) => self.queue.push(next), // replaces the head: no new peak
-            None => s.queued = false,
+        let first = s
+            .chunks
+            .front_mut()
+            .expect("stream key with an empty stream");
+        let (_, pkt) = first.pop_front().expect("a stream holds no empty chunk");
+        if first.is_empty() {
+            let drained = s.chunks.pop_front().expect("the front chunk was just read");
+            self.spare.push(drained);
+        }
+        if let Some(next) = s.chunks.front() {
+            let &(order, _) = next.front().expect("a stream holds no empty chunk");
+            // Replaces the popped key: no new peak.
+            self.queue.push(HeapKey {
+                order,
+                idx: stream,
+                stream: true,
+            });
+        }
+        EventKind::Message {
+            from: s.from,
+            to: s.to,
+            msg: Msg::Packet(pkt),
         }
     }
 }
@@ -479,26 +546,24 @@ impl Ctx<'_> {
         );
     }
 
-    /// Schedule `msg` for delivery to `to` at `at` through `stream`.
+    /// Schedule `pkt` for delivery at `at` through `stream`, to the peer
+    /// the stream was opened for.
     ///
     /// Dispatch order is exactly that of [`Ctx::send_at`]; the difference
-    /// is where the key waits. While the stream has an earlier delivery
-    /// pending, a key at or after the stream's last one waits in the
-    /// stream's FIFO instead of the event queue (see the
-    /// [module docs](self)). A sender whose times never decrease, such as an
-    /// egress port, keeps only one key per stream in the queue.
+    /// is where the packet waits: inline in the stream's FIFO, with only the
+    /// stream's front in the event queue (see the [module docs](self)).
+    ///
+    /// # Panics
+    /// Panics if `at` precedes the stream's last send: a stream's times
+    /// never decrease.
     #[inline]
-    pub fn send_stream(&mut self, stream: StreamId, to: ActorId, msg: impl Into<Msg>, at: Time) {
+    pub fn send_stream(&mut self, stream: StreamId, pkt: Packet, at: Time) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
-        self.core.push_stream_event(
-            stream,
-            at,
-            EventKind::Message {
-                from: self.self_id,
-                to,
-                msg: msg.into(),
-            },
+        debug_assert_eq!(
+            self.core.streams[stream.0 as usize].from, self.self_id,
+            "a stream carries only its owner's sends"
         );
+        self.core.push_stream(stream, at, pkt);
     }
 
     /// Arm a timer on the current actor that fires after `delay` with `token`.
@@ -572,6 +637,7 @@ impl Engine {
                 free: Vec::new(),
                 rng: SmallRng::seed_from_u64(seed),
                 streams: Vec::new(),
+                spare: Vec::new(),
                 counters: EngineCounters::default(),
             },
             event_limit: u64::MAX,
@@ -590,13 +656,15 @@ impl Engine {
         self.core.streams.reserve(additional);
     }
 
-    /// Open a delivery stream for [`Ctx::send_stream`].
-    pub fn open_stream(&mut self) -> StreamId {
-        let id = u32::try_from(self.core.streams.len())
-            .ok()
-            .filter(|&id| id != NO_STREAM)
-            .expect("too many delivery streams");
-        self.core.streams.push(Stream::default());
+    /// Open a delivery stream for [`Ctx::send_stream`]: `from`'s packets
+    /// to `to`.
+    pub fn open_stream(&mut self, from: ActorId, to: ActorId) -> StreamId {
+        let id = u32::try_from(self.core.streams.len()).expect("too many delivery streams");
+        self.core.streams.push(Stream {
+            from,
+            to,
+            chunks: VecDeque::new(),
+        });
         StreamId(id)
     }
 
@@ -674,13 +742,15 @@ impl Engine {
             self.now
         );
         self.now = key.at();
-        if key.stream != NO_STREAM {
-            self.core.advance_stream(key.stream);
-        }
-        let kind = self.core.nodes[key.idx as usize]
-            .take()
-            .expect("heap key points at an empty slab slot");
-        self.core.free.push(key.idx);
+        let kind = if key.stream {
+            self.core.pop_stream(key.idx)
+        } else {
+            let kind = self.core.nodes[key.idx as usize]
+                .take()
+                .expect("heap key points at an empty slab slot");
+            self.core.free.push(key.idx);
+            kind
+        };
         self.core.counters.events_processed += 1;
         // Train accounting: a packet-lane delivery with `count > 1` moved
         // `count` members across this hop in one event — data fragments and
@@ -1018,9 +1088,9 @@ mod tests {
     const SCRIPT_STREAMS: usize = 4;
 
     /// Drives a seeded mix of stream sends, direct sends and timers from
-    /// every event it handles. With `streams == None` each
-    /// stream send becomes a direct `send_at` to the same actor at the same
-    /// time.
+    /// every event it handles. A stream send carries a packet tagged in
+    /// `msg_id`; with `streams == None` it becomes a direct `send_at` of the
+    /// same packet to the same actor at the same time.
     struct Script {
         streams: Option<Vec<StreamId>>,
         sinks: Vec<ActorId>,
@@ -1028,8 +1098,8 @@ mod tests {
         tails: [Time; SCRIPT_STREAMS],
         budget: u32,
         next_tag: u64,
-        /// Stream sends timed before their stream's latest send.
-        early: u32,
+        /// Stream sends made.
+        packets: u64,
         log: DispatchLog,
     }
 
@@ -1047,20 +1117,18 @@ mod tests {
                 let roll = ctx.rng().gen_range(0..100u32);
                 if roll < 60 {
                     let s = ctx.rng().gen_range(0..SCRIPT_STREAMS);
-                    let tail = self.tails[s];
-                    let at = if tail > now && ctx.rng().gen_range(0..10u32) == 0 {
-                        self.early += 1;
-                        now + Dur::from_ns(ctx.rng().gen_range(0..(tail - now).as_ns()))
-                    } else {
-                        // A third of the steps are zero: same nanosecond.
-                        let step = ctx.rng().gen_range(0..3u64) * ctx.rng().gen_range(0..20u64);
-                        tail.max(now) + Dur::from_ns(step)
+                    // A third of the steps are zero: same nanosecond.
+                    let step = ctx.rng().gen_range(0..3u64) * ctx.rng().gen_range(0..20u64);
+                    let at = self.tails[s].max(now) + Dur::from_ns(step);
+                    self.tails[s] = at;
+                    self.packets += 1;
+                    let pkt = Packet {
+                        msg_id: tag,
+                        ..test_packet(0)
                     };
-                    self.tails[s] = tail.max(at);
-                    let to = self.sinks[s];
                     match &self.streams {
-                        Some(ids) => ctx.send_stream(ids[s], to, Box::new(tag), at),
-                        None => ctx.send_at(to, Box::new(tag), at),
+                        Some(ids) => ctx.send_stream(ids[s], pkt, at),
+                        None => ctx.send_at(self.sinks[s], pkt, at),
                     }
                 } else if roll < 80 {
                     let to = if roll < 70 {
@@ -1093,24 +1161,34 @@ mod tests {
         log.lock().unwrap().push((ctx.now(), ctx.self_id(), tag));
     }
 
-    /// Logs each delivery and pokes the script back.
+    /// Logs each delivery, packet or direct, and pokes the script back.
     struct ScriptSink {
         script: ActorId,
         log: DispatchLog,
     }
 
-    impl Actor for ScriptSink {
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ActorId, msg: Box<dyn Any>) {
+    impl ScriptSink {
+        fn poke(&self, ctx: &mut Ctx<'_>, from: ActorId, tag: u64) {
             use rand::Rng;
-            let tag = *msg.downcast::<u64>().unwrap();
+            assert_eq!(from, self.script, "every delivery comes from the script");
             log_dispatch(&self.log, ctx, tag);
             let delay = Dur::from_ns(ctx.rng().gen_range(1..500u64));
             ctx.send(self.script, Box::new(u64::MAX - tag), delay);
         }
     }
 
-    /// Run the script to completion: `(dispatch log, counters, early sends)`.
-    fn run_script(seed: u64, streams: bool) -> (Vec<(Time, ActorId, u64)>, EngineCounters, u32) {
+    impl Actor for ScriptSink {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ActorId, msg: Box<dyn Any>) {
+            self.poke(ctx, from, *msg.downcast::<u64>().unwrap());
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: ActorId, pkt: Packet) {
+            self.poke(ctx, from, pkt.msg_id);
+        }
+    }
+
+    /// Run the script to completion: `(dispatch log, counters, stream
+    /// sends)`.
+    fn run_script(seed: u64, streams: bool) -> (Vec<(Time, ActorId, u64)>, EngineCounters, u64) {
         let log = DispatchLog::default();
         let mut e = Engine::new(seed);
         let script = e.add_actor(Box::new(Script {
@@ -1119,7 +1197,7 @@ mod tests {
             tails: [Time::ZERO; SCRIPT_STREAMS],
             budget: 6_000,
             next_tag: 0,
-            early: 0,
+            packets: 0,
             log: log.clone(),
         }));
         let sinks: Vec<ActorId> = (0..SCRIPT_STREAMS)
@@ -1130,7 +1208,7 @@ mod tests {
                 }))
             })
             .collect();
-        let ids = streams.then(|| (0..SCRIPT_STREAMS).map(|_| e.open_stream()).collect());
+        let ids = streams.then(|| sinks.iter().map(|&to| e.open_stream(script, to)).collect());
         let s = e.actor_mut::<Script>(script);
         s.streams = ids;
         s.sinks = sinks;
@@ -1143,22 +1221,22 @@ mod tests {
             );
         }
         e.run();
-        let early = e.actor::<Script>(script).early;
+        let packets = e.actor::<Script>(script).packets;
         let log = std::mem::take(&mut *log.lock().unwrap());
-        (log, e.counters(), early)
+        (log, e.counters(), packets)
     }
 
     #[test]
     fn streams_dispatch_in_exactly_the_order_of_direct_sends() {
         for seed in [3, 17, 2024] {
-            let (direct_log, direct, _) = run_script(seed, false);
-            let (stream_log, streamed, early) = run_script(seed, true);
+            let (direct_log, direct, packets) = run_script(seed, false);
+            let (stream_log, streamed, _) = run_script(seed, true);
             assert!(
                 direct_log.len() > 5_000,
                 "script too short: {}",
                 direct_log.len()
             );
-            assert!(early > 200, "seed {seed}: only {early} early stream sends");
+            assert!(packets > 2_000, "seed {seed}: only {packets} stream sends");
             let diverged = direct_log.iter().zip(&stream_log).position(|(d, s)| d != s);
             if let Some(i) = diverged {
                 panic!(
@@ -1174,7 +1252,52 @@ mod tests {
                 streamed.peak_queue_len,
                 direct.peak_queue_len
             );
+            let nodes = |c: EngineCounters| c.events_allocated + c.pool_hits;
+            assert_eq!(
+                nodes(direct) - nodes(streamed),
+                packets,
+                "seed {seed}: stream sends must take no slab node"
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "precedes its stream's tail")]
+    fn a_stream_send_before_its_tail_panics() {
+        let mut e = Engine::new(1);
+        let s = e.open_stream(0, 0);
+        for (k, ns) in [10, 10, 9].into_iter().enumerate() {
+            e.core
+                .push_stream(s, Time::from_ns(ns), test_packet(k as u32));
+        }
+    }
+
+    /// A 10,000-packet burst spreads over pooled chunks; draining it gives
+    /// every chunk back, and a second stream's burst reuses them all.
+    #[test]
+    fn drained_streams_give_their_chunks_back() {
+        const BURST: u32 = 10_000;
+        let chunks = (BURST as usize).div_ceil(CHUNK);
+        let mut e = Engine::new(1);
+        for s in [e.open_stream(0, 0), e.open_stream(0, 0)] {
+            for k in 0..BURST {
+                e.core
+                    .push_stream(s, Time::from_ns(k as u64 / 3), test_packet(k));
+            }
+            assert_eq!(e.core.streams[s.0 as usize].chunks.len(), chunks);
+            assert!(e.core.spare.is_empty(), "the burst takes every spare chunk");
+            for k in 0..BURST {
+                let key = e.core.queue.pop(&mut e.core.counters).expect("queued");
+                assert!(key.stream);
+                let EventKind::Message { msg, .. } = e.core.pop_stream(key.idx) else {
+                    unreachable!("streams carry messages")
+                };
+                assert_eq!(msg.into_packet().expect("a packet").psn, k);
+            }
+            assert!(e.core.streams[s.0 as usize].chunks.is_empty());
+            assert_eq!(e.core.spare.len(), chunks, "every chunk went back");
+        }
+        assert_eq!(e.counters().events_allocated, 0);
     }
 
     #[test]
