@@ -39,6 +39,29 @@ if [ "$status" -ne 2 ]; then
     exit 1
 fi
 
+echo "==> scenario CLI, trains invisible end to end: an IPoIB-UD scenario (8 TCP streams"
+echo "    over 10 ms, the shape of the benchmark's ipoib.probe.ud_streams) prints the same"
+echo "    value with and without --no-coalescing, and its coalesced run dispatches trains"
+cat > "$scenario_dir/ipoib_ud.json" <<'EOF'
+{ "name": "ipoib-ud-8-streams-10ms", "topology": { "delay_us": 10000 },
+  "workload": { "kind": "ipoib", "mode": "ud", "mtu": 2048, "window": 1048576,
+                "streams": 8, "bytes_per_stream": 8388608 } }
+EOF
+coalesced=$(cargo run --release --quiet -p bench --bin ibwan_sim -- --json "$scenario_dir/ipoib_ud.json")
+per_packet=$(cargo run --release --quiet -p bench --bin ibwan_sim -- --json --no-coalescing \
+    "$scenario_dir/ipoib_ud.json")
+field() { sed -n "s/^ *\"$1\": \([^,]*\),\$/\1/p" <<< "$2"; }
+value=$(field value "$coalesced")
+trains=$(field trains_emitted "$coalesced")
+if [ -z "$value" ] || [ "$value" != "$(field value "$per_packet")" ]; then
+    echo "IPoIB-UD scenario: value $value with trains, $(field value "$per_packet") without" >&2
+    exit 1
+fi
+if [ "${trains:-0}" -le 0 ]; then
+    echo "IPoIB-UD scenario: the coalesced run dispatched no trains (trains_emitted ${trains:-?})" >&2
+    exit 1
+fi
+
 echo "==> benchmark package tests (a package of its own, outside the workspace run above;"
 echo "    one checks every registered experiment sits in exactly one Full workload or in"
 echo "    untimed_at_full; --locked, as the benchmark itself builds, so a dependency"

@@ -137,6 +137,23 @@ fn ud_figures_are_identical_with_and_without_coalescing() {
     }
 }
 
+/// Headers in trains A/B: IPoIB-UD's TCP segments (fig6a), IPoIB-RC's
+/// 64 KiB segments (fig7b) and NFS over IPoIB (fig13b) carry a ULP header
+/// with every message, and ride in trains with their headers at each
+/// message's tail. All three must come out byte-identical without trains,
+/// and each coalesced leg must dispatch trains, so no A/B compares two
+/// per-message runs.
+#[test]
+fn headered_figures_are_identical_with_and_without_coalescing() {
+    for id in ["fig6a", "fig7b", "fig13b"] {
+        let c = assert_coalescing_invisible(id);
+        assert!(
+            c.trains_emitted > 0,
+            "{id}: coalesced leg dispatched no trains — A/B is vacuous: {c:?}"
+        );
+    }
+}
+
 /// The seed offset must shift the whole run onto a different deterministic
 /// trajectory — and back: offset 0 is the identity.
 #[test]

@@ -21,7 +21,7 @@ use crate::config::RunConfig;
 use crate::topo::{build_pair, TopoSpec};
 use ibfabric::perftest::{rc_qp_pair, ud_qp_pair, BwConfig, BwPeer, LatMode, PingPong};
 use ibfabric::qp::QpConfig;
-use ipoib::node::{IpoibConfig, IpoibMode, IpoibNode};
+use ipoib::node::{IpoibConfig, IpoibMode, IpoibNode, MAX_IP_PACKET};
 use mpisim::bench as mpibench;
 use mpisim::proto::{MpiConfig, RndvProtocol};
 use mpisim::world::JobSpec;
@@ -434,12 +434,18 @@ impl Workload {
                          the {TCP_IP_HEADER} bytes of TCP/IP headers"
                     ));
                 }
+                if IPOIB_MODES.get(&mode)? == IpoibMode::Rc && mtu > MAX_IP_PACKET {
+                    return Err(format!(
+                        "workload: field \"mtu\" is {mtu}: connected mode carries IP \
+                         packets of at most {MAX_IP_PACKET} bytes"
+                    ));
+                }
                 Ok(Workload::Ipoib {
                     mode,
                     mtu,
-                    window: num("window")?,
-                    streams: num("streams")? as usize,
-                    bytes_per_stream: num("bytes_per_stream")?,
+                    window: count("window")?,
+                    streams: count("streams")? as usize,
+                    bytes_per_stream: count("bytes_per_stream")?,
                 })
             }
             "mpi_latency" => Ok(Workload::MpiLatency {
@@ -1188,10 +1194,28 @@ mod tests {
                 r#"{ "kind": "verbs_latency", "mode": "send_ud", "size": 4096, "iters": 5 }"#,
                 r#""size""#,
             ),
-            // Connected-mode IPoIB with no room for the TCP/IP headers.
+            // Connected-mode IPoIB with no room for the TCP/IP headers, or
+            // an IP packet over 64 KiB.
             (
                 r#"{ "kind": "ipoib", "mode": "rc", "mtu": 52, "window": 65536, "streams": 1, "bytes_per_stream": 1024 }"#,
                 r#""mtu""#,
+            ),
+            (
+                r#"{ "kind": "ipoib", "mode": "rc", "mtu": 100000, "window": 65536, "streams": 1, "bytes_per_stream": 1024 }"#,
+                r#""mtu" is 100000"#,
+            ),
+            // IPoIB with nothing to carry: no stream, no window, no bytes.
+            (
+                r#"{ "kind": "ipoib", "mode": "ud", "mtu": 2048, "window": 65536, "streams": 0, "bytes_per_stream": 1024 }"#,
+                r#""streams""#,
+            ),
+            (
+                r#"{ "kind": "ipoib", "mode": "rc", "mtu": 65536, "window": 0, "streams": 1, "bytes_per_stream": 1024 }"#,
+                r#""window""#,
+            ),
+            (
+                r#"{ "kind": "ipoib", "mode": "ud", "mtu": 2048, "window": 65536, "streams": 1, "bytes_per_stream": 0 }"#,
+                r#""bytes_per_stream""#,
             ),
             // Jobs with no ranks, and NFS with no client threads.
             (
@@ -1257,6 +1281,12 @@ mod tests {
                 ),
             }
         }
+        // The largest IP packet connected mode carries is accepted.
+        let v = minijson::Value::parse(
+            r#"{ "kind": "ipoib", "mode": "rc", "mtu": 65536, "window": 65536, "streams": 1, "bytes_per_stream": 1024 }"#,
+        )
+        .expect("test JSON must parse");
+        assert!(Workload::from_value(&v).is_ok());
     }
 
     /// Malformed scenario envelopes fail the same way.

@@ -94,6 +94,10 @@ struct PendingTrain {
     /// for RC runs). Each is due `cq_latency` after its own member leaves
     /// the port; [`HcaCore::flush_pending`] fills the instants in.
     wire_outs: Vec<(Time, Completion)>,
+    /// The members' ULP headers in member order, once a second headered
+    /// member joins (a lone member keeps its own header in `pkt.data`);
+    /// [`HcaCore::flush_pending`] freezes them into the merged packet.
+    headers: Vec<u8>,
 }
 
 impl HcaCore {
@@ -318,6 +322,13 @@ impl HcaCore {
                     pending.pkt.stride = pending.pkt.payload;
                 }
             }
+            if let Some(header) = &pkt.data {
+                if pending.headers.is_empty() {
+                    let head = pending.pkt.data.as_ref().expect("equal header lengths");
+                    pending.headers.extend_from_slice(head);
+                }
+                pending.headers.extend_from_slice(header);
+            }
             pending.pkt.count += pkt.count;
             pending.pkt.msgs += 1;
             return;
@@ -331,6 +342,7 @@ impl HcaCore {
                 ready,
                 pkt,
                 wire_outs: Vec::new(),
+                headers: Vec::new(),
             });
             return;
         }
@@ -339,23 +351,28 @@ impl HcaCore {
     }
 
     /// Can `pkt` seed a pending super-train? Four shapes qualify, all fully
-    /// described by `(msg_id, psn, msg_len, imm)` so a run of them is exactly
-    /// reproducible from the merged representation:
-    /// - silent whole-message RC write trains (no inline data, no receive
-    ///   consumed, no immediate) — the forward path;
+    /// described by `(msg_id, psn, msg_len, imm)` and their ULP headers, so
+    /// a run of them is exactly reproducible from the merged representation:
+    /// - silent whole-message RC write trains (no receive consumed, no
+    ///   immediate) — the forward path;
     /// - whole-message RC sends (including single-fragment small messages —
-    ///   the `ib_send_bw` regime): the receiver replays each member at its
-    ///   own virtual instant, so per-member receive-WQE consumption and
-    ///   completion delivery survive the merge bit-for-bit;
-    /// - UD datagrams (the `ib_send_bw -c UD` regime): each member's SendDone
-    ///   stays due at its own wire-out, and the receiver replays each member
-    ///   as an ordinary datagram (see [`Self::datagrams_due`]);
+    ///   the `ib_send_bw` regime, and headered ULP messages such as MPI
+    ///   eager sends, RPCs and IPoIB-RC segments): the receiver replays each
+    ///   member at its own virtual instant, so per-member receive-WQE
+    ///   consumption and completion delivery survive the merge bit-for-bit;
+    /// - UD datagrams (the `ib_send_bw -c UD` regime, and IPoIB-UD's
+    ///   TCP segments): each member's SendDone stays due at its own
+    ///   wire-out, and the receiver replays each member as an ordinary
+    ///   datagram (see [`Self::datagrams_covered`]);
     /// - hardware-generated cumulative ACKs — the control return path.
+    ///
+    /// A member's header rides along (see [`Packet::data`]); an integrity
+    /// payload keeps its packet out of every super-train.
     fn merge_head_eligible(&self, pkt: &Packet) -> bool {
         if !(self.coalescing
             && self.port.as_ref().is_some_and(|p| !p.credited())
             && pkt.msgs == 1
-            && pkt.data.is_none())
+            && (pkt.data.is_none() || pkt.hdr_len > 0))
         {
             return false;
         }
@@ -379,8 +396,8 @@ impl HcaCore {
 
     /// Does `pkt`, ready at `ready`, extend the pending super-train? The run
     /// must stay contiguous in message id (and, for data, PSN), keep the same
-    /// shape, and keep a uniform head spacing (established by the second
-    /// message).
+    /// shape and header length, and keep a uniform head spacing (established
+    /// by the second message).
     fn try_extend_pending(&self, ready: Time, pkt: &Packet) -> bool {
         let Some(pending) = self.pending.as_ref() else {
             return false;
@@ -410,6 +427,7 @@ impl HcaCore {
             && pkt.msg_len == p.msg_len
             && pkt.gap_ns == p.gap_ns
             && pkt.imm == p.imm
+            && pkt.hdr_len == p.hdr_len
             && pkt.msg_id == p.msg_id + p.msgs as u64
             && psn_ok)
         {
@@ -434,12 +452,16 @@ impl HcaCore {
         }
         let Some(PendingTrain {
             ready,
-            pkt,
+            mut pkt,
             wire_outs,
+            headers,
         }) = self.pending.take()
         else {
             return;
         };
+        if !headers.is_empty() {
+            pkt.data = Some(headers.into());
+        }
         #[cfg(debug_assertions)]
         pkt.debug_validate_train();
         let port = self.port.as_mut().expect("HCA port not wired");
@@ -463,41 +485,66 @@ impl HcaCore {
         Self::emit_completions(ctx, cqes);
     }
 
-    /// Handle a packet arriving from the wire: `msgs ≥ 1` whole messages
-    /// (see [`Packet::msgs`]), each received at its tail fragment's arrival
-    /// instant within this one event. The HCA's single full-duplex cable
-    /// serializes arrivals, so no other packet can land between a packet's
-    /// head and its last fragment. A lone packet is a run of one message
-    /// whose tail is its head. The ACKs and sends a message provokes enqueue
-    /// at its tail, so a run's replies merge into one return-path run.
-    fn handle_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+    /// Handle a packet arriving from the wire, or one this HCA re-delivered
+    /// to itself (`redelivered`): `msgs ≥ 1` whole messages (see
+    /// [`Packet::msgs`]), each received at its tail fragment's arrival
+    /// instant. The HCA's single full-duplex cable serializes arrivals, so
+    /// no other packet can land between a packet's head and its last
+    /// fragment. A lone packet is a run of one message whose tail is its
+    /// head. The ACKs and sends a message provokes enqueue at its tail, so a
+    /// run's replies merge into one return-path run.
+    ///
+    /// This event receives the messages that are due now; the rest arrive
+    /// again, re-delivered as one packet, at the tail of the first of them.
+    /// Headerless RC messages are all due at the head: their only reply is
+    /// the hardware ACK. A message with a ULP header (see [`Packet::data`])
+    /// goes to a protocol whose own sends must reach the port in the order
+    /// the per-message path gives them, so it is received in an event at its
+    /// own tail instant; datagrams follow [`Self::datagrams_covered`].
+    fn handle_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet, redelivered: bool) {
         debug_assert_eq!(pkt.dst_lid, self.lid, "packet routed to wrong HCA");
         let port = self.port.as_ref().expect("HCA port not wired");
-        if port.credited() {
+        if port.credited() && !redelivered {
             debug_assert_eq!(pkt.count, 1, "trains never cross credited links");
             // Our receive buffer is drained: return the link-level credit.
             ctx.send(port.peer, Box::new(CreditMsg), port.config().latency);
         }
-        // Messages due now: a datagram run may leave some for later.
-        let due = match pkt.opcode {
-            Opcode::UdSend => self.datagrams_due(ctx, &pkt),
-            _ => {
-                self.packets_received += pkt.count as u64;
-                pkt.msgs
-            }
-        };
-        let head = ctx.now();
+        let now = ctx.now();
         let f = pkt.frags_per_msg();
-        let tail = |m: u32| head + Dur::from_ns(pkt.member_arrival_offset_ns((m + 1) * f - 1));
+        // A re-delivered packet arrives at its first message's tail.
+        let tail_offset = |m: u32| pkt.member_arrival_offset_ns((m + 1) * f - 1);
+        let first_tail = if redelivered {
+            now
+        } else {
+            now + Dur::from_ns(tail_offset(0))
+        };
+        let tail = |m: u32| first_tail + Dur::from_ns(tail_offset(m) - tail_offset(0));
+        // Messages received now, and messages this event disposes of: a
+        // datagram with no WQE to cover it drops.
+        let (receive, disposed) = match pkt.opcode {
+            Opcode::UdSend => {
+                let covered = self.datagrams_covered(pkt.dst_qpn, now, pkt.msgs);
+                (covered, covered.max(1))
+            }
+            _ if pkt.hdr_len > 0 => {
+                let due = u32::from(first_tail == now);
+                (due, due)
+            }
+            _ => (pkt.msgs, pkt.msgs),
+        };
+        self.packets_received += (disposed * f) as u64;
+        if disposed < pkt.msgs {
+            let rest = pkt.msg_slice(disposed, pkt.msgs - disposed);
+            ctx.send_at(ctx.self_id(), rest, tail(disposed));
+        }
         if pkt.msgs == 1 {
-            if due == 1 {
-                let at = tail(0);
-                self.receive_message(ctx, pkt, at, None);
+            if receive == 1 {
+                self.receive_message(ctx, pkt, first_tail, None);
             }
             return;
         }
         let mut cqes = Vec::new();
-        for m in 0..due {
+        for m in 0..receive {
             self.receive_message(ctx, pkt.msg_train(m), tail(m), Some(&mut cqes));
         }
         Self::emit_completions(ctx, cqes);
@@ -544,28 +591,20 @@ impl HcaCore {
         self.qps.put_scratch(out);
     }
 
-    /// How many of a run of `msgs ≥ 1` datagrams to one UD QP this event
-    /// receives. Each is an ordinary datagram at its own arrival instant: it
-    /// takes one receive WQE and completes `cq_latency + recv_overhead`
-    /// later, or counts in `ud_dropped` when none is posted. This event
-    /// receives the members that WQEs already posted by the head's arrival
-    /// cover ([`Self::recv_cover`]), and the head itself, which is due now,
-    /// drops here if uncovered. Whether a later member finds a WQE depends on
+    /// How many of a run of `msgs ≥ 1` datagrams to UD QP `qpn`, whose
+    /// head arrives at `head`, this event receives. Each is an ordinary
+    /// datagram at its own arrival instant: it takes one receive WQE and
+    /// completes `cq_latency + recv_overhead` later, or counts in
+    /// `ud_dropped` when none is posted. This event receives the members
+    /// that WQEs already posted by the head's arrival cover
+    /// ([`Self::recv_cover`]), and the head itself, which is due now, drops
+    /// here if uncovered. Whether a later member finds a WQE depends on
     /// re-posts still to come, so the rest arrive again, as one packet, at
     /// the first of their own instants.
-    fn datagrams_due(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> u32 {
-        let qpn = pkt.dst_qpn;
-        let head = ctx.now();
-        let covered = self.recv_cover(qpn, head).min(pkt.msgs as usize) as u32;
-        let due = covered.max(1);
-        self.packets_received += due as u64;
+    fn datagrams_covered(&mut self, qpn: Qpn, head: Time, msgs: u32) -> u32 {
+        let covered = self.recv_cover(qpn, head).min(msgs as usize) as u32;
         if covered == 0 {
             self.qps.qp_mut(qpn).drop_ud();
-        }
-        if due < pkt.msgs {
-            let at = head + Dur::from_ns(pkt.member_arrival_offset_ns(due));
-            let rest = pkt.msg_slice(due, pkt.msgs - due);
-            ctx.send_at(ctx.self_id(), rest, at);
         }
         covered
     }
@@ -651,8 +690,9 @@ impl HcaActor {
 }
 
 impl Actor for HcaActor {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: ActorId, pkt: Packet) {
-        self.core.handle_packet(ctx, pkt);
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: ActorId, pkt: Packet) {
+        let redelivered = from == ctx.self_id();
+        self.core.handle_packet(ctx, pkt, redelivered);
         self.core.flush_pending(ctx);
     }
 
@@ -699,6 +739,7 @@ mod tests {
     use crate::link::LinkConfig;
     use crate::qp::QpConfig;
     use crate::ulp::Ulp;
+    use bytes::Bytes;
     use simcore::Time;
 
     /// Records completion delivery times.
@@ -832,17 +873,22 @@ mod tests {
         const _: () = assert!(START_TOKEN > RETRANSMIT_BASE);
     }
 
-    /// A UD endpoint for the coalescing A/B tests: pre-posts `prepost`
-    /// receive WQEs (numbered, so the FIFO order each RecvDone drew from
-    /// shows), optionally re-posts one per RecvDone, and streams `total`
-    /// datagrams of `len` bytes to its peer with `depth` outstanding
-    /// (`len_from = (n, len2)`: datagrams from the `n`th on carry `len2`).
+    /// A UD or RC endpoint for the coalescing A/B tests: pre-posts
+    /// `prepost` receive WQEs (numbered, so the FIFO order each RecvDone
+    /// drew from shows), optionally re-posts one per RecvDone, and streams
+    /// `total` messages of `len` bytes to its peer with `depth` outstanding
+    /// (`len_from = (n, len2)`: messages from the `n`th on carry `len2`),
+    /// each with its own 24-byte ULP header when `meta` is set. With
+    /// `reply = (delay, len)` it answers each RecvDone `delay` later with a
+    /// `len`-byte message, as a protocol acknowledges what it received.
     #[derive(Clone)]
     struct UdPeer {
         qpn: Qpn,
         peer: Option<(Lid, Qpn)>,
         len: u32,
         len_from: Option<(u64, u32)>,
+        meta: bool,
+        reply: Option<(Dur, u32)>,
         total: u64,
         depth: u64,
         prepost: u64,
@@ -851,6 +897,12 @@ mod tests {
         recvs_posted: u64,
         send_done_at: Vec<Time>,
         recv_done_at: Vec<(Time, u64)>,
+        recv_data: Vec<Option<Bytes>>,
+    }
+
+    /// Message `n`'s ULP header: 24 bytes no other message carries.
+    fn header(n: u64) -> Bytes {
+        Bytes::from(n.to_be_bytes().repeat(3))
     }
 
     impl UdPeer {
@@ -860,6 +912,8 @@ mod tests {
                 peer: None,
                 len,
                 len_from: None,
+                meta: false,
+                reply: None,
                 total,
                 depth,
                 prepost: 0,
@@ -868,6 +922,7 @@ mod tests {
                 recvs_posted: 0,
                 send_done_at: vec![],
                 recv_done_at: vec![],
+                recv_data: vec![],
             }
         }
 
@@ -894,7 +949,14 @@ mod tests {
                 Some((n, len2)) if self.posted >= n => len2,
                 _ => self.len,
             };
-            let wr = SendWr::send(self.posted, len, 0).to(self.peer.unwrap());
+            self.send(hca, ctx, len);
+        }
+
+        fn send(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>, len: u32) {
+            let mut wr = SendWr::send(self.posted, len, 0).to(self.peer.unwrap());
+            if self.meta {
+                wr = wr.with_meta(header(self.posted));
+            }
             hca.post_send(ctx, self.qpn, wr);
             self.posted += 1;
         }
@@ -917,32 +979,43 @@ mod tests {
                         self.post_send(hca, ctx);
                     }
                 }
-                Completion::RecvDone { wr_id, .. } => {
+                Completion::RecvDone { wr_id, data, .. } => {
                     self.recv_done_at.push((ctx.now(), wr_id));
+                    self.recv_data.push(data);
                     if self.repost {
                         self.post_recv(hca);
+                    }
+                    if let Some((delay, _)) = self.reply {
+                        ctx.timer(delay, 0);
                     }
                 }
                 Completion::WriteArrived { .. } => unreachable!("UD carries no writes"),
             }
         }
+        fn on_timer(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>, _token: u64) {
+            let (_, len) = self.reply.expect("only replies arm timers");
+            self.send(hca, ctx, len);
+        }
     }
 
-    /// What one side of a UD run observed: SendDone instants, RecvDone
-    /// instants with the WQE each drew, drops, and HCA packet counters.
+    /// What one side of a run observed: SendDone instants, RecvDone
+    /// instants with the WQE each drew and the bytes each delivered, drops,
+    /// and HCA packet counters.
     #[derive(Debug, PartialEq)]
     struct UdSide {
         send_done_at: Vec<Time>,
         recv_done_at: Vec<(Time, u64)>,
+        recv_data: Vec<Option<Bytes>>,
         ud_dropped: u64,
         packets_sent: u64,
         packets_received: u64,
     }
 
     /// Run `a` and `b` on two HCAs cabled back to back with a DDR cable
-    /// (the `TopoSpec::lan_pair` shape) and return each side's observations
-    /// plus the trains the engine dispatched.
-    fn ud_run(coalescing: bool, a: UdPeer, b: UdPeer) -> ([UdSide; 2], u64) {
+    /// (the `TopoSpec::lan_pair` shape), over UD or connected RC QPs, and
+    /// return each side's observations plus the trains the engine
+    /// dispatched.
+    fn ud_run(coalescing: bool, rc: bool, a: UdPeer, b: UdPeer) -> ([UdSide; 2], u64) {
         let mut fb = FabricBuilder::new(5);
         if !coalescing {
             fb.disable_coalescing();
@@ -951,7 +1024,11 @@ mod tests {
         let nb = fb.add_hca(HcaConfig::default(), Box::new(b));
         fb.link(na.actor, nb.actor, LinkConfig::ddr_lan());
         let mut f = fb.finish();
-        let (qa, qb) = crate::perftest::ud_qp_pair(&mut f, na, nb, QpConfig::ud());
+        let (qa, qb) = if rc {
+            crate::perftest::rc_qp_pair(&mut f, na, nb, QpConfig::rc())
+        } else {
+            crate::perftest::ud_qp_pair(&mut f, na, nb, QpConfig::ud())
+        };
         for (node, qpn, peer) in [(na, qa, (nb.lid, qb)), (nb, qb, (na.lid, qa))] {
             let u = f.hca_mut(node).ulp_mut::<UdPeer>();
             u.qpn = qpn;
@@ -964,6 +1041,7 @@ mod tests {
             UdSide {
                 send_done_at: u.send_done_at.clone(),
                 recv_done_at: u.recv_done_at.clone(),
+                recv_data: u.recv_data.clone(),
                 ud_dropped: h.core().qp(qpn).ud_dropped(),
                 packets_sent: h.core().packets_sent(),
                 packets_received: h.core().packets_received(),
@@ -977,8 +1055,13 @@ mod tests {
     /// under [`FabricBuilder::disable_coalescing`] observes identical
     /// completions, drops and counters, and the coalesced leg formed trains.
     fn assert_ud_trains_exact(a: UdPeer, b: UdPeer) -> [UdSide; 2] {
-        let (coalesced, trains) = ud_run(true, a.clone(), b.clone());
-        let (per_datagram, none) = ud_run(false, a, b);
+        assert_trains_exact(false, a, b)
+    }
+
+    /// As [`assert_ud_trains_exact`], over UD (`rc == false`) or RC QPs.
+    fn assert_trains_exact(rc: bool, a: UdPeer, b: UdPeer) -> [UdSide; 2] {
+        let (coalesced, trains) = ud_run(true, rc, a.clone(), b.clone());
+        let (per_datagram, none) = ud_run(false, rc, a, b);
         assert!(trains > 0, "the coalesced leg formed no trains");
         assert_eq!(none, 0, "the per-datagram leg formed trains");
         assert_eq!(coalesced, per_datagram);
@@ -992,6 +1075,44 @@ mod tests {
             assert_ud_trains_exact(UdPeer::sender(1024, 64, 64), UdPeer::receiver(20, false));
         assert_eq!(rx.recv_done_at.len(), 20);
         assert_eq!(rx.ud_dropped, 44);
+    }
+
+    #[test]
+    fn headered_ud_trains_are_exact_when_the_receiver_runs_out_of_wqes() {
+        // The IPoIB-UD shape: every datagram carries its own 24-byte
+        // header, which must reach the RecvDone of exactly its datagram.
+        let tx = UdPeer {
+            meta: true,
+            ..UdPeer::sender(1024, 64, 64)
+        };
+        let [_, rx] = assert_ud_trains_exact(tx, UdPeer::receiver(20, false));
+        assert_eq!(rx.ud_dropped, 44);
+        let expect: Vec<_> = (0..20).map(|n| Some(header(n))).collect();
+        assert_eq!(rx.recv_data, expect);
+    }
+
+    #[test]
+    fn headered_whole_mtu_rc_sends_are_exact_under_replies() {
+        // Four whole MTUs per message, each with its header at its tail:
+        // one train per message, merged into send super-trains. The
+        // receiver answers each message 2 µs after its RecvDone, while the
+        // next train is arriving, as TCP over IPoIB acknowledges segments.
+        let tx = UdPeer {
+            meta: true,
+            prepost: 32,
+            repost: true,
+            ..UdPeer::sender(4 * crate::types::DEFAULT_MTU, 200, 24)
+        };
+        let rx = UdPeer {
+            meta: true,
+            reply: Some((Dur::from_us(2), 64)),
+            ..UdPeer::receiver(32, true)
+        };
+        let [tx, rx] = assert_trains_exact(true, tx, rx);
+        assert_eq!(tx.send_done_at.len(), 200);
+        let expect: Vec<_> = (0..200).map(|n| Some(header(n))).collect();
+        assert_eq!(rx.recv_data, expect);
+        assert_eq!(tx.recv_data, expect, "every reply arrives with its header");
     }
 
     #[test]

@@ -190,6 +190,9 @@ impl EgressPort {
             deliver(arrival, pkt);
             return;
         }
+        if pkt.msgs > 1 && self.credits.is_some() && pkt.frags_per_msg() == 1 {
+            return self.transmit_run(ready, pkt, deliver);
+        }
         // De-coalesce a super-train by binary splitting: a backlog draining
         // mid-run breaks the departure pattern into uniform segments, so
         // contiguous halves often still ride as single reservations (the
@@ -217,6 +220,26 @@ impl EgressPort {
         }
     }
 
+    /// Send a run of one-packet messages (datagrams, ACKs) across a
+    /// credited link, member `m` submitted at its own instant, as the
+    /// unmerged path submits them: members take credits in order, and once
+    /// none is left the rest waits as one queue entry, which
+    /// [`EgressPort::take_credit`] releases a member per credit. A queued
+    /// run costs one entry, not one per member.
+    fn transmit_run(&mut self, ready: Time, pkt: Packet, deliver: &mut impl FnMut(Time, Packet)) {
+        let msg_gap = Dur::from_ns(pkt.msg_gap_ns);
+        for m in 0..pkt.msgs {
+            let at = ready + msg_gap * m as u64;
+            if self.credits == Some(0) {
+                self.queue.push_back((at, pkt.msg_slice(m, pkt.msgs - m)));
+                return;
+            }
+            if let Some((arrival, member)) = self.transmit(at, pkt.msg_train(m)) {
+                deliver(arrival, member);
+            }
+        }
+    }
+
     /// A credit returned from the peer at `now`; possibly releases a queued
     /// packet (returns its scheduled arrival).
     fn take_credit(&mut self, now: Time) -> Option<(Time, Packet)> {
@@ -225,6 +248,16 @@ impl EgressPort {
             .as_mut()
             .expect("credit returned on an uncredited link");
         if let Some((ready, pkt)) = self.queue.pop_front() {
+            // A queued run gives up its head member; the rest keeps its
+            // place at the front, due one message gap later.
+            let pkt = if pkt.msgs > 1 {
+                let next = ready + Dur::from_ns(pkt.msg_gap_ns);
+                self.queue
+                    .push_front((next, pkt.msg_slice(1, pkt.msgs - 1)));
+                pkt.msg_train(0)
+            } else {
+                pkt
+            };
             // The freed buffer is consumed immediately by the queued packet.
             Some(self.serialize(ready.max(now), pkt))
         } else {
@@ -241,7 +274,7 @@ impl EgressPort {
 
     /// Packets currently waiting for credits.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.queue.iter().map(|(_, p)| p.count as usize).sum()
     }
 
     /// Link configuration.
@@ -291,6 +324,7 @@ mod tests {
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
+            hdr_len: 0,
             data: None,
         }
     }
@@ -577,6 +611,42 @@ mod tests {
             n += 1;
         });
         assert_eq!(n, 3);
+    }
+
+    /// A datagram run behind exhausted credits waits as one queue entry
+    /// and is released a member per returned credit, on exactly the
+    /// schedule of its members submitted one by one.
+    #[test]
+    fn a_credit_starved_run_waits_whole_and_leaves_member_by_member() {
+        let cfg = LinkConfig::sdr_lan().with_credits(3);
+        let (mut whole, mut split) = (egress(cfg), egress(cfg));
+        let run = Packet {
+            count: 8,
+            stride: 512,
+            msgs: 8,
+            msg_gap_ns: 300,
+            ..pkt(512)
+        };
+        run.debug_validate_train();
+        let mut got = Vec::new();
+        whole.transmit_seq(Time::ZERO, run.clone(), &mut |t, p| got.push((t, p.msg_id)));
+        let mut want = Vec::new();
+        for m in 0..8 {
+            let at = Time::from_ns(300 * m as u64);
+            if let Some((t, p)) = split.transmit(at, run.msg_train(m)) {
+                want.push((t, p.msg_id));
+            }
+        }
+        assert_eq!(whole.queue.len(), 1, "the starved rest is one entry");
+        assert_eq!((whole.queued(), split.queued()), (5, 5));
+        for k in 0..6u64 {
+            let now = Time::from_us(2 + k);
+            got.extend(whole.take_credit(now).map(|(t, p)| (t, p.msg_id)));
+            want.extend(split.take_credit(now).map(|(t, p)| (t, p.msg_id)));
+        }
+        assert_eq!(got.len(), 8);
+        assert_eq!(got, want);
+        assert_eq!(whole.next_free(), split.next_free());
     }
 
     #[test]

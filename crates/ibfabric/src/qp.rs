@@ -405,6 +405,7 @@ impl Qp {
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
+            hdr_len: wr.header_len(),
             data: wr.data.clone(),
         });
         // UD completes when the datagram has left the port (DMA done).
@@ -476,6 +477,7 @@ impl Qp {
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
+            hdr_len: 0,
             data: None,
         });
     }
@@ -537,11 +539,11 @@ impl Qp {
     /// more full-MTU fragments leaves as one fragment *train* (a [`Packet`]
     /// with `count > 1`).
     ///
-    /// Inline data rides in one of two modes: when its length equals the
-    /// message length it is the full payload and is sliced per fragment
-    /// (integrity tests); otherwise it is small ULP metadata (e.g. a TCP or
-    /// RPC header) attached whole to the final fragment, which then stays out
-    /// of the train (train data is either absent or sliced per member).
+    /// Inline data rides in one of two modes (see [`Packet::data`]): when
+    /// its length equals the message length it is the full payload, sliced
+    /// per fragment (integrity tests); otherwise it is a ULP header (e.g. a
+    /// TCP or RPC header) that rides whole with the packet carrying the
+    /// `Last` fragment, train or not.
     fn emit_fragments(&mut self, msg_id: u64, wr: &SendWr, remote: (Lid, Qpn), out: &mut QpOutput) {
         let opcode = |position| match wr.kind {
             SendKind::Send => Opcode::RcSend { position },
@@ -550,23 +552,21 @@ impl Qp {
         };
         let mtu = self.cfg.mtu;
         let count = wr.len.div_ceil(mtu).max(1);
-        let integrity = wr.data.as_ref().is_some_and(|d| d.len() == wr.len as usize);
-        let mut train = if self.coalesce { wr.len / mtu } else { 0 };
-        if train == count && wr.data.is_some() && !integrity {
-            train -= 1;
-        }
+        let header_len = wr.header_len();
+        let train = if self.coalesce { wr.len / mtu } else { 0 };
         let mut idx = 0;
         while idx < count {
             let n = if idx == 0 && train >= 2 { train } else { 1 };
             let offset = idx * mtu;
             let payload = (wr.len - offset).min(mtu);
             let position = Position::of(idx, count);
-            let data = match &wr.data {
-                Some(d) if integrity => {
-                    Some(d.slice(offset as usize..(offset + n * payload) as usize))
-                }
-                Some(d) if position.is_last() => Some(d.clone()),
-                _ => None,
+            let (data, hdr_len) = match &wr.data {
+                Some(d) if header_len == 0 => (
+                    Some(d.slice(offset as usize..(offset + n * payload) as usize)),
+                    0,
+                ),
+                Some(d) if idx + n == count => (Some(d.clone()), header_len),
+                _ => (None, 0),
             };
             let psn = self.next_psn;
             self.next_psn = psn.wrapping_add(n);
@@ -587,6 +587,7 @@ impl Qp {
                 gap_ns: 0,
                 msgs: 1,
                 msg_gap_ns: 0,
+                hdr_len,
                 data,
             });
             idx += n;
@@ -730,6 +731,7 @@ impl Qp {
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
+            hdr_len: 0,
             data: None,
         }
     }
@@ -1021,6 +1023,7 @@ mod tests {
                 gap_ns: 0,
                 msgs: 1,
                 msg_gap_ns: 0,
+                hdr_len: 0,
                 data: None,
             },
             &mut out,
@@ -1148,6 +1151,7 @@ mod reliability_tests {
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
+            hdr_len: 0,
             data: None,
         };
         let mut rx = QpOutput::default();
@@ -1231,6 +1235,7 @@ mod reliability_tests {
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
+            hdr_len: 0,
             data: None,
         };
         let mut out = QpOutput::default();

@@ -185,6 +185,7 @@ mod tests {
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
+            hdr_len: 0,
             data: None,
         }
     }

@@ -32,7 +32,9 @@ pub struct SendWr {
     /// Immediate value / ULP tag. For `RdmaWrite`, `u64::MAX` means "no
     /// immediate" and the write is silent at the responder.
     pub imm: u64,
-    /// Optional inline payload for integrity tests.
+    /// Optional inline bytes: an integrity payload when as long as the
+    /// message ([`SendWr::with_data`]), a ULP header otherwise
+    /// ([`SendWr::with_meta`]).
     pub data: Option<Bytes>,
     /// For UD QPs: the destination address (LID + QPN). RC QPs are connected
     /// and ignore this.
@@ -105,14 +107,28 @@ impl SendWr {
     /// Attach small ULP metadata (a protocol header such as a TCP segment
     /// header or an RPC header) that rides with the message but does not
     /// represent its payload. Must be *shorter* than the message length.
+    /// The header rides with the message's `Last` fragment, in a fragment
+    /// train or a super-train like any other (see `Packet::data`), and
+    /// arrives in the receiver's `RecvDone`. An empty header is no header.
     pub fn with_meta(mut self, meta: Bytes) -> Self {
         debug_assert_ne!(
             meta.len(),
             self.len as usize,
             "use with_data for full payloads"
         );
-        self.data = Some(meta);
+        self.data = (!meta.is_empty()).then_some(meta);
         self
+    }
+
+    /// Length of the ULP header [`SendWr::with_meta`] attached, or `0` for
+    /// no data or an integrity payload (data as long as the message).
+    pub(crate) fn header_len(&self) -> u32 {
+        match &self.data {
+            Some(d) if d.len() != self.len as usize => {
+                u32::try_from(d.len()).expect("a ULP header fits in u32")
+            }
+            _ => 0,
+        }
     }
 }
 

@@ -111,10 +111,12 @@ impl Position {
 
 /// A packet in flight on the fabric.
 ///
-/// Payload contents are not simulated — only sizes — except for an optional
-/// inline `data` fragment used by integrity property tests. The struct is
-/// plain value data (the only heap reference is the optional `data` Arc), so
-/// the engine moves it through its event pool without any allocation.
+/// Payload contents are not simulated — only sizes — except for the optional
+/// inline `data`: an integrity payload or ULP headers (see
+/// [`Packet::data`]). The struct is plain value data (the only heap
+/// reference is the optional `data` Arc), so the engine moves it through its
+/// event pool without any allocation. It is 112 bytes, so a stream entry
+/// with its 16-byte key fills 128.
 #[derive(Clone, Debug)]
 pub struct Packet {
     /// Destination port LID (what switches route on).
@@ -173,9 +175,18 @@ pub struct Packet {
     /// the head — a two-level pattern (intra-message fragments at `gap_ns`
     /// inside message slots spaced `msg_gap_ns`). `0` when `msgs == 1`.
     pub msg_gap_ns: u64,
-    /// Optional inline payload for data-integrity tests. For a train this
-    /// is either `None` or the concatenated payload of all members
-    /// (`count * stride` bytes).
+    /// Length of each ULP header `data` holds, or `0` when `data` is an
+    /// integrity payload or absent. Sits in padding: `Packet` stays 112
+    /// bytes.
+    pub hdr_len: u32,
+    /// Optional inline bytes, one of two kinds, told apart by `hdr_len`:
+    /// - `hdr_len == 0`: an integrity payload, the fragments' own bytes. A
+    ///   train carries all its members' (`count * stride` bytes), sliced
+    ///   per member by [`Packet::frag`] and never merged into a super-train.
+    /// - `hdr_len > 0`: the ULP headers (`SendWr::with_meta`) of the
+    ///   messages whose `Last` fragment this packet carries, `msgs` headers
+    ///   of `hdr_len` bytes each, concatenated in member order. A packet
+    ///   that carries no `Last` fragment carries no header.
     pub data: Option<Bytes>,
 }
 
@@ -302,14 +313,23 @@ impl Packet {
         } else {
             self.psn.wrapping_add(k)
         };
-        let data = self.data.as_ref().map(|d| {
-            debug_assert_eq!(
-                d.len(),
-                (self.count * self.stride) as usize,
-                "train data must cover every member"
-            );
-            d.slice((k * self.stride) as usize..((k + 1) * self.stride) as usize)
-        });
+        // A header rides only with its message's `Last` fragment; an
+        // integrity payload is sliced per member.
+        let (data, hdr_len) = if self.hdr_len == 0 {
+            let data = self.data.as_ref().map(|d| {
+                debug_assert_eq!(
+                    d.len(),
+                    (self.count * self.stride) as usize,
+                    "train data must cover every member"
+                );
+                d.slice((k * self.stride) as usize..((k + 1) * self.stride) as usize)
+            });
+            (data, 0)
+        } else if position.is_last() {
+            (self.headers(msg_idx, 1), self.hdr_len)
+        } else {
+            (None, 0)
+        };
         Packet {
             opcode,
             psn,
@@ -325,9 +345,21 @@ impl Packet {
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
+            hdr_len,
             data,
-            ..self.clone()
+            ..*self
         }
+    }
+
+    /// The headers of messages `m0 .. m0 + n`, when `data` holds headers
+    /// (`hdr_len > 0`); `None` otherwise.
+    fn headers(&self, m0: u32, n: u32) -> Option<Bytes> {
+        if self.hdr_len == 0 {
+            return None;
+        }
+        let h = self.hdr_len as usize;
+        let d = self.data.as_ref().expect("hdr_len > 0: data holds headers");
+        Some(d.slice(m0 as usize * h..(m0 + n) as usize * h))
     }
 
     /// Materialize message `m` of a super-train as a standalone
@@ -358,7 +390,8 @@ impl Packet {
             count: f,
             msgs: 1,
             msg_gap_ns: 0,
-            ..self.clone()
+            data: self.headers(m, 1),
+            ..*self
         };
         if f == 1 {
             p.stride = 0;
@@ -399,15 +432,16 @@ impl Packet {
             msg_id: self.msg_id + m0 as u64,
             count: n * f,
             msgs: n,
-            ..self.clone()
+            data: self.headers(m0, n),
+            ..*self
         }
     }
 
     /// Debug-mode validation of the train invariants (equal-size members,
     /// sane data coverage, super-train shape). Accepts exactly the shapes the
     /// HCA forms: fragment trains of RC data, whole-message super-trains of
-    /// RC writes, RC sends and UD datagrams, and cumulative-ACK runs. Cheap
-    /// no-op in release builds.
+    /// RC writes, RC sends and UD datagrams, and cumulative-ACK runs, each
+    /// with or without its members' headers. Cheap no-op in release builds.
     pub fn debug_validate_train(&self) {
         debug_assert!(self.count >= 1, "packet must carry at least one fragment");
         debug_assert!(self.msgs >= 1, "packet must span at least one message");
@@ -415,12 +449,20 @@ impl Packet {
             self.count.is_multiple_of(self.msgs),
             "super-train messages are equal-length"
         );
+        if self.hdr_len > 0 {
+            debug_assert!(self.tail_is_last(), "headers ride with Last fragments");
+            debug_assert_eq!(
+                self.data.as_ref().map(|d| d.len()),
+                Some(self.msgs as usize * self.hdr_len as usize),
+                "the header buffer covers every member"
+            );
+        }
         if self.msgs > 1 {
             // Super-trains span only *whole* back-to-back messages: every
             // member message starts at offset 0 and is fully covered.
             debug_assert_eq!(self.offset, 0, "super-train messages are whole");
             debug_assert!(
-                self.data.is_none(),
+                self.data.is_none() || self.hdr_len > 0,
                 "super-trains never carry integrity payloads"
             );
             match self.opcode {
@@ -467,7 +509,7 @@ impl Packet {
                 ) || (self.opcode == Opcode::UdSend && self.msgs > 1),
                 "only data fragments and datagram runs form trains"
             );
-            if let Some(d) = self.data.as_ref() {
+            if let Some(d) = self.data.as_ref().filter(|_| self.hdr_len == 0) {
                 debug_assert_eq!(d.len(), (self.count * self.stride) as usize);
             }
         }
@@ -496,6 +538,7 @@ mod tests {
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
+            hdr_len: 0,
             data: None,
         }
     }
@@ -790,6 +833,106 @@ mod tests {
             assert_eq!(t.msg_train(k).count, 1);
         }
         assert_eq!(t.train_wire_bytes(), 5 * ACK_BYTES);
+    }
+
+    #[test]
+    fn a_packet_is_112_bytes() {
+        // The header length sits in padding; a stream entry (16-byte key
+        // plus packet) stays 128 bytes.
+        assert_eq!(std::mem::size_of::<Packet>(), 112);
+    }
+
+    /// `n` distinct 24-byte headers, header `m` filled with byte `m + 1`.
+    fn headers(n: u32) -> Bytes {
+        (0..n)
+            .flat_map(|m| [m as u8 + 1; 24])
+            .collect::<Vec<_>>()
+            .into()
+    }
+
+    /// `msgs` whole 3-fragment RC sends of 6144 bytes, each with its
+    /// 24-byte header: a headered send super-train.
+    fn headered_super_train(msgs: u32) -> Packet {
+        Packet {
+            count: 3 * msgs,
+            msgs,
+            msg_len: 6144,
+            msg_gap_ns: 7000,
+            hdr_len: 24,
+            data: Some(headers(msgs)),
+            ..train()
+        }
+    }
+
+    #[test]
+    fn members_carry_exactly_their_own_headers() {
+        let t = headered_super_train(4);
+        t.debug_validate_train();
+        let all = headers(4);
+        let header = |m: usize| &all[m * 24..(m + 1) * 24];
+        for k in 0..12 {
+            let f = t.frag(k);
+            f.debug_validate_train();
+            if k % 3 == 2 {
+                assert_eq!(
+                    f.opcode,
+                    Opcode::RcSend {
+                        position: Position::Last
+                    }
+                );
+                assert_eq!(f.data.as_deref(), Some(header(k as usize / 3)));
+                assert_eq!(f.hdr_len, 24);
+            } else {
+                assert_eq!((f.data, f.hdr_len), (None, 0), "member {k} is no Last");
+            }
+        }
+        for m in 0..4 {
+            let p = t.msg_train(m);
+            p.debug_validate_train();
+            assert_eq!(p.data.as_deref(), Some(header(m as usize)));
+            // The message's own train hands its header to its Last only.
+            assert_eq!(p.frag(2).data.as_deref(), Some(header(m as usize)));
+            assert_eq!(p.frag(1).data, None);
+        }
+        let s = t.msg_slice(1, 2);
+        s.debug_validate_train();
+        assert_eq!(s.data.as_deref(), Some(&all[24..72]));
+        assert_eq!(s.msg_train(1).data.as_deref(), Some(header(2)));
+    }
+
+    #[test]
+    fn datagram_runs_hand_out_their_headers() {
+        let t = Packet {
+            hdr_len: 24,
+            data: Some(headers(5)),
+            ..message_run(Opcode::UdSend, 1996, 5)
+        };
+        t.debug_validate_train();
+        for m in 0..5 {
+            let expect = Some(vec![m as u8 + 1; 24]);
+            assert_eq!(t.frag(m).data.map(|d| d.to_vec()), expect);
+            assert_eq!(t.msg_train(m).data.map(|d| d.to_vec()), expect);
+        }
+    }
+
+    #[test]
+    fn a_header_train_ending_in_last_carries_one_header() {
+        let mut t = train();
+        t.msg_len = 6144;
+        t.hdr_len = 24;
+        t.data = Some(headers(1));
+        t.debug_validate_train();
+        assert_eq!(t.frag(2).data, t.data);
+        assert_eq!((t.frag(0).data, t.frag(1).data), (None, None));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "header buffer covers every member")]
+    fn a_header_buffer_short_of_its_members_is_rejected() {
+        let mut t = headered_super_train(4);
+        t.data = Some(headers(3));
+        t.debug_validate_train();
     }
 
     #[test]

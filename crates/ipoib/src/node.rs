@@ -9,6 +9,9 @@ use ibfabric::verbs::Completion;
 use simcore::{Ctx, Dur, Rate, Time, TimeSeries};
 use tcpstack::TcpConfig;
 
+/// Largest IP packet connected mode carries, in bytes: its MTU's bound.
+pub const MAX_IP_PACKET: u32 = 65536;
+
 /// Which IB transport carries the IP packets.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum IpoibMode {
@@ -48,7 +51,7 @@ impl IpoibConfig {
     /// Connected-mode defaults with the given IP MTU (2 KB / 16 KB / 64 KB in
     /// Figure 7(a)).
     pub fn rc(mtu: u32) -> Self {
-        assert!(mtu <= 65536, "max IP packet is 64 KB");
+        assert!(mtu <= MAX_IP_PACKET, "max IP packet is 64 KB");
         IpoibConfig {
             mode: IpoibMode::Rc,
             mtu,

@@ -58,9 +58,11 @@
 //! dispatches the packet. A stream's times never decrease (a send before
 //! its stream's tail panics), so each FIFO is sorted, the queue always holds
 //! each stream's minimum, and the pop order is exactly the one direct sends
-//! would give. FIFOs are built of page-sized chunks from one pool the
-//! engine's streams share, so a drained burst's memory serves the next
-//! burst on any port.
+//! would give. A packet sent to an empty stream waits inline in the
+//! stream itself, so a shallow pipeline, one delivery in flight per port,
+//! touches no shared memory. The backlog behind it waits in page-sized
+//! chunks from one pool the engine's streams share, so a drained burst's
+//! memory serves the next burst on any port.
 
 use crate::calqueue::EventQueue;
 use crate::time::{Dur, Time};
@@ -153,13 +155,16 @@ const CHUNK: usize = 32;
 type Chunk = VecDeque<(u128, Packet)>;
 
 /// One delivery stream: the packets one actor has scheduled for one peer,
-/// in key order, which never decreases. They wait in chunks taken from the
-/// engine's shared pool: no chunk is empty, only the last one takes
-/// pushes, and the front's key is in the event queue whenever the stream
-/// holds a delivery.
+/// in key order, which never decreases. A packet sent to an empty stream
+/// waits inline in `front`; the backlog behind it waits in chunks taken
+/// from the engine's shared pool: no chunk is empty and only the last one
+/// takes pushes. `front` is filled only while no chunk is held, so it is
+/// always the oldest delivery, and the first delivery's key is in the
+/// event queue whenever the stream holds one.
 struct Stream {
     from: ActorId,
     to: ActorId,
+    front: Option<(u128, Packet)>,
     chunks: VecDeque<Chunk>,
 }
 
@@ -278,7 +283,9 @@ pub struct EngineCounters {
     /// deliveries waiting behind it (see the [module docs](self)).
     pub peak_queue_len: u64,
     /// Fragment-train hop deliveries dispatched: packet-lane events whose
-    /// packet carried `count > 1` fragments across a hop as one event.
+    /// packet carried `count > 1` fragments across a hop as one event. A
+    /// packet an actor sends itself (an HCA re-delivering the messages of a
+    /// train not yet due) crosses no hop and is not counted.
     pub trains_emitted: u64,
     /// Fragment hop-deliveries that rode inside a train instead of costing
     /// their own event (`count - 1` per dispatched train).
@@ -371,9 +378,9 @@ pub(crate) struct Core {
     pub(crate) rng: SmallRng,
     /// Delivery streams, indexed by `StreamId`.
     streams: Vec<Stream>,
-    /// Empty chunks, shared by every stream: a stream takes one when its
-    /// last chunk is full and gives each back as it drains, so a burst on
-    /// one port leaves memory the next port's burst reuses.
+    /// Empty chunks, shared by every stream: a backlogged stream takes one
+    /// when its last chunk is full and gives each back as it drains, so a
+    /// burst on one port leaves memory the next port's burst reuses.
     spare: Vec<Chunk>,
     pub(crate) counters: EngineCounters,
 }
@@ -431,18 +438,25 @@ impl Core {
     fn push_stream(&mut self, stream: StreamId, at: Time, pkt: Packet) {
         let order = HeapKey::order(at, self.next_seq());
         let s = &mut self.streams[stream.0 as usize];
-        let idle = match s.chunks.back() {
-            None => true,
-            Some(last) => {
-                let &(tail, _) = last.back().expect("a stream holds no empty chunk");
-                assert!(
-                    order > tail,
-                    "stream send at {at:?} precedes its stream's tail at {:?}",
-                    Time::from_ns((tail >> 64) as u64)
-                );
-                false
-            }
+        let tail = match s.chunks.back() {
+            Some(last) => Some(last.back().expect("a stream holds no empty chunk").0),
+            None => s.front.as_ref().map(|&(tail, _)| tail),
         };
+        let Some(tail) = tail else {
+            // An empty stream: the packet waits inline, no chunk taken.
+            s.front = Some((order, pkt));
+            self.enqueue(HeapKey {
+                order,
+                idx: stream.0,
+                stream: true,
+            });
+            return;
+        };
+        assert!(
+            order > tail,
+            "stream send at {at:?} precedes its stream's tail at {:?}",
+            Time::from_ns((tail >> 64) as u64)
+        );
         match s.chunks.back_mut() {
             Some(last) if last.len() < CHUNK => last.push_back((order, pkt)),
             _ => {
@@ -454,29 +468,28 @@ impl Core {
                 s.chunks.push_back(chunk);
             }
         }
-        if idle {
-            self.enqueue(HeapKey {
-                order,
-                idx: stream.0,
-                stream: true,
-            });
-        }
     }
 
-    /// The front key of `stream` just popped: take its packet and queue the
-    /// next front's key, if any.
+    /// The first key of `stream` just popped: take its packet and queue the
+    /// next one's key, if any.
     #[inline]
     fn pop_stream(&mut self, stream: u32) -> EventKind {
         let s = &mut self.streams[stream as usize];
-        let first = s
-            .chunks
-            .front_mut()
-            .expect("stream key with an empty stream");
-        let (_, pkt) = first.pop_front().expect("a stream holds no empty chunk");
-        if first.is_empty() {
-            let drained = s.chunks.pop_front().expect("the front chunk was just read");
-            self.spare.push(drained);
-        }
+        let pkt = match s.front.take() {
+            Some((_, pkt)) => pkt,
+            None => {
+                let first = s
+                    .chunks
+                    .front_mut()
+                    .expect("stream key with an empty stream");
+                let (_, pkt) = first.pop_front().expect("a stream holds no empty chunk");
+                if first.is_empty() {
+                    let drained = s.chunks.pop_front().expect("the front chunk was just read");
+                    self.spare.push(drained);
+                }
+                pkt
+            }
+        };
         if let Some(next) = s.chunks.front() {
             let &(order, _) = next.front().expect("a stream holds no empty chunk");
             // Replaces the popped key: no new peak.
@@ -663,6 +676,7 @@ impl Engine {
         self.core.streams.push(Stream {
             from,
             to,
+            front: None,
             chunks: VecDeque::new(),
         });
         StreamId(id)
@@ -755,13 +769,14 @@ impl Engine {
         // Train accounting: a packet-lane delivery with `count > 1` moved
         // `count` members across this hop in one event — data fragments and
         // datagram runs on the forward path, cumulative-ACK runs on the
-        // return path.
+        // return path. A packet an actor sends itself crossed no hop.
         if let EventKind::Message {
+            from,
+            to,
             msg: Msg::Packet(p),
-            ..
         } = &kind
         {
-            if p.count > 1 {
+            if p.count > 1 && from != to {
                 if matches!(p.opcode, ibwire::Opcode::RcAck) {
                     self.core.counters.control_trains += 1;
                     self.core.counters.control_coalesced += (p.count - 1) as u64;
@@ -858,6 +873,7 @@ mod tests {
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
+            hdr_len: 0,
             data: None,
         }
     }
@@ -1272,13 +1288,20 @@ mod tests {
         }
     }
 
-    /// A 10,000-packet burst spreads over pooled chunks; draining it gives
-    /// every chunk back, and a second stream's burst reuses them all.
+    /// A 10,000-packet burst spreads over pooled chunks behind the inline
+    /// front; draining it gives every chunk back, and a second stream's
+    /// burst reuses them all. A lone packet takes no chunk.
     #[test]
     fn drained_streams_give_their_chunks_back() {
         const BURST: u32 = 10_000;
-        let chunks = (BURST as usize).div_ceil(CHUNK);
+        let chunks = (BURST as usize - 1).div_ceil(CHUNK);
         let mut e = Engine::new(1);
+        let lone = e.open_stream(0, 0);
+        e.core.push_stream(lone, Time::ZERO, test_packet(0));
+        assert!(e.core.streams[lone.0 as usize].chunks.is_empty());
+        let key = e.core.queue.pop(&mut e.core.counters).expect("queued");
+        e.core.pop_stream(key.idx);
+        assert!(e.core.spare.is_empty(), "a one-packet stream took a chunk");
         for s in [e.open_stream(0, 0), e.open_stream(0, 0)] {
             for k in 0..BURST {
                 e.core
