@@ -68,6 +68,28 @@ echo "    untimed_at_full; --locked, as the benchmark itself builds, so a depend
 echo "    change that would rewrite its Cargo.lock fails here)"
 cargo test --release --offline --locked --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
+echo "==> benchmark trace (one traced nas pass at seed 0: every per-layer metric measured, and the"
+echo "    last line a correct result, its IS and CG points checked against results/fig12.json;"
+echo "    writes only the gitignored benchmark-trace/)"
+status=0
+cargo run --release --quiet --offline --locked \
+    --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+    --trace 1 --workload nas --seed 0 > "$scenario_dir/trace.out" || status=$?
+if [ "$status" -ne 0 ]; then
+    cat "$scenario_dir/trace.out" >&2
+    echo "benchmark --trace 1 --workload nas exited $status, want 0" >&2
+    exit 1
+fi
+if grep "(not measured)" "$scenario_dir/trace.out" >&2; then
+    echo "benchmark trace: the per-layer metrics above were not measured" >&2
+    exit 1
+fi
+if ! tail -n 1 "$scenario_dir/trace.out" | grep -q '^{"correct":true'; then
+    tail -n 1 "$scenario_dir/trace.out" >&2
+    echo "benchmark trace: the last line is not a correct result" >&2
+    exit 1
+fi
+
 echo "==> golden gate (Quick goldens: figure data bit-identical, work counters equal)"
 cargo run --release -p bench --bin repro -- --check results/quick
 

@@ -7,7 +7,7 @@
 //! [`ibwan_core::runner`] and golden-checks them; `ibwan_sim` runs
 //! scenario JSON through the same runner.
 
-pub use ibwan_core::registry::{all_figures, catalog, find, Experiment};
+pub use ibwan_core::registry::{catalog, find, Experiment};
 
 #[cfg(test)]
 mod tests {

@@ -3,9 +3,9 @@
 //! timing constant; `examples/` and CI tests call it too.
 
 use crate::config::RunConfig;
-use crate::topo::{build_pair, TopoSpec};
-use ibfabric::perftest::{rc_qp_pair, ud_qp_pair, BwConfig, BwPeer, LatMode, PingPong};
-use ibfabric::qp::QpConfig;
+use crate::topo::TopoSpec;
+use crate::verbs::{bandwidth, latency};
+use ibfabric::perftest::LatMode;
 use mpisim::bench::{osu_bw, wan_pair};
 use simcore::Dur;
 
@@ -46,72 +46,34 @@ impl Check {
     }
 }
 
-fn verbs_bw(cfg: &RunConfig, ud: bool, size: u32, iters: u64) -> f64 {
-    let (mut f, a, b) = build_pair(
-        cfg,
-        61,
-        &TopoSpec::two_site(Dur::ZERO),
-        Box::new(BwPeer::sender(BwConfig::new(size, iters))),
-        Box::new(BwPeer::receiver()),
-    );
-    if ud {
-        let (qa, qb) = ud_qp_pair(&mut f, a, b, QpConfig::ud());
-        {
-            let u = f.hca_mut(a).ulp_mut::<BwPeer>();
-            u.qpn = qa;
-            u.peer = Some((b.lid, qb));
-        }
-        f.hca_mut(b).ulp_mut::<BwPeer>().qpn = qb;
-        f.run();
-        f.hca(b).ulp::<BwPeer>().rx_bandwidth_mbs()
-    } else {
-        let (qa, qb) = rc_qp_pair(&mut f, a, b, QpConfig::rc());
-        f.hca_mut(a).ulp_mut::<BwPeer>().qpn = qa;
-        f.hca_mut(b).ulp_mut::<BwPeer>().qpn = qb;
-        f.run();
-        f.hca(a).ulp::<BwPeer>().bandwidth_mbs()
-    }
-}
-
-fn send_latency(cfg: &RunConfig, through_wan: bool, iters: u32) -> f64 {
-    let mk = |init| Box::new(PingPong::new(LatMode::SendRc, init, 4, iters));
-    let spec = if through_wan {
-        TopoSpec::two_site(Dur::ZERO)
-    } else {
-        TopoSpec::lan_pair()
-    };
-    let (mut f, a, b) = build_pair(cfg, 62, &spec, mk(true), mk(false));
-    let (qa, qb) = rc_qp_pair(&mut f, a, b, QpConfig::rc());
-    f.hca_mut(a).ulp_mut::<PingPong>().qpn = qa;
-    f.hca_mut(b).ulp_mut::<PingPong>().qpn = qb;
-    f.run();
-    f.hca(a).ulp::<PingPong>().mean_latency_us()
-}
-
 /// Run every calibration check.
 pub fn run_calibration(cfg: &RunConfig) -> Vec<Check> {
     let fidelity = cfg.fidelity;
     let iters = fidelity.iters(1000, 5000);
+    let wan = TopoSpec::two_site(Dur::ZERO);
+    let send_latency = |spec| {
+        let iters = fidelity.iters(50, 300) as u32;
+        latency(cfg, 62, spec, LatMode::SendRc, 4, iters)
+    };
     vec![
         Check {
             name: "verbs UD peak @2KB over WAN".into(),
             paper: 967.0,
-            measured: verbs_bw(cfg, true, 2048, iters),
+            measured: bandwidth(cfg, 61, &wan, true, 2048, iters, false),
             tolerance: 0.02,
             unit: "MB/s".into(),
         },
         Check {
             name: "verbs RC peak over WAN".into(),
             paper: 980.0,
-            measured: verbs_bw(cfg, false, 65536, iters.min(1500)),
+            measured: bandwidth(cfg, 61, &wan, false, 65536, iters.min(1500), false),
             tolerance: 0.02,
             unit: "MB/s".into(),
         },
         Check {
             name: "Longbow pair added latency".into(),
             paper: 5.0,
-            measured: send_latency(cfg, true, fidelity.iters(50, 300) as u32)
-                - send_latency(cfg, false, fidelity.iters(50, 300) as u32),
+            measured: send_latency(&wan) - send_latency(&TopoSpec::lan_pair()),
             tolerance: 0.40,
             unit: "us".into(),
         },
@@ -126,11 +88,7 @@ pub fn run_calibration(cfg: &RunConfig) -> Vec<Check> {
             name: "MPI peak bandwidth".into(),
             paper: 969.0,
             measured: osu_bw(
-                {
-                    let spec = wan_pair(Dur::ZERO);
-                    spec.with_coalescing(cfg.coalescing)
-                        .with_seed(cfg.seed_for(spec.seed))
-                },
+                cfg.apply(wan_pair(Dur::ZERO)),
                 1 << 20,
                 8,
                 fidelity.iters(4, 12) as u32,

@@ -4,11 +4,15 @@
 //! coalescing, a seed offset, and the worker count. Binaries parse their
 //! flags into one config up front, and everything below — registry
 //! entries, `Scenario::run`, the topology helpers — takes it as an
-//! argument, and hands `FabricBuilder` its coalescing flag. Flag order
-//! cannot matter and concurrent runs with different configs cannot
-//! interfere.
+//! argument, and hands `FabricBuilder` its coalescing flag, directly or,
+//! for a setup that builds its own fabric, through `RunConfig::apply`.
+//! Flag order cannot matter and concurrent runs with different configs
+//! cannot interfere.
 
 use crate::Fidelity;
+use mpisim::world::JobSpec;
+use nfssim::NfsSetup;
+use pfs::PfsSetup;
 
 /// Everything that parameterizes one experiment run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -60,6 +64,15 @@ impl RunConfig {
         canonical.wrapping_add(self.seed)
     }
 
+    /// `setup` under this run's context: the config's coalescing flag, and
+    /// the setup's canonical seed offset by [`RunConfig::seed_for`].
+    pub(crate) fn apply<S: OwnFabric>(&self, mut setup: S) -> S {
+        let (coalescing, seed) = setup.engine();
+        *coalescing = self.coalescing;
+        *seed = self.seed_for(*seed);
+        setup
+    }
+
     /// Canonical one-line description, the digest input. Excludes `workers`:
     /// the worker budget affects wall clock only, never results, so two runs
     /// differing only in `workers` share a digest.
@@ -87,6 +100,31 @@ impl RunConfig {
     }
 }
 
+/// A workload setup that builds its own fabric, from a coalescing flag and
+/// a canonical seed; [`RunConfig::apply`] sets both from the run context.
+pub(crate) trait OwnFabric {
+    /// The setup's coalescing flag and engine seed.
+    fn engine(&mut self) -> (&mut bool, &mut u64);
+}
+
+impl OwnFabric for JobSpec {
+    fn engine(&mut self) -> (&mut bool, &mut u64) {
+        (&mut self.coalescing, &mut self.seed)
+    }
+}
+
+impl OwnFabric for NfsSetup {
+    fn engine(&mut self) -> (&mut bool, &mut u64) {
+        (&mut self.coalescing, &mut self.seed)
+    }
+}
+
+impl OwnFabric for PfsSetup {
+    fn engine(&mut self) -> (&mut bool, &mut u64) {
+        (&mut self.coalescing, &mut self.seed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,6 +139,21 @@ mod tests {
             ..RunConfig::default()
         };
         assert_eq!(offset.seed_for(42), 47);
+    }
+
+    #[test]
+    fn apply_sets_coalescing_and_offsets_the_canonical_seed() {
+        let cfg = RunConfig {
+            coalescing: false,
+            seed: 5,
+            ..RunConfig::default()
+        };
+        let job = cfg.apply(JobSpec::two_clusters(1, 1, simcore::Dur::ZERO));
+        assert_eq!((job.coalescing, job.seed), (false, 47));
+        let nfs = cfg.apply(NfsSetup::scaled(nfssim::Transport::Rdma, 1, None));
+        assert_eq!((nfs.coalescing, nfs.seed), (false, 22));
+        let pfs = cfg.apply(PfsSetup::quick(1, None));
+        assert_eq!((pfs.coalescing, pfs.seed), (false, 72));
     }
 
     #[test]

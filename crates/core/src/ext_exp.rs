@@ -9,16 +9,17 @@
 //!   WAN-aware collectives, applied to the reduction that dominates CG.
 
 use crate::config::RunConfig;
-use crate::results::{Figure, Series};
-use crate::sweep::parallel_map;
+use crate::ipoib_exp::run_ipoib_point;
+use crate::results::Figure;
+use crate::sweep::grid;
 use crate::topo::{build_pair, TopoSpec};
-use crate::{Fidelity, PAPER_DELAYS_US};
-use ibfabric::perftest::{BwConfig, BwPeer};
+use crate::{nfs_exp, verbs, Fidelity, PAPER_DELAYS_US};
 use ibfabric::qp::QpConfig;
+use ipoib::node::IpoibConfig;
 use mpisim::bench::{allreduce_latency, osu_bw, wan_pair_with};
 use mpisim::proto::{MpiConfig, RndvProtocol};
 use mpisim::world::JobSpec;
-use nfssim::{run_read_experiment, NfsSetup, Transport};
+use nfssim::{run_read_experiment, NfsSetup};
 use pfs::{run_striped_read, PfsSetup};
 use sdp::{SdpConfig, SdpNode};
 use simcore::Dur;
@@ -26,79 +27,46 @@ use simcore::Dur;
 /// Extension A: NFS *write* throughput for the three transports vs delay
 /// (8 client threads).
 pub fn ext_nfs_write(cfg: &RunConfig) -> Figure {
-    let mut fig = Figure::new(
+    let fig = Figure::new(
         "extA-nfs-write",
         "NFS write throughput (8 threads) — paper omitted these numbers",
         "delay_us",
         "MB/s",
     );
-    let transports = [Transport::Rdma, Transport::IpoibRc, Transport::IpoibUd];
-    let pts: Vec<(Transport, u64)> = transports
-        .iter()
-        .flat_map(|&t| PAPER_DELAYS_US.iter().map(move |&d| (t, d)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(t, d)| {
-        let mut s = NfsSetup::scaled(t, 8, Some(Dur::from_us(d)));
-        s.write = true;
-        if cfg.fidelity == Fidelity::Quick {
-            s.file_size = 16 << 20;
-        }
-        s.coalescing = cfg.coalescing;
-        s.seed = cfg.seed_for(s.seed);
-        (t, d, run_read_experiment(s).mbs)
-    });
-    for &t in &transports {
-        let mut series = Series::new(t.label());
-        for &(rt, d, mbs) in &res {
-            if rt == t {
-                series.push(d as f64, mbs);
-            }
-        }
-        fig.series.push(series);
-    }
-    fig
+    let series = nfs_exp::TRANSPORTS.map(|t| (t.label(), t));
+    grid(cfg, fig, series, &PAPER_DELAYS_US, |&t, d| {
+        let setup = nfs_exp::setup(cfg, t, 8, Some(Dur::from_us(d)));
+        run_read_experiment(NfsSetup {
+            write: true,
+            ..setup
+        })
+        .mbs
+    })
 }
 
 /// Extension B: large-message MPI bandwidth for the three rendezvous
 /// protocols vs delay.
-pub fn ext_rndv_protocols(run: &RunConfig) -> Figure {
-    let mut fig = Figure::new(
+pub fn ext_rndv_protocols(cfg: &RunConfig) -> Figure {
+    let fig = Figure::new(
         "extB-rndv",
         "MPI 256 KB bandwidth: RPUT vs RGET vs R3 rendezvous",
         "delay_us",
         "MillionBytes/s",
     );
-    let protocols = [
+    let iters = cfg.fidelity.iters(3, 10) as u32;
+    let series = [
         ("RPUT", RndvProtocol::Rput),
         ("RGET", RndvProtocol::Rget),
         ("R3", RndvProtocol::R3),
     ];
-    let pts: Vec<(&str, RndvProtocol, u64)> = protocols
-        .iter()
-        .flat_map(|&(l, p)| PAPER_DELAYS_US.iter().map(move |&d| (l, p, d)))
-        .collect();
-    let res = parallel_map(run, pts, |(l, p, d)| {
-        let cfg = MpiConfig {
-            rndv_protocol: p,
+    grid(cfg, fig, series, &PAPER_DELAYS_US, |&rndv_protocol, d| {
+        let mpi = MpiConfig {
+            rndv_protocol,
             ..MpiConfig::default()
         };
-        let iters = run.fidelity.iters(3, 10) as u32;
-        let spec = wan_pair_with(Dur::from_us(d), cfg);
-        let spec = spec
-            .with_coalescing(run.coalescing)
-            .with_seed(run.seed_for(spec.seed));
-        (l, d, osu_bw(spec, 262_144, 16, iters))
-    });
-    for &(label, _) in &protocols {
-        let mut series = Series::new(label);
-        for &(l, d, bw) in &res {
-            if l == label {
-                series.push(d as f64, bw);
-            }
-        }
-        fig.series.push(series);
-    }
-    fig
+        let spec = wan_pair_with(Dur::from_us(d), mpi);
+        osu_bw(cfg.apply(spec), 262_144, 16, iters)
+    })
 }
 
 /// Extension C: flat vs hierarchical allreduce latency at 256 KB (the
@@ -108,7 +76,7 @@ pub fn ext_hierarchical_allreduce(cfg: &RunConfig) -> Figure {
         Fidelity::Quick => 8,
         Fidelity::Full => 16,
     };
-    let mut fig = Figure::new(
+    let fig = Figure::new(
         "extC-allreduce",
         format!(
             "Allreduce 256 KB latency, {} procs: flat vs hierarchical",
@@ -117,50 +85,12 @@ pub fn ext_hierarchical_allreduce(cfg: &RunConfig) -> Figure {
         "delay_us",
         "latency_us",
     );
-    let pts: Vec<(bool, u64)> = [false, true]
-        .iter()
-        .flat_map(|&h| PAPER_DELAYS_US.iter().map(move |&d| (h, d)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(hier, d)| {
+    let iters = cfg.fidelity.iters(2, 5) as u32;
+    let series = [("flat", false), ("hierarchical", true)];
+    grid(cfg, fig, series, &PAPER_DELAYS_US, |&hier, d| {
         let spec = JobSpec::two_clusters(per_cluster, per_cluster, Dur::from_us(d));
-        let spec = spec
-            .with_coalescing(cfg.coalescing)
-            .with_seed(cfg.seed_for(spec.seed));
-        let iters = cfg.fidelity.iters(2, 5) as u32;
-        (hier, d, allreduce_latency(spec, 262_144, iters, hier))
-    });
-    for (hier, label) in [(false, "flat"), (true, "hierarchical")] {
-        let mut series = Series::new(label);
-        for &(h, d, lat) in &res {
-            if h == hier {
-                series.push(d as f64, lat);
-            }
-        }
-        fig.series.push(series);
-    }
-    fig
-}
-
-/// UD streaming bandwidth across the WAN with the given Longbow buffer
-/// depth (`None` = deep buffers, the shipped configuration).
-fn ud_bw_with_credits(cfg: &RunConfig, delay: Dur, credits: Option<usize>, iters: u64) -> f64 {
-    let (mut f, n1, n2) = build_pair(
-        cfg,
-        53,
-        &TopoSpec::two_site_credits(delay, credits),
-        Box::new(BwPeer::sender(BwConfig::new(2048, iters))),
-        Box::new(BwPeer::receiver()),
-    );
-    let qa = f.hca_mut(n1).core_mut().create_qp(QpConfig::ud());
-    let qb = f.hca_mut(n2).core_mut().create_qp(QpConfig::ud());
-    {
-        let u = f.hca_mut(n1).ulp_mut::<BwPeer>();
-        u.qpn = qa;
-        u.peer = Some((n2.lid, qb));
-    }
-    f.hca_mut(n2).ulp_mut::<BwPeer>().qpn = qb;
-    f.run();
-    f.hca(n2).ulp::<BwPeer>().rx_bandwidth_mbs()
+        allreduce_latency(cfg.apply(spec), 262_144, iters, hier)
+    })
 }
 
 /// Extension D: why range extenders need deep buffers — UD streaming
@@ -169,36 +99,24 @@ fn ud_bw_with_credits(cfg: &RunConfig, delay: Dur, credits: Option<usize>, iters
 /// `credits × packet / RTT` until the buffers cover the bandwidth-delay
 /// product.
 pub fn ext_longbow_credits(cfg: &RunConfig) -> Figure {
-    let mut fig = Figure::new(
+    let fig = Figure::new(
         "extD-credits",
         "UD 2 KB streaming vs Longbow buffer depth (link-level credits)",
         "delay_us",
         "MillionBytes/s",
     );
-    let configs: [(&str, Option<usize>); 4] = [
+    let iters = cfg.fidelity.iters(2000, 10000);
+    // `None` is the shipped deep-buffered unit.
+    let series = [
         ("16-credits", Some(16)),
         ("256-credits", Some(256)),
         ("4096-credits", Some(4096)),
         ("deep-buffers", None),
     ];
-    let iters = cfg.fidelity.iters(2000, 10000);
-    let pts: Vec<(&str, Option<usize>, u64)> = configs
-        .iter()
-        .flat_map(|&(l, c)| PAPER_DELAYS_US.iter().map(move |&d| (l, c, d)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(l, c, d)| {
-        (l, d, ud_bw_with_credits(cfg, Dur::from_us(d), c, iters))
-    });
-    for &(label, _) in &configs {
-        let mut series = Series::new(label);
-        for &(l, d, bw) in &res {
-            if l == label {
-                series.push(d as f64, bw);
-            }
-        }
-        fig.series.push(series);
-    }
-    fig
+    grid(cfg, fig, series, &PAPER_DELAYS_US, |&credits, d| {
+        let spec = TopoSpec::two_site_credits(Dur::from_us(d), credits);
+        verbs::bandwidth(cfg, 53, &spec, true, 2048, iters, false)
+    })
 }
 
 fn sdp_stream_bw(cfg: &RunConfig, delay: Dur, msg_size: u32, count: u64) -> f64 {
@@ -216,13 +134,18 @@ fn sdp_stream_bw(cfg: &RunConfig, delay: Dur, msg_size: u32, count: u64) -> f64 
     f.hca(b).ulp::<SdpNode>().throughput_mbs()
 }
 
+/// A sockets stack under test in Extension E.
+enum Sockets {
+    /// SDP streaming a count of messages of one size: `(size, count)`.
+    Sdp(u32, u64),
+    /// TCP over IPoIB, one stream at the default window.
+    Ipoib(IpoibConfig),
+}
+
 /// Extension E: sockets over the WAN — SDP (BCopy and ZCopy paths) versus
 /// IPoIB+TCP, the comparison the paper's reference \[19\] ran with TTCP.
 pub fn ext_sdp_vs_ipoib(cfg: &RunConfig) -> Figure {
-    use crate::ipoib_exp::run_ipoib_point;
-    use ipoib::node::IpoibConfig;
-
-    let mut fig = Figure::new(
+    let fig = Figure::new(
         "extE-sdp",
         "Sockets throughput over the WAN: SDP vs IPoIB (TTCP-style stream)",
         "delay_us",
@@ -230,33 +153,22 @@ pub fn ext_sdp_vs_ipoib(cfg: &RunConfig) -> Figure {
     );
     let count = cfg.fidelity.iters(200, 1200);
     let zcount = cfg.fidelity.iters(24, 96);
-    let pts: Vec<(&str, u64)> = ["SDP-bcopy-32K", "SDP-zcopy-1M", "IPoIB-UD", "IPoIB-RC"]
-        .iter()
-        .flat_map(|&l| PAPER_DELAYS_US.iter().map(move |&d| (l, d)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(l, d)| {
-        let delay = Dur::from_us(d);
-        let bw = match l {
-            "SDP-bcopy-32K" => sdp_stream_bw(cfg, delay, 32768, count),
-            "SDP-zcopy-1M" => sdp_stream_bw(cfg, delay, 1 << 20, zcount),
-            "IPoIB-UD" => run_ipoib_point(cfg, IpoibConfig::ud(), tcpstack::DEFAULT_WINDOW, 1, d),
-            "IPoIB-RC" => {
-                run_ipoib_point(cfg, IpoibConfig::rc(65536), tcpstack::DEFAULT_WINDOW, 1, d)
-            }
-            _ => unreachable!(),
-        };
-        (l, d, bw)
-    });
-    for label in ["SDP-bcopy-32K", "SDP-zcopy-1M", "IPoIB-UD", "IPoIB-RC"] {
-        let mut series = Series::new(label);
-        for &(l, d, bw) in &res {
-            if l == label {
-                series.push(d as f64, bw);
-            }
-        }
-        fig.series.push(series);
-    }
-    fig
+    let series = [
+        ("SDP-bcopy-32K", Sockets::Sdp(32768, count)),
+        ("SDP-zcopy-1M", Sockets::Sdp(1 << 20, zcount)),
+        ("IPoIB-UD", Sockets::Ipoib(IpoibConfig::ud())),
+        ("IPoIB-RC", Sockets::Ipoib(IpoibConfig::rc(65536))),
+    ];
+    grid(
+        cfg,
+        fig,
+        series,
+        &PAPER_DELAYS_US,
+        |sockets, d| match *sockets {
+            Sockets::Sdp(size, count) => sdp_stream_bw(cfg, Dur::from_us(d), size, count),
+            Sockets::Ipoib(ipoib) => run_ipoib_point(cfg, ipoib, tcpstack::DEFAULT_WINDOW, 1, d),
+        },
+    )
 }
 
 /// Extension F: parallel-filesystem striping over the WAN (the paper's
@@ -264,37 +176,21 @@ pub fn ext_sdp_vs_ipoib(cfg: &RunConfig) -> Figure {
 /// Striping across OSSes is the filesystem-level parallel-streams
 /// optimization: each stripe target contributes an independent RC window.
 pub fn ext_pfs_striping(cfg: &RunConfig) -> Figure {
-    let mut fig = Figure::new(
+    let fig = Figure::new(
         "extF-pfs",
         "Parallel-filesystem striped read throughput vs delay",
         "delay_us",
         "MB/s",
     );
-    let stripe_counts = [1usize, 2, 4, 8];
-    let pts: Vec<(usize, u64)> = stripe_counts
-        .iter()
-        .flat_map(|&n| PAPER_DELAYS_US.iter().map(move |&d| (n, d)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(n, d)| {
+    let series = [1usize, 2, 4, 8].map(|n| (format!("{n}-oss"), n));
+    grid(cfg, fig, series, &PAPER_DELAYS_US, |&n, d| {
         let mut s = PfsSetup::quick(n, Some(Dur::from_us(d)));
         s.file_size = match cfg.fidelity {
             Fidelity::Quick => 32 << 20,
             Fidelity::Full => 128 << 20,
         };
-        s.coalescing = cfg.coalescing;
-        s.seed = cfg.seed_for(s.seed);
-        (n, d, run_striped_read(s).mbs)
-    });
-    for &n in &stripe_counts {
-        let mut series = Series::new(format!("{n}-oss"));
-        for &(rn, d, mbs) in &res {
-            if rn == n {
-                series.push(d as f64, mbs);
-            }
-        }
-        fig.series.push(series);
-    }
-    fig
+        run_striped_read(cfg.apply(s)).mbs
+    })
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
-//! IPoIB/TCP experiments: Figures 6 and 7.
+//! IPoIB/TCP experiments: Figures 6 and 7, and the iperf-style stream test
+//! every IPoIB figure and scenario measures with.
 
 use crate::config::RunConfig;
-use crate::results::{Figure, Series};
-use crate::sweep::parallel_map;
+use crate::results::Figure;
+use crate::sweep::grid;
 use crate::topo::{build_pair, TopoSpec};
 use crate::PAPER_DELAYS_US;
+use ibfabric::perftest::{rc_qp_pair, ud_qp_pair};
 use ipoib::node::{IpoibConfig, IpoibMode, IpoibNode};
 use simcore::Dur;
 use tcpstack::TcpConfig;
@@ -24,15 +26,41 @@ pub const STREAMS: [usize; 5] = [1, 2, 4, 6, 8];
 /// IPoIB-RC MTUs swept in Figure 7(a).
 pub const RC_MTUS: [u32; 3] = [2048, 16384, 65536];
 
-fn warm_tcp(mtu: u32, window: u64) -> TcpConfig {
-    let mut t = TcpConfig::for_mtu(mtu).with_window(window);
+/// The iperf-style IPoIB test between the two hosts of `spec`: `streams`
+/// TCP streams of `bytes_per_stream` bytes each under a `window`-byte TCP
+/// window, from the first host to the second; returns receive-side MB/s.
+pub(crate) fn throughput(
+    cfg: &RunConfig,
+    seed: u64,
+    spec: &TopoSpec,
+    ipoib: IpoibConfig,
+    window: u64,
+    streams: usize,
+    bytes_per_stream: u64,
+) -> f64 {
+    let mut tcp = TcpConfig::for_mtu(ipoib.mtu).with_window(window);
     // The paper measures long-lived streams (2 MB messages in a loop):
     // connections are warm, so skip the slow-start ramp.
-    t.init_cwnd_segments = 1 << 20;
-    t
+    tcp.init_cwnd_segments = 1 << 20;
+    let tx = Box::new(IpoibNode::sender(ipoib, tcp, streams, bytes_per_stream));
+    let rx = Box::new(IpoibNode::receiver(ipoib, tcp, streams, bytes_per_stream));
+    let (mut f, a, b) = build_pair(cfg, seed, spec, tx, rx);
+    let qp_pair = match ipoib.mode {
+        IpoibMode::Ud => ud_qp_pair,
+        IpoibMode::Rc => rc_qp_pair,
+    };
+    let (qa, qb) = qp_pair(&mut f, a, b, ipoib.qp_config());
+    for (node, qpn, peer) in [(a, qa, (b.lid, qb)), (b, qb, (a.lid, qa))] {
+        let port = &mut f.hca_mut(node).ulp_mut::<IpoibNode>().port;
+        port.qpn = qpn;
+        port.peer = Some(peer);
+    }
+    f.run();
+    f.hca(b).ulp::<IpoibNode>().throughput_mbs()
 }
 
-/// Run one IPoIB throughput point; returns receive-side MB/s.
+/// Run one IPoIB throughput point of the figures: a warm stream set across
+/// the paper's testbed at `delay_us`; returns receive-side MB/s.
 pub fn run_ipoib_point(
     run: &RunConfig,
     cfg: IpoibConfig,
@@ -40,31 +68,19 @@ pub fn run_ipoib_point(
     streams: usize,
     delay_us: u64,
 ) -> f64 {
-    let tcp = warm_tcp(cfg.mtu, window);
     // Enough bytes per stream to reach steady state even when the window
     // throttles hard at 10 ms.
     let budget = run.fidelity.iters(6 << 20, 48 << 20).max(window * 8);
-    let tx = Box::new(IpoibNode::sender(cfg, tcp, streams, budget));
-    let rx = Box::new(IpoibNode::receiver(cfg, tcp, streams, budget));
-    let (mut f, a, b) = build_pair(run, 41, &TopoSpec::two_site(Dur::from_us(delay_us)), tx, rx);
-    let qa = f.hca_mut(a).core_mut().create_qp(cfg.qp_config());
-    let qb = f.hca_mut(b).core_mut().create_qp(cfg.qp_config());
-    if cfg.mode == IpoibMode::Rc {
-        f.hca_mut(a).core_mut().connect(qa, (b.lid, qb));
-        f.hca_mut(b).core_mut().connect(qb, (a.lid, qa));
-    }
-    {
-        let u = f.hca_mut(a).ulp_mut::<IpoibNode>();
-        u.port.qpn = qa;
-        u.port.peer = Some((b.lid, qb));
-    }
-    {
-        let u = f.hca_mut(b).ulp_mut::<IpoibNode>();
-        u.port.qpn = qb;
-        u.port.peer = Some((a.lid, qa));
-    }
-    f.run();
-    f.hca(b).ulp::<IpoibNode>().throughput_mbs()
+    let spec = TopoSpec::two_site(Dur::from_us(delay_us));
+    throughput(run, 41, &spec, cfg, window, streams, budget)
+}
+
+/// One series per parallel stream count at the default window.
+fn streams_figure(run: &RunConfig, fig: Figure, cfg: IpoibConfig) -> Figure {
+    let series = STREAMS.map(|n| (format!("{n}-streams"), n));
+    grid(run, fig, series, &PAPER_DELAYS_US, |&n, d| {
+        run_ipoib_point(run, cfg, tcpstack::DEFAULT_WINDOW, n, d)
+    })
 }
 
 /// Figure 6(a): IPoIB-UD single-stream throughput vs WAN delay, one series
@@ -73,57 +89,23 @@ pub fn run_ipoib_point(
 pub fn fig6_ipoib_ud(run: &RunConfig, parallel: bool) -> Figure {
     let cfg = IpoibConfig::ud();
     if parallel {
-        let mut fig = Figure::new(
+        let fig = Figure::new(
             "fig6b",
             "IPoIB-UD throughput, parallel streams",
             "delay_us",
             "MillionBytes/s",
         );
-        let pts: Vec<(usize, u64)> = STREAMS
-            .iter()
-            .flat_map(|&n| PAPER_DELAYS_US.iter().map(move |&d| (n, d)))
-            .collect();
-        let res = parallel_map(run, pts, |(n, d)| {
-            (
-                n,
-                d,
-                run_ipoib_point(run, cfg, tcpstack::DEFAULT_WINDOW, n, d),
-            )
-        });
-        for &n in &STREAMS {
-            let mut s = Series::new(format!("{n}-streams"));
-            for &(sn, d, bw) in &res {
-                if sn == n {
-                    s.push(d as f64, bw);
-                }
-            }
-            fig.series.push(s);
-        }
-        fig
+        streams_figure(run, fig, cfg)
     } else {
-        let mut fig = Figure::new(
+        let fig = Figure::new(
             "fig6a",
             "IPoIB-UD throughput, single stream",
             "delay_us",
             "MillionBytes/s",
         );
-        let pts: Vec<(&str, u64, u64)> = WINDOWS
-            .iter()
-            .flat_map(|&(l, w)| PAPER_DELAYS_US.iter().map(move |&d| (l, w, d)))
-            .collect();
-        let res = parallel_map(run, pts, |(l, w, d)| {
-            (l, d, run_ipoib_point(run, cfg, w, 1, d))
-        });
-        for &(label, _) in &WINDOWS {
-            let mut s = Series::new(label);
-            for &(l, d, bw) in &res {
-                if l == label {
-                    s.push(d as f64, bw);
-                }
-            }
-            fig.series.push(s);
-        }
-        fig
+        grid(run, fig, WINDOWS, &PAPER_DELAYS_US, |&w, d| {
+            run_ipoib_point(run, cfg, w, 1, d)
+        })
     }
 }
 
@@ -131,62 +113,24 @@ pub fn fig6_ipoib_ud(run: &RunConfig, parallel: bool) -> Figure {
 /// per IP MTU. Figure 7(b): parallel streams at the 64 KB MTU.
 pub fn fig7_ipoib_rc(run: &RunConfig, parallel: bool) -> Figure {
     if parallel {
-        let cfg = IpoibConfig::rc(65536);
-        let mut fig = Figure::new(
+        let fig = Figure::new(
             "fig7b",
             "IPoIB-RC throughput, parallel streams (64K MTU)",
             "delay_us",
             "MillionBytes/s",
         );
-        let pts: Vec<(usize, u64)> = STREAMS
-            .iter()
-            .flat_map(|&n| PAPER_DELAYS_US.iter().map(move |&d| (n, d)))
-            .collect();
-        let res = parallel_map(run, pts, |(n, d)| {
-            (
-                n,
-                d,
-                run_ipoib_point(run, cfg, tcpstack::DEFAULT_WINDOW, n, d),
-            )
-        });
-        for &n in &STREAMS {
-            let mut s = Series::new(format!("{n}-streams"));
-            for &(sn, d, bw) in &res {
-                if sn == n {
-                    s.push(d as f64, bw);
-                }
-            }
-            fig.series.push(s);
-        }
-        fig
+        streams_figure(run, fig, IpoibConfig::rc(65536))
     } else {
-        let mut fig = Figure::new(
+        let fig = Figure::new(
             "fig7a",
             "IPoIB-RC throughput, single stream",
             "delay_us",
             "MillionBytes/s",
         );
-        let pts: Vec<(u32, u64)> = RC_MTUS
-            .iter()
-            .flat_map(|&m| PAPER_DELAYS_US.iter().map(move |&d| (m, d)))
-            .collect();
-        let res = parallel_map(run, pts, |(m, d)| {
-            (
-                m,
-                d,
-                run_ipoib_point(run, IpoibConfig::rc(m), tcpstack::DEFAULT_WINDOW, 1, d),
-            )
-        });
-        for &m in &RC_MTUS {
-            let mut s = Series::new(format!("{}K-MTU", m / 1024));
-            for &(sm, d, bw) in &res {
-                if sm == m {
-                    s.push(d as f64, bw);
-                }
-            }
-            fig.series.push(s);
-        }
-        fig
+        let series = RC_MTUS.map(|m| (format!("{}K-MTU", m / 1024), m));
+        grid(run, fig, series, &PAPER_DELAYS_US, |&m, d| {
+            run_ipoib_point(run, IpoibConfig::rc(m), tcpstack::DEFAULT_WINDOW, 1, d)
+        })
     }
 }
 

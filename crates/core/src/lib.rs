@@ -88,3 +88,12 @@ impl Fidelity {
 /// The WAN one-way delays the paper sweeps (µs): 0 plus Table 1's
 /// 10 µs (2 km), 100 µs (20 km), 1 ms (200 km), 10 ms (2000 km).
 pub const PAPER_DELAYS_US: [u64; 5] = [0, 10, 100, 1000, 10000];
+
+/// The legend label of a series at one WAN delay: "no-delay" or
+/// "{delay_us}us-delay".
+fn delay_label(delay_us: u64) -> String {
+    match delay_us {
+        0 => "no-delay".to_string(),
+        d => format!("{d}us-delay"),
+    }
+}

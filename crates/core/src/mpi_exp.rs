@@ -1,20 +1,13 @@
 //! MPI experiments: Figures 8–11.
 
 use crate::config::RunConfig;
-use crate::results::{Figure, Series};
-use crate::sweep::parallel_map;
-use crate::{Fidelity, PAPER_DELAYS_US};
+use crate::results::Figure;
+use crate::sweep::grid;
+use crate::{delay_label, Fidelity, PAPER_DELAYS_US};
 use mpisim::bench::{msg_rate, osu_bcast, osu_bibw, osu_bw, wan_pair_with};
 use mpisim::proto::MpiConfig;
 use mpisim::world::JobSpec;
 use simcore::Dur;
-
-/// Apply the run context to a job spec: coalescing plus the config's seed
-/// offset over the spec's canonical seed.
-fn contextualize(spec: JobSpec, cfg: &RunConfig) -> JobSpec {
-    let seed = cfg.seed_for(spec.seed);
-    spec.with_coalescing(cfg.coalescing).with_seed(seed)
-}
 
 /// Message sizes for the Figure 8 bandwidth sweep.
 pub const MPI_BW_SIZES: [u32; 10] = [
@@ -37,6 +30,17 @@ fn bw_params(fidelity: Fidelity, size: u32) -> (u32, u32) {
     (window, iters)
 }
 
+/// One OSU bandwidth point: `osu_bibw` when `bidir`, else `osu_bw`.
+fn bw_point(cfg: &RunConfig, spec: JobSpec, size: u32, bidir: bool) -> f64 {
+    let (window, iters) = bw_params(cfg.fidelity, size);
+    let spec = cfg.apply(spec);
+    if bidir {
+        osu_bibw(spec, size, window, iters)
+    } else {
+        osu_bw(spec, size, window, iters)
+    }
+}
+
 /// Figure 8: MPI bandwidth (a) / bidirectional bandwidth (b) vs message
 /// size, one series per WAN delay. MVAPICH2 defaults (8 KB rendezvous
 /// threshold).
@@ -46,36 +50,12 @@ pub fn fig8_mpi_bandwidth(cfg: &RunConfig, bidir: bool) -> Figure {
     } else {
         ("fig8a", "MPI bandwidth (MVAPICH2 defaults)")
     };
-    let mut fig = Figure::new(id, title, "msg_bytes", "MillionBytes/s");
-    let pts: Vec<(u64, u32)> = PAPER_DELAYS_US
-        .iter()
-        .flat_map(|&d| MPI_BW_SIZES.iter().map(move |&s| (d, s)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(d, size)| {
-        let (window, iters) = bw_params(cfg.fidelity, size);
-        let spec = contextualize(wan_pair_with(Dur::from_us(d), MpiConfig::default()), cfg);
-        let bw = if bidir {
-            osu_bibw(spec, size, window, iters)
-        } else {
-            osu_bw(spec, size, window, iters)
-        };
-        (d, size, bw)
-    });
-    for &d in &PAPER_DELAYS_US {
-        let label = if d == 0 {
-            "MVAPICH-no-delay".to_string()
-        } else {
-            format!("MVAPICH-{d}us-delay")
-        };
-        let mut s = Series::new(label);
-        for &(rd, size, bw) in &res {
-            if rd == d {
-                s.push(size as f64, bw);
-            }
-        }
-        fig.series.push(s);
-    }
-    fig
+    let fig = Figure::new(id, title, "msg_bytes", "MillionBytes/s");
+    let series = PAPER_DELAYS_US.map(|d| (format!("MVAPICH-{}", delay_label(d)), d));
+    grid(cfg, fig, series, &MPI_BW_SIZES, |&d, size| {
+        let spec = wan_pair_with(Dur::from_us(d), MpiConfig::default());
+        bw_point(cfg, spec, size, bidir)
+    })
 }
 
 /// Sizes for the Figure 9 threshold-tuning comparison.
@@ -90,36 +70,14 @@ pub fn fig9_threshold_tuning(cfg: &RunConfig, bidir: bool) -> Figure {
     } else {
         ("fig9a", "MPI bandwidth at 10 ms: threshold 8K vs 64K")
     };
-    let mut fig = Figure::new(id, title, "msg_bytes", "MillionBytes/s");
-    let delay = Dur::from_ms(10);
-    let configs: [(&str, MpiConfig); 2] = [
+    let fig = Figure::new(id, title, "msg_bytes", "MillionBytes/s");
+    let series = [
         ("thresh-8k-original", MpiConfig::default()),
         ("thresh-64k-tuned", MpiConfig::wan_tuned()),
     ];
-    let pts: Vec<(&str, MpiConfig, u32)> = configs
-        .iter()
-        .flat_map(|&(l, c)| FIG9_SIZES.iter().map(move |&s| (l, c, s)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(l, c, size)| {
-        let (window, iters) = bw_params(cfg.fidelity, size);
-        let spec = contextualize(wan_pair_with(delay, c), cfg);
-        let bw = if bidir {
-            osu_bibw(spec, size, window, iters)
-        } else {
-            osu_bw(spec, size, window, iters)
-        };
-        (l, size, bw)
-    });
-    for &(label, _) in &configs {
-        let mut s = Series::new(label);
-        for &(l, size, bw) in &res {
-            if l == label {
-                s.push(size as f64, bw);
-            }
-        }
-        fig.series.push(s);
-    }
-    fig
+    grid(cfg, fig, series, &FIG9_SIZES, |&mpi, size| {
+        bw_point(cfg, wan_pair_with(Dur::from_ms(10), mpi), size, bidir)
+    })
 }
 
 /// Pair counts for the Figure 10 message-rate sweep.
@@ -132,35 +90,18 @@ pub const FIG10_DELAYS_US: [u64; 3] = [10, 1000, 10000];
 /// Figure 10, one panel: aggregate multi-pair message rate vs message size
 /// at the given delay, one series per pair count.
 pub fn fig10_message_rate(cfg: &RunConfig, delay_us: u64) -> Figure {
-    let mut fig = Figure::new(
+    let fig = Figure::new(
         format!("fig10-{delay_us}us"),
         format!("Multi-pair message rate, {delay_us} us delay"),
         "msg_bytes",
         "MillionMessages/s",
     );
-    let pts: Vec<(usize, u32)> = FIG10_PAIRS
-        .iter()
-        .flat_map(|&p| FIG10_SIZES.iter().map(move |&s| (p, s)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(pairs, size)| {
-        let window = 64;
-        let iters = cfg.fidelity.iters(2, 8) as u32;
-        let spec = contextualize(
-            JobSpec::two_clusters(pairs, pairs, Dur::from_us(delay_us)),
-            cfg,
-        );
-        (pairs, size, msg_rate(spec, pairs, size, window, iters))
-    });
-    for &p in &FIG10_PAIRS {
-        let mut s = Series::new(format!("{p}-pairs"));
-        for &(rp, size, rate) in &res {
-            if rp == p {
-                s.push(size as f64, rate);
-            }
-        }
-        fig.series.push(s);
-    }
-    fig
+    let iters = cfg.fidelity.iters(2, 8) as u32;
+    let series = FIG10_PAIRS.map(|p| (format!("{p}-pairs"), p));
+    grid(cfg, fig, series, &FIG10_SIZES, |&pairs, size| {
+        let spec = JobSpec::two_clusters(pairs, pairs, Dur::from_us(delay_us));
+        msg_rate(cfg.apply(spec), pairs, size, 64, iters)
+    })
 }
 
 /// Broadcast message sizes for Figure 11.
@@ -176,7 +117,7 @@ pub fn fig11_bcast(cfg: &RunConfig, delay_us: u64) -> Figure {
         Fidelity::Quick => 16,
         Fidelity::Full => 64,
     };
-    let mut fig = Figure::new(
+    let fig = Figure::new(
         format!("fig11-{delay_us}us"),
         format!(
             "MPI_Bcast latency over IB WAN, {delay_us} us delay, {} procs",
@@ -185,28 +126,12 @@ pub fn fig11_bcast(cfg: &RunConfig, delay_us: u64) -> Figure {
         "msg_bytes",
         "latency_us",
     );
-    let pts: Vec<(bool, u32)> = [false, true]
-        .iter()
-        .flat_map(|&h| FIG11_SIZES.iter().map(move |&s| (h, s)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(hier, size)| {
-        let iters = cfg.fidelity.iters(2, 6) as u32;
-        let spec = contextualize(
-            JobSpec::two_clusters(per_cluster, per_cluster, Dur::from_us(delay_us)),
-            cfg,
-        );
-        (hier, size, osu_bcast(spec, size, iters, hier))
-    });
-    for (hier, label) in [(false, "original"), (true, "modified")] {
-        let mut s = Series::new(label);
-        for &(h, size, lat) in &res {
-            if h == hier {
-                s.push(size as f64, lat);
-            }
-        }
-        fig.series.push(s);
-    }
-    fig
+    let iters = cfg.fidelity.iters(2, 6) as u32;
+    let series = [("original", false), ("modified", true)];
+    grid(cfg, fig, series, &FIG11_SIZES, |&hier, size| {
+        let spec = JobSpec::two_clusters(per_cluster, per_cluster, Dur::from_us(delay_us));
+        osu_bcast(cfg.apply(spec), size, iters, hier)
+    })
 }
 
 #[cfg(test)]

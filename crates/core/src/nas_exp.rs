@@ -2,7 +2,7 @@
 
 use crate::config::RunConfig;
 use crate::results::{Figure, Series};
-use crate::sweep::parallel_map;
+use crate::sweep::grid;
 use crate::{Fidelity, PAPER_DELAYS_US};
 use mpisim::world::JobSpec;
 use nasbench::{run_spec, NasBenchmark};
@@ -15,7 +15,7 @@ pub fn fig12_nas(cfg: &RunConfig) -> Figure {
         Fidelity::Quick => 8,
         Fidelity::Full => 32,
     };
-    let mut fig = Figure::new(
+    let fig = Figure::new(
         "fig12",
         format!(
             "NAS class-B benchmarks, {} processes per cluster",
@@ -24,28 +24,11 @@ pub fn fig12_nas(cfg: &RunConfig) -> Figure {
         "delay_us",
         "time_secs",
     );
-    let pts: Vec<(NasBenchmark, u64)> = NasBenchmark::ALL
-        .iter()
-        .flat_map(|&b| PAPER_DELAYS_US.iter().map(move |&d| (b, d)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(bench, d)| {
+    let series = NasBenchmark::ALL.map(|b| (b.name(), b));
+    grid(cfg, fig, series, &PAPER_DELAYS_US, |&bench, d| {
         let spec = JobSpec::two_clusters(per_cluster, per_cluster, Dur::from_us(d));
-        let spec = spec
-            .with_coalescing(cfg.coalescing)
-            .with_seed(cfg.seed_for(spec.seed));
-        let r = run_spec(bench, spec);
-        (bench, d, r.time_secs)
-    });
-    for &bench in &NasBenchmark::ALL {
-        let mut s = Series::new(bench.name());
-        for &(b, d, t) in &res {
-            if b == bench {
-                s.push(d as f64, t);
-            }
-        }
-        fig.series.push(s);
-    }
-    fig
+        run_spec(bench, cfg.apply(spec)).time_secs
+    })
 }
 
 /// The same data normalized to the 0-delay runtime (slowdown factors) —

@@ -377,12 +377,6 @@ pub fn find(id: &str) -> Option<Experiment> {
     catalog().into_iter().find(|e| e.id == id)
 }
 
-/// Regenerate every table and figure serially (tests and small tools; the
-/// binaries go through [`crate::runner::run_jobs`] instead).
-pub fn all_figures(cfg: &RunConfig) -> Vec<Figure> {
-    catalog().iter().map(|e| (e.run)(cfg)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

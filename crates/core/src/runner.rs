@@ -499,6 +499,36 @@ mod tests {
         }
     }
 
+    /// `benchmark trace` derives its per-layer metrics from these engine
+    /// keys, and leaves out a metric whose key is missing.
+    #[test]
+    fn scenario_provenance_carries_every_engine_key_the_benchmark_reads() {
+        let s = crate::scenario::Scenario::from_json(
+            r#"{ "name": "is-2+2", "topology": { "delay_us": 100 },
+                 "workload": { "kind": "nas", "benchmark": "is", "ranks_per_cluster": 2 } }"#,
+        )
+        .unwrap();
+        let (_, prov) = run_scenario(&s, &RunConfig::default());
+        let value = prov.to_value();
+        let engine = value.get("engine").unwrap();
+        for key in [
+            "events_processed",
+            "peak_queue_len",
+            "cal_fallback_hits",
+            "trains_emitted",
+            "fragments_coalesced",
+            "control_trains",
+            "control_coalesced",
+        ] {
+            assert!(
+                engine.get(key).and_then(Value::as_f64).is_some(),
+                "{key} missing from {}",
+                engine.to_compact()
+            );
+        }
+        assert!(prov.tally.counters.events_processed > 0);
+    }
+
     #[test]
     fn run_jobs_returns_input_order_and_streams_progress() {
         let cfg = RunConfig::default();

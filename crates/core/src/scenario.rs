@@ -18,17 +18,18 @@
 //! ```
 
 use crate::config::RunConfig;
-use crate::topo::{build_pair, TopoSpec};
-use ibfabric::perftest::{rc_qp_pair, ud_qp_pair, BwConfig, BwPeer, LatMode, PingPong};
+use crate::topo::TopoSpec;
+use crate::{ipoib_exp, verbs};
+use ibfabric::perftest::LatMode;
 use ibfabric::qp::QpConfig;
-use ipoib::node::{IpoibConfig, IpoibMode, IpoibNode, MAX_IP_PACKET};
+use ipoib::node::{IpoibConfig, IpoibMode, MAX_IP_PACKET};
 use mpisim::bench as mpibench;
 use mpisim::proto::{MpiConfig, RndvProtocol};
 use mpisim::world::JobSpec;
 use nasbench::NasBenchmark;
 use nfssim::{run_read_experiment, NfsSetup, Transport as NfsTransport};
 use simcore::Dur;
-use tcpstack::{TcpConfig, TCP_IP_HEADER};
+use tcpstack::TCP_IP_HEADER;
 
 /// The WAN separating the two clusters.
 #[derive(Copy, Clone, Debug)]
@@ -638,58 +639,21 @@ impl Scenario {
     pub fn run(&self, cfg: &RunConfig) -> ScenarioResult {
         let delay = Dur::from_us(self.topology.delay_us);
         let loss = self.topology.loss_ppm;
-        // MPI-family workloads historically run on the spec's canonical
-        // seed (42), not the scenario seed; preserve that (plus the
-        // config's offset) so recorded outputs stay bit-identical.
-        let contextualize = |spec: JobSpec| -> JobSpec {
-            let seed = cfg.seed_for(spec.seed);
-            spec.with_coalescing(cfg.coalescing).with_seed(seed)
-        };
-        let result = |metric: &str, value: f64, unit: &str| ScenarioResult {
-            name: self.name.clone(),
-            metric: metric.into(),
-            value,
-            unit: unit.into(),
-        };
-        match &self.workload {
+        assert!(
+            loss == 0 || self.workload.tolerates_loss(),
+            "{}: loss_ppm is {loss}, but only the RC verbs workloads run on a lossy WAN",
+            self.name
+        );
+        let spec = TopoSpec::two_site_lossy(delay, loss);
+        // The workloads that build their own fabric (MPI, NAS, NFS) run on
+        // their setup's canonical seed, not the scenario's, so their
+        // recorded outputs stay bit-identical.
+        let two_clusters = |ranks| cfg.apply(JobSpec::two_clusters(ranks, ranks, delay));
+        let (metric, value, unit) = match &self.workload {
             Workload::VerbsLatency { mode, size, iters } => {
-                let m = LATENCY_MODES.must(mode);
-                let mk = |init| Box::new(PingPong::new(m, init, *size, *iters));
-                let (mut f, a, b) = build_pair(
-                    cfg,
-                    self.seed,
-                    &TopoSpec::two_site_lossy(delay, loss),
-                    mk(true),
-                    mk(false),
-                );
-                match m {
-                    LatMode::SendUd => {
-                        assert_eq!(loss, 0, "UD has no retransmission; lossy latency undefined");
-                        let (qa, qb) = ud_qp_pair(&mut f, a, b, QpConfig::ud());
-                        let u = f.hca_mut(a).ulp_mut::<PingPong>();
-                        u.qpn = qa;
-                        u.peer = Some((b.lid, qb));
-                        let v = f.hca_mut(b).ulp_mut::<PingPong>();
-                        v.qpn = qb;
-                        v.peer = Some((a.lid, qa));
-                    }
-                    LatMode::SendRc | LatMode::WriteRc => {
-                        let qp = if m == LatMode::WriteRc {
-                            QpConfig::rc().with_write_notify()
-                        } else {
-                            QpConfig::rc()
-                        };
-                        let (qa, qb) = rc_qp_pair(&mut f, a, b, qp);
-                        f.hca_mut(a).ulp_mut::<PingPong>().qpn = qa;
-                        f.hca_mut(b).ulp_mut::<PingPong>().qpn = qb;
-                    }
-                }
-                f.run();
-                result(
-                    "latency",
-                    f.hca(a).ulp::<PingPong>().mean_latency_us(),
-                    "us",
-                )
+                let mode = LATENCY_MODES.must(mode);
+                let us = verbs::latency(cfg, self.seed, &spec, mode, *size, *iters);
+                ("latency", us, "us")
             }
             Workload::VerbsBandwidth {
                 transport,
@@ -697,32 +661,8 @@ impl Scenario {
                 iters,
             } => {
                 let ud = VERBS_TRANSPORTS.must(transport);
-                let (mut f, a, b) = build_pair(
-                    cfg,
-                    self.seed,
-                    &TopoSpec::two_site_lossy(delay, loss),
-                    Box::new(BwPeer::sender(BwConfig::new(*size, *iters))),
-                    Box::new(BwPeer::receiver()),
-                );
-                if ud {
-                    assert_eq!(loss, 0, "UD drops under loss; bandwidth undefined");
-                    let (qa, qb) = ud_qp_pair(&mut f, a, b, QpConfig::ud());
-                    let u = f.hca_mut(a).ulp_mut::<BwPeer>();
-                    u.qpn = qa;
-                    u.peer = Some((b.lid, qb));
-                    f.hca_mut(b).ulp_mut::<BwPeer>().qpn = qb;
-                } else {
-                    let (qa, qb) = rc_qp_pair(&mut f, a, b, QpConfig::rc());
-                    f.hca_mut(a).ulp_mut::<BwPeer>().qpn = qa;
-                    f.hca_mut(b).ulp_mut::<BwPeer>().qpn = qb;
-                }
-                f.run();
-                let bw = if ud {
-                    f.hca(b).ulp::<BwPeer>().rx_bandwidth_mbs()
-                } else {
-                    f.hca(a).ulp::<BwPeer>().bandwidth_mbs()
-                };
-                result("bandwidth", bw, "MB/s")
+                let mbs = verbs::bandwidth(cfg, self.seed, &spec, ud, *size, *iters, false);
+                ("bandwidth", mbs, "MB/s")
             }
             Workload::Ipoib {
                 mode,
@@ -731,43 +671,24 @@ impl Scenario {
                 streams,
                 bytes_per_stream,
             } => {
-                assert_eq!(loss, 0, "IPoIB workload models a pristine WAN");
                 let ipoib = match IPOIB_MODES.must(mode) {
                     IpoibMode::Ud => IpoibConfig::ud(),
                     IpoibMode::Rc => IpoibConfig::rc(*mtu),
                 };
-                let mut tcp = TcpConfig::for_mtu(ipoib.mtu).with_window(*window);
-                tcp.init_cwnd_segments = 1 << 20;
-                let tx = Box::new(IpoibNode::sender(ipoib, tcp, *streams, *bytes_per_stream));
-                let rx = Box::new(IpoibNode::receiver(ipoib, tcp, *streams, *bytes_per_stream));
-                let (mut f, a, b) = build_pair(cfg, self.seed, &TopoSpec::two_site(delay), tx, rx);
-                let qa = f.hca_mut(a).core_mut().create_qp(ipoib.qp_config());
-                let qb = f.hca_mut(b).core_mut().create_qp(ipoib.qp_config());
-                if ipoib.mode == IpoibMode::Rc {
-                    f.hca_mut(a).core_mut().connect(qa, (b.lid, qb));
-                    f.hca_mut(b).core_mut().connect(qb, (a.lid, qa));
-                }
-                {
-                    let u = f.hca_mut(a).ulp_mut::<IpoibNode>();
-                    u.port.qpn = qa;
-                    u.port.peer = Some((b.lid, qb));
-                }
-                {
-                    let u = f.hca_mut(b).ulp_mut::<IpoibNode>();
-                    u.port.qpn = qb;
-                    u.port.peer = Some((a.lid, qa));
-                }
-                f.run();
-                result(
-                    "throughput",
-                    f.hca(b).ulp::<IpoibNode>().throughput_mbs(),
-                    "MB/s",
-                )
+                let mbs = ipoib_exp::throughput(
+                    cfg,
+                    self.seed,
+                    &spec,
+                    ipoib,
+                    *window,
+                    *streams,
+                    *bytes_per_stream,
+                );
+                ("throughput", mbs, "MB/s")
             }
             Workload::MpiLatency { size, iters } => {
-                assert_eq!(loss, 0, "MPI workloads model a pristine WAN");
-                let spec = contextualize(JobSpec::two_clusters(1, 1, delay));
-                result("latency", mpibench::osu_latency(spec, *size, *iters), "us")
+                let us = mpibench::osu_latency(two_clusters(1), *size, *iters);
+                ("latency", us, "us")
             }
             Workload::MpiBandwidth {
                 size,
@@ -776,18 +697,14 @@ impl Scenario {
                 eager_threshold,
                 rndv_protocol,
             } => {
-                assert_eq!(loss, 0, "MPI workloads model a pristine WAN");
                 let mut mpi = MpiConfig::default();
                 if *eager_threshold > 0 {
                     mpi.eager_threshold = *eager_threshold;
                 }
                 mpi.rndv_protocol = RNDV_PROTOCOLS.must(rndv_protocol);
-                let spec = contextualize(JobSpec::two_clusters(1, 1, delay).with_mpi(mpi));
-                result(
-                    "bandwidth",
-                    mpibench::osu_bw(spec, *size, *window, *iters),
-                    "MB/s",
-                )
+                let spec = two_clusters(1).with_mpi(mpi);
+                let mbs = mpibench::osu_bw(spec, *size, *window, *iters);
+                ("bandwidth", mbs, "MB/s")
             }
             Workload::MpiBcast {
                 ranks_per_cluster,
@@ -795,17 +712,9 @@ impl Scenario {
                 iters,
                 hierarchical,
             } => {
-                assert_eq!(loss, 0, "MPI workloads model a pristine WAN");
-                let spec = contextualize(JobSpec::two_clusters(
-                    *ranks_per_cluster,
-                    *ranks_per_cluster,
-                    delay,
-                ));
-                result(
-                    "bcast_latency",
-                    mpibench::osu_bcast(spec, *size, *iters, *hierarchical),
-                    "us",
-                )
+                let spec = two_clusters(*ranks_per_cluster);
+                let us = mpibench::osu_bcast(spec, *size, *iters, *hierarchical);
+                ("bcast_latency", us, "us")
             }
             Workload::MessageRate {
                 pairs,
@@ -813,33 +722,21 @@ impl Scenario {
                 window,
                 iters,
             } => {
-                assert_eq!(loss, 0, "MPI workloads model a pristine WAN");
-                let spec = contextualize(JobSpec::two_clusters(*pairs, *pairs, delay));
-                result(
-                    "message_rate",
-                    mpibench::msg_rate(spec, *pairs, *size, *window, *iters),
-                    "Mmsg/s",
-                )
+                let rate = mpibench::msg_rate(two_clusters(*pairs), *pairs, *size, *window, *iters);
+                ("message_rate", rate, "Mmsg/s")
             }
             Workload::Nas {
                 benchmark,
                 ranks_per_cluster,
             } => {
-                assert_eq!(loss, 0, "NAS workloads model a pristine WAN");
                 let bench = NAS_BENCHMARKS.must(benchmark);
-                let spec = contextualize(JobSpec::two_clusters(
-                    *ranks_per_cluster,
-                    *ranks_per_cluster,
-                    delay,
-                ));
-                let r = nasbench::run_spec(bench, spec);
-                result("time", r.time_secs, "s")
+                let r = nasbench::run_spec(bench, two_clusters(*ranks_per_cluster));
+                ("time", r.time_secs, "s")
             }
             Workload::MpiPattern {
                 ranks_per_cluster,
                 spec,
             } => {
-                assert_eq!(loss, 0, "MPI workloads model a pristine WAN");
                 if let Some(req) = spec.required_ranks() {
                     assert_eq!(
                         req,
@@ -848,11 +745,7 @@ impl Scenario {
                         spec.name()
                     );
                 }
-                let js = contextualize(JobSpec::two_clusters(
-                    *ranks_per_cluster,
-                    *ranks_per_cluster,
-                    delay,
-                ));
+                let js = two_clusters(*ranks_per_cluster);
                 let mut job = mpisim::world::MpiJob::build(js, |rank, n| spec.ops(rank, n));
                 job.run();
                 let n = 2 * ranks_per_cluster;
@@ -864,7 +757,7 @@ impl Scenario {
                     .filter_map(|r| job.process(r).runner.mark(1))
                     .max()
                     .expect("pattern records marks");
-                result("time", t1.since(t0).as_secs_f64(), "s")
+                ("time", t1.since(t0).as_secs_f64(), "s")
             }
             Workload::Nfs {
                 transport,
@@ -872,15 +765,18 @@ impl Scenario {
                 file_mib,
                 write,
             } => {
-                assert_eq!(loss, 0, "NFS workloads model a pristine WAN");
                 let t = NFS_TRANSPORTS.must(transport);
                 let mut s = NfsSetup::scaled(t, *threads, Some(delay));
                 s.file_size = file_mib << 20;
                 s.write = *write;
-                s.coalescing = cfg.coalescing;
-                s.seed = cfg.seed_for(s.seed);
-                result("throughput", run_read_experiment(s).mbs, "MB/s")
+                ("throughput", run_read_experiment(cfg.apply(s)).mbs, "MB/s")
             }
+        };
+        ScenarioResult {
+            name: self.name.clone(),
+            metric: metric.into(),
+            value,
+            unit: unit.into(),
         }
     }
 }
@@ -1340,6 +1236,88 @@ mod tests {
             );
         }
         assert!(Scenario::from_json("not json at all").is_err());
+    }
+
+    /// A scenario and a figure measure a point with the same runner, so a
+    /// scenario at a figure point's parameters reads that point's recorded
+    /// value exactly.
+    #[test]
+    fn scenarios_reproduce_their_figure_points() {
+        let quick = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/quick");
+        let cases = [
+            (
+                0,
+                Workload::VerbsLatency {
+                    mode: "send_rc".into(),
+                    size: 4,
+                    iters: 50,
+                },
+                ("fig3", "SendRecv/RC", 4.0),
+            ),
+            (
+                1000,
+                Workload::VerbsBandwidth {
+                    transport: "rc".into(),
+                    size: 65536,
+                    iters: 128,
+                },
+                ("fig5a", "1000us-delay", 65536.0),
+            ),
+            (
+                100,
+                Workload::VerbsBandwidth {
+                    transport: "ud".into(),
+                    size: 2048,
+                    iters: 2000,
+                },
+                ("fig4a", "100us-delay", 2048.0),
+            ),
+            (
+                1000,
+                Workload::Ipoib {
+                    mode: "ud".into(),
+                    mtu: 2048,
+                    window: 65536,
+                    streams: 1,
+                    bytes_per_stream: 6 << 20,
+                },
+                ("fig6a", "64k-window", 1000.0),
+            ),
+        ];
+        for (delay_us, workload, (id, label, x)) in cases {
+            let json = std::fs::read_to_string(quick.join(format!("{id}.json"))).unwrap();
+            let fig = crate::Figure::from_json(&json).unwrap();
+            let want = fig.series(label).and_then(|s| s.y_at(x)).unwrap();
+            let s = Scenario {
+                name: format!("{id}/{label}@{x}"),
+                seed: 42,
+                topology: Topology {
+                    delay_us,
+                    loss_ppm: 0,
+                },
+                workload,
+            };
+            assert_eq!(s.run(&RunConfig::default()).value, want, "{}", s.name);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only the RC verbs workloads run on a lossy WAN")]
+    fn loss_on_a_lossless_workload_panics() {
+        let s = Scenario {
+            name: "lossy-ud".into(),
+            seed: 1,
+            topology: Topology {
+                delay_us: 10,
+                loss_ppm: 100,
+            },
+            workload: Workload::VerbsBandwidth {
+                transport: "ud".into(),
+                size: 2048,
+                iters: 10,
+            },
+        };
+        s.run(&RunConfig::default());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Parallel parameter sweeps: simulations are deterministic and independent
-//! per configuration, so sweeps fan out across a bounded worker pool.
+//! per configuration, so sweeps fan out across a bounded worker pool. Every
+//! figure is a `grid`: one series per key, one point per x, each point one
+//! simulation.
 //!
 //! Pools nest. The experiment runner ([`crate::runner::run_jobs`]) runs
 //! its experiments through [`parallel_map`], and an experiment's own sweep
@@ -9,6 +11,7 @@
 //! itself, so nested pools share the cores instead of multiplying them.
 
 use crate::config::RunConfig;
+use crate::results::{Figure, Series};
 use ibfabric::fabric::{self, RunTally};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -124,6 +127,65 @@ where
         .collect()
 }
 
+/// A sweep's x value: each point takes it as is, and the figure plots it as
+/// an `f64`.
+pub(crate) trait Coord: Copy + Send + Sync {
+    /// The value on the figure's x axis.
+    fn plot(self) -> f64;
+}
+
+impl Coord for u32 {
+    fn plot(self) -> f64 {
+        f64::from(self)
+    }
+}
+
+impl Coord for u64 {
+    fn plot(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Coord for usize {
+    fn plot(self) -> f64 {
+        self as f64
+    }
+}
+
+/// Sweep a grid into `figure`: one series per `(label, key)` of `series`,
+/// in order, and in each one point per `x` of `xs`, measured by
+/// `point(&key, x)`.
+///
+/// Every point of the grid runs through one [`parallel_map`] pool, in
+/// series-major order.
+pub(crate) fn grid<L, K, X, F>(
+    cfg: &RunConfig,
+    mut figure: Figure,
+    series: impl IntoIterator<Item = (L, K)>,
+    xs: &[X],
+    point: F,
+) -> Figure
+where
+    L: Into<String>,
+    K: Sync,
+    X: Coord,
+    F: Fn(&K, X) -> f64 + Sync,
+{
+    let series: Vec<(String, K)> = series.into_iter().map(|(l, k)| (l.into(), k)).collect();
+    let points = (0..series.len())
+        .flat_map(|s| xs.iter().map(move |&x| (s, x)))
+        .collect();
+    let mut ys = parallel_map(cfg, points, |(s, x)| point(&series[s].1, x)).into_iter();
+    for (label, _) in series {
+        let mut s = Series::new(label);
+        for &x in xs {
+            s.push(x.plot(), ys.next().expect("one measurement per point"));
+        }
+        figure.series.push(s);
+    }
+    figure
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +273,38 @@ mod tests {
         assert_eq!(
             tally.runs, 2,
             "both workers' runs must merge back: {tally:?}"
+        );
+    }
+
+    #[test]
+    fn grid_sweeps_series_major_into_labelled_series() {
+        let cfg = RunConfig {
+            workers: Some(1),
+            ..RunConfig::default()
+        };
+        let order = Mutex::new(Vec::new());
+        let fig = grid(
+            &cfg,
+            Figure::new("g", "t", "x", "y"),
+            [("ones", 1u64), ("tens", 10)],
+            &[1u32, 2, 3],
+            |&k, x| {
+                order.lock().unwrap().push((k, x));
+                (k * u64::from(x)) as f64
+            },
+        );
+        let labels: Vec<&str> = fig.series.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, ["ones", "tens"]);
+        assert_eq!(fig.series[0].points, [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]);
+        assert_eq!(
+            fig.series[1].points,
+            [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]
+        );
+        let keys: Vec<u64> = order.into_inner().unwrap().iter().map(|p| p.0).collect();
+        assert_eq!(
+            keys,
+            [1, 1, 1, 10, 10, 10],
+            "one worker runs the points in input order"
         );
     }
 

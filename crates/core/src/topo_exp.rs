@@ -13,8 +13,8 @@
 //! bit-stable.
 
 use crate::config::RunConfig;
-use crate::results::{Figure, Series};
-use crate::sweep::parallel_map;
+use crate::results::Figure;
+use crate::sweep::grid;
 use crate::topo::{build_topo, TopoSpec};
 use ibfabric::perftest::{rc_qp_pair, BwConfig, BwPeer};
 use ibfabric::qp::QpConfig;
@@ -33,17 +33,14 @@ pub const TOPOA_SIZES: [u32; 2] = [65536, 1 << 20];
 /// [`TopoSpec::multi_site`] chain — every fragment crosses two Longbow
 /// pairs.
 pub fn topo_a_3site_bw(cfg: &RunConfig) -> Figure {
-    let mut fig = Figure::new(
+    let fig = Figure::new(
         "topoA-3site-bw",
         "RC bandwidth across a generated 3-site WAN chain",
         "delay_us_per_hop",
         "MillionBytes/s",
     );
-    let pts: Vec<(u32, u64)> = TOPOA_SIZES
-        .iter()
-        .flat_map(|&s| TOPOA_DELAYS_US.iter().map(move |&d| (s, d)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(size, delay_us)| {
+    let series = TOPOA_SIZES.map(|s| (format!("rc-{}k-end-to-end", s >> 10), s));
+    grid(cfg, fig, series, &TOPOA_DELAYS_US, |&size, delay_us| {
         let iters = (16u64 << 20) / size as u64 * cfg.fidelity.iters(1, 4);
         let spec = TopoSpec::multi_site(3, 1, Dur::from_us(delay_us));
         let (mut f, nodes) = build_topo(cfg, 71, &spec, |host| match host {
@@ -55,22 +52,8 @@ pub fn topo_a_3site_bw(cfg: &RunConfig) -> Figure {
         f.hca_mut(nodes[0]).ulp_mut::<BwPeer>().qpn = qa;
         f.hca_mut(nodes[2]).ulp_mut::<BwPeer>().qpn = qb;
         f.run();
-        (
-            size,
-            delay_us,
-            f.hca(nodes[0]).ulp::<BwPeer>().bandwidth_mbs(),
-        )
-    });
-    for &size in &TOPOA_SIZES {
-        let mut s = Series::new(format!("rc-{}k-end-to-end", size >> 10));
-        for &(rs, d, bw) in &res {
-            if rs == size {
-                s.push(d as f64, bw);
-            }
-        }
-        fig.series.push(s);
-    }
-    fig
+        f.hca(nodes[0]).ulp::<BwPeer>().bandwidth_mbs()
+    })
 }
 
 /// Per-pair payload sizes swept by the fat-tree alltoall experiment.
@@ -99,32 +82,17 @@ pub fn topo_b_spec(delay: Dur) -> TopoSpec {
 /// `topoB-fattree-alltoall`: mean alltoall latency over the two-site
 /// fat-tree fabric of [`topo_b_spec`], one series per WAN delay.
 pub fn topo_b_fattree_alltoall(cfg: &RunConfig) -> Figure {
-    let mut fig = Figure::new(
+    let fig = Figure::new(
         "topoB-fattree-alltoall",
         "MPI alltoall over two generated fat-tree sites",
         "bytes_per_pair",
         "latency_us",
     );
-    let pts: Vec<(u64, u32)> = TOPOB_DELAYS_US
-        .iter()
-        .flat_map(|&d| TOPOB_SIZES.iter().map(move |&s| (d, s)))
-        .collect();
-    let res = parallel_map(cfg, pts, |(delay_us, size)| {
-        let iters = cfg.fidelity.iters(2, 8) as u32;
-        let spec = topo_b_spec(Dur::from_us(delay_us));
-        let lat = alltoall_latency(cfg, &spec, size, iters);
-        (delay_us, size, lat)
-    });
-    for &d in &TOPOB_DELAYS_US {
-        let mut s = Series::new(format!("fattree-{d}us-wan"));
-        for &(rd, size, lat) in &res {
-            if rd == d {
-                s.push(size as f64, lat);
-            }
-        }
-        fig.series.push(s);
-    }
-    fig
+    let iters = cfg.fidelity.iters(2, 8) as u32;
+    let series = TOPOB_DELAYS_US.map(|d| (format!("fattree-{d}us-wan"), d));
+    grid(cfg, fig, series, &TOPOB_SIZES, |&delay_us, size| {
+        alltoall_latency(cfg, &topo_b_spec(Dur::from_us(delay_us)), size, iters)
+    })
 }
 
 /// Mean per-operation alltoall latency (µs at rank 0) on an arbitrary

@@ -1,13 +1,14 @@
-//! Verbs-level experiments: Table 1 and Figures 3–5.
+//! Verbs-level experiments: Table 1 and Figures 3–5, and the perftest
+//! latency and bandwidth runs every verbs figure, scenario and calibration
+//! check measures with.
 
 use crate::config::RunConfig;
 use crate::results::{Figure, Series};
-use crate::sweep::parallel_map;
+use crate::sweep::grid;
 use crate::topo::{build_pair, TopoSpec};
-use crate::{Fidelity, PAPER_DELAYS_US};
+use crate::{delay_label, Fidelity, PAPER_DELAYS_US};
 use ibfabric::perftest::{rc_qp_pair, ud_qp_pair, BwConfig, BwPeer, LatMode, PingPong};
 use ibfabric::qp::QpConfig;
-use ibfabric::verbs::SendKind;
 use obsidian::km_for_wire_delay;
 use simcore::Dur;
 
@@ -32,42 +33,80 @@ pub fn table1() -> Figure {
 /// Message sizes for the latency test (bytes).
 const LAT_SIZES: [u32; 6] = [1, 4, 16, 64, 256, 1024];
 
-fn run_latency(cfg: &RunConfig, through_wan: bool, mode: LatMode, size: u32, iters: u32) -> f64 {
-    let a_ulp = Box::new(PingPong::new(mode, true, size, iters));
-    let b_ulp = Box::new(PingPong::new(mode, false, size, iters));
-    let spec = if through_wan {
-        TopoSpec::two_site(Dur::ZERO)
-    } else {
-        TopoSpec::lan_pair()
+/// The verbs latency test (`ib_send_lat`, `rdma_lat`) between the two hosts
+/// of `spec`: the mean one-way latency in µs of `iters` ping-pong rounds of
+/// `size`-byte messages.
+pub(crate) fn latency(
+    cfg: &RunConfig,
+    seed: u64,
+    spec: &TopoSpec,
+    mode: LatMode,
+    size: u32,
+    iters: u32,
+) -> f64 {
+    let ulp = |initiator| Box::new(PingPong::new(mode, initiator, size, iters));
+    let (mut f, a, b) = build_pair(cfg, seed, spec, ulp(true), ulp(false));
+    let ud = mode == LatMode::SendUd;
+    let (qa, qb) = match mode {
+        LatMode::SendUd => ud_qp_pair(&mut f, a, b, QpConfig::ud()),
+        LatMode::SendRc => rc_qp_pair(&mut f, a, b, QpConfig::rc()),
+        LatMode::WriteRc => rc_qp_pair(&mut f, a, b, QpConfig::rc().with_write_notify()),
     };
-    let (mut f, a, b) = build_pair(cfg, 31, &spec, a_ulp, b_ulp);
-    match mode {
-        LatMode::SendUd => {
-            let (qa, qb) = ud_qp_pair(&mut f, a, b, QpConfig::ud());
-            {
-                let u = f.hca_mut(a).ulp_mut::<PingPong>();
-                u.qpn = qa;
-                u.peer = Some((b.lid, qb));
-            }
-            {
-                let u = f.hca_mut(b).ulp_mut::<PingPong>();
-                u.qpn = qb;
-                u.peer = Some((a.lid, qa));
-            }
-        }
-        LatMode::SendRc | LatMode::WriteRc => {
-            let qp = if mode == LatMode::WriteRc {
-                QpConfig::rc().with_write_notify()
-            } else {
-                QpConfig::rc()
-            };
-            let (qa, qb) = rc_qp_pair(&mut f, a, b, qp);
-            f.hca_mut(a).ulp_mut::<PingPong>().qpn = qa;
-            f.hca_mut(b).ulp_mut::<PingPong>().qpn = qb;
-        }
+    for (node, qpn, peer) in [(a, qa, (b.lid, qb)), (b, qb, (a.lid, qa))] {
+        let u = f.hca_mut(node).ulp_mut::<PingPong>();
+        u.qpn = qpn;
+        u.peer = ud.then_some(peer);
     }
     f.run();
     f.hca(a).ulp::<PingPong>().mean_latency_us()
+}
+
+/// The verbs bandwidth test (`ib_send_bw`) between the two hosts of `spec`:
+/// MillionBytes/s of `iters` `size`-byte Sends over UD or RC, summed over
+/// both directions when `bidir`.
+pub(crate) fn bandwidth(
+    cfg: &RunConfig,
+    seed: u64,
+    spec: &TopoSpec,
+    ud: bool,
+    size: u32,
+    iters: u64,
+    bidir: bool,
+) -> f64 {
+    let sender = || Box::new(BwPeer::sender(BwConfig::new(size, iters)));
+    let b_ulp = if bidir {
+        sender()
+    } else {
+        Box::new(BwPeer::receiver())
+    };
+    let (mut f, a, b) = build_pair(cfg, seed, spec, sender(), b_ulp);
+    let (qa, qb) = if ud {
+        ud_qp_pair(&mut f, a, b, QpConfig::ud())
+    } else {
+        rc_qp_pair(&mut f, a, b, QpConfig::rc())
+    };
+    for (node, qpn, peer) in [(a, qa, (b.lid, qb)), (b, qb, (a.lid, qa))] {
+        let u = f.hca_mut(node).ulp_mut::<BwPeer>();
+        u.qpn = qpn;
+        u.peer = ud.then_some(peer);
+    }
+    f.run();
+    // UD senders get no transport feedback: measure at the receivers,
+    // where the SDR WAN rate is visible.
+    let mbs = |node| {
+        let u = f.hca(node).ulp::<BwPeer>();
+        if ud {
+            u.rx_bandwidth_mbs()
+        } else {
+            u.bandwidth_mbs()
+        }
+    };
+    let (first, second) = if ud { (b, a) } else { (a, b) };
+    if bidir {
+        mbs(first) + mbs(second)
+    } else {
+        mbs(first)
+    }
 }
 
 /// Figure 3: verbs small-message latency for Send/Recv UD, Send/Recv RC,
@@ -75,104 +114,28 @@ fn run_latency(cfg: &RunConfig, through_wan: bool, mode: LatMode, size: u32, ite
 /// back-to-back Send/Recv RC baseline.
 pub fn fig3_latency(cfg: &RunConfig) -> Figure {
     let iters = cfg.fidelity.iters(50, 500) as u32;
-    let mut fig = Figure::new(
+    let fig = Figure::new(
         "fig3",
         "Verbs-level latency (through Longbows at 0 delay vs back-to-back)",
         "msg_bytes",
         "latency_us",
     );
-    let variants: [(&str, bool, LatMode); 4] = [
-        ("SendRecv/UD", true, LatMode::SendUd),
-        ("SendRecv/RC", true, LatMode::SendRc),
-        ("RDMAWrite/RC", true, LatMode::WriteRc),
-        ("BackToBack-SR/RC", false, LatMode::SendRc),
+    let wan = TopoSpec::two_site(Dur::ZERO);
+    let series = [
+        ("SendRecv/UD", (wan.clone(), LatMode::SendUd)),
+        ("SendRecv/RC", (wan.clone(), LatMode::SendRc)),
+        ("RDMAWrite/RC", (wan, LatMode::WriteRc)),
+        ("BackToBack-SR/RC", (TopoSpec::lan_pair(), LatMode::SendRc)),
     ];
-    let results = parallel_map(
-        cfg,
-        variants
-            .iter()
-            .flat_map(|&(label, wan, mode)| LAT_SIZES.iter().map(move |&s| (label, wan, mode, s)))
-            .collect::<Vec<_>>(),
-        |(label, wan, mode, size)| (label, size, run_latency(cfg, wan, mode, size, iters)),
-    );
-    for &(label, _, _) in &variants {
-        let mut s = Series::new(label);
-        for &(l, size, lat) in &results {
-            if l == label {
-                s.push(size as f64, lat);
-            }
-        }
-        fig.series.push(s);
-    }
-    fig
+    grid(cfg, fig, series, &LAT_SIZES, |(spec, mode), size| {
+        latency(cfg, 31, spec, *mode, size, iters)
+    })
 }
 
 /// How many messages to push for a bandwidth point at `size` bytes.
 fn bw_iters(fidelity: Fidelity, size: u32) -> u64 {
     let budget: u64 = fidelity.iters(8 << 20, 64 << 20);
     (budget / size.max(1) as u64).clamp(48, fidelity.iters(2000, 20000))
-}
-
-struct BwPoint {
-    delay_us: u64,
-    size: u32,
-    bidir: bool,
-    ud: bool,
-}
-
-fn run_bw_point(cfg: &RunConfig, p: &BwPoint) -> f64 {
-    let iters = bw_iters(cfg.fidelity, p.size);
-    let mk = |tx: bool| -> Box<BwPeer> {
-        if tx {
-            let mut cfg = BwConfig::new(p.size, iters);
-            cfg.kind = SendKind::Send;
-            Box::new(BwPeer::sender(cfg))
-        } else {
-            Box::new(BwPeer::receiver())
-        }
-    };
-    let (mut f, a, b) = build_pair(
-        cfg,
-        33,
-        &TopoSpec::two_site(Dur::from_us(p.delay_us)),
-        mk(true),
-        mk(p.bidir),
-    );
-    if p.ud {
-        let (qa, qb) = ud_qp_pair(&mut f, a, b, QpConfig::ud());
-        {
-            let u = f.hca_mut(a).ulp_mut::<BwPeer>();
-            u.qpn = qa;
-            u.peer = Some((b.lid, qb));
-        }
-        {
-            let u = f.hca_mut(b).ulp_mut::<BwPeer>();
-            u.qpn = qb;
-            u.peer = Some((a.lid, qa));
-        }
-    } else {
-        let (qa, qb) = rc_qp_pair(&mut f, a, b, QpConfig::rc());
-        f.hca_mut(a).ulp_mut::<BwPeer>().qpn = qa;
-        f.hca_mut(b).ulp_mut::<BwPeer>().qpn = qb;
-    }
-    f.run();
-    if p.ud {
-        // UD senders get no transport feedback: measure at the receivers,
-        // where the SDR WAN rate is visible.
-        let fwd = f.hca(b).ulp::<BwPeer>().rx_bandwidth_mbs();
-        if p.bidir {
-            fwd + f.hca(a).ulp::<BwPeer>().rx_bandwidth_mbs()
-        } else {
-            fwd
-        }
-    } else {
-        let fwd = f.hca(a).ulp::<BwPeer>().bandwidth_mbs();
-        if p.bidir {
-            fwd + f.hca(b).ulp::<BwPeer>().bandwidth_mbs()
-        } else {
-            fwd
-        }
-    }
 }
 
 fn bw_figure(
@@ -183,34 +146,20 @@ fn bw_figure(
     ud: bool,
     bidir: bool,
 ) -> Figure {
-    let mut fig = Figure::new(id, title, "msg_bytes", "MillionBytes/s");
-    let points: Vec<BwPoint> = PAPER_DELAYS_US
-        .iter()
-        .flat_map(|&d| {
-            sizes.iter().map(move |&s| BwPoint {
-                delay_us: d,
-                size: s,
-                bidir,
-                ud,
-            })
-        })
-        .collect();
-    let results = parallel_map(cfg, points, |p| (p.delay_us, p.size, run_bw_point(cfg, &p)));
-    for &d in &PAPER_DELAYS_US {
-        let label = if d == 0 {
-            "no-delay".to_string()
-        } else {
-            format!("{d}us-delay")
-        };
-        let mut s = Series::new(label);
-        for &(delay, size, bw) in &results {
-            if delay == d {
-                s.push(size as f64, bw);
-            }
-        }
-        fig.series.push(s);
-    }
-    fig
+    let fig = Figure::new(id, title, "msg_bytes", "MillionBytes/s");
+    let series = PAPER_DELAYS_US.map(|d| (delay_label(d), d));
+    grid(cfg, fig, series, sizes, |&d, size| {
+        let spec = TopoSpec::two_site(Dur::from_us(d));
+        bandwidth(
+            cfg,
+            33,
+            &spec,
+            ud,
+            size,
+            bw_iters(cfg.fidelity, size),
+            bidir,
+        )
+    })
 }
 
 /// Message sizes for the UD bandwidth sweep (bounded by the 2 KB MTU).
@@ -220,13 +169,13 @@ pub const RC_SIZES: [u32; 10] = [
     256,
     1024,
     4096,
+    8192,
     16384,
     65536,
     262_144,
     1 << 20,
     2 << 20,
     4 << 20,
-    8192,
 ];
 
 /// Figure 4: verbs UD bandwidth (a) and bidirectional bandwidth (b) vs
@@ -243,14 +192,12 @@ pub fn fig4_ud_bandwidth(cfg: &RunConfig, bidir: bool) -> Figure {
 /// Figure 5: verbs RC bandwidth (a) and bidirectional bandwidth (b) vs
 /// message size, one series per WAN delay.
 pub fn fig5_rc_bandwidth(cfg: &RunConfig, bidir: bool) -> Figure {
-    let mut sizes = RC_SIZES;
-    sizes.sort_unstable();
     let (id, title) = if bidir {
         ("fig5b", "Verbs RC bidirectional bandwidth")
     } else {
         ("fig5a", "Verbs RC bandwidth")
     };
-    bw_figure(cfg, id, title, &sizes, false, bidir)
+    bw_figure(cfg, id, title, &RC_SIZES, false, bidir)
 }
 
 #[cfg(test)]
