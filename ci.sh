@@ -16,25 +16,31 @@ cargo build --workspace --release
 echo "==> tests (whole workspace, the bench package's determinism A/B suite included)"
 cargo test --workspace --quiet
 
-echo "==> examples (release, each run to completion; lossy_wan asserts exactly-once delivery"
-echo "    under 0.1-5% WAN loss, wan_planner that its plan delivers the bandwidth it promised)"
+work_dir=$(mktemp -d)
+trap 'rm -rf "$work_dir"' EXIT
+
+echo "==> examples (release, each run to completion and its stdout equal to"
+echo "    examples/expected/NAME.txt; lossy_wan asserts exactly-once delivery under 0.1-5% WAN"
+echo "    loss, wan_planner that its plan delivers the bandwidth it promised)"
 for example in examples/*.rs; do
     name=$(basename "$example" .rs)
     echo "--> $name"
-    cargo run --release --quiet --example "$name" > /dev/null
+    cargo run --release --quiet --example "$name" > "$work_dir/$name.txt"
+    if ! diff -u "examples/expected/$name.txt" "$work_dir/$name.txt" >&2; then
+        echo "example $name printed the lines above (+), not examples/expected/$name.txt (-)" >&2
+        exit 1
+    fi
 done
 
 echo "==> scenario CLI (ibwan_sim --example runs through ibwan_sim; a missing scenario"
 echo "    file exits 2)"
-scenario_dir=$(mktemp -d)
-trap 'rm -rf "$scenario_dir"' EXIT
-cargo run --release --quiet -p bench --bin ibwan_sim -- --example > "$scenario_dir/example.json"
-cargo run --release --quiet -p bench --bin ibwan_sim -- "$scenario_dir/example.json" > /dev/null
+cargo run --release --quiet -p bench --bin ibwan_sim -- --example > "$work_dir/example.json"
+cargo run --release --quiet -p bench --bin ibwan_sim -- "$work_dir/example.json" > /dev/null
 status=0
-cargo run --release --quiet -p bench --bin ibwan_sim -- "$scenario_dir/missing.json" \
-    > /dev/null 2> "$scenario_dir/stderr" || status=$?
+cargo run --release --quiet -p bench --bin ibwan_sim -- "$work_dir/missing.json" \
+    > /dev/null 2> "$work_dir/stderr" || status=$?
 if [ "$status" -ne 2 ]; then
-    cat "$scenario_dir/stderr" >&2
+    cat "$work_dir/stderr" >&2
     echo "ibwan_sim on a missing scenario file exited $status, want 2" >&2
     exit 1
 fi
@@ -42,14 +48,14 @@ fi
 echo "==> scenario CLI, trains invisible end to end: an IPoIB-UD scenario (8 TCP streams"
 echo "    over 10 ms, the shape of the benchmark's ipoib.probe.ud_streams) prints the same"
 echo "    value with and without --no-coalescing, and its coalesced run dispatches trains"
-cat > "$scenario_dir/ipoib_ud.json" <<'EOF'
+cat > "$work_dir/ipoib_ud.json" <<'EOF'
 { "name": "ipoib-ud-8-streams-10ms", "topology": { "delay_us": 10000 },
   "workload": { "kind": "ipoib", "mode": "ud", "mtu": 2048, "window": 1048576,
                 "streams": 8, "bytes_per_stream": 8388608 } }
 EOF
-coalesced=$(cargo run --release --quiet -p bench --bin ibwan_sim -- --json "$scenario_dir/ipoib_ud.json")
+coalesced=$(cargo run --release --quiet -p bench --bin ibwan_sim -- --json "$work_dir/ipoib_ud.json")
 per_packet=$(cargo run --release --quiet -p bench --bin ibwan_sim -- --json --no-coalescing \
-    "$scenario_dir/ipoib_ud.json")
+    "$work_dir/ipoib_ud.json")
 field() { sed -n "s/^ *\"$1\": \([^,]*\),\$/\1/p" <<< "$2"; }
 value=$(field value "$coalesced")
 trains=$(field trains_emitted "$coalesced")
@@ -74,18 +80,18 @@ echo "    writes only the gitignored benchmark-trace/)"
 status=0
 cargo run --release --quiet --offline --locked \
     --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
-    --trace 1 --workload nas --seed 0 > "$scenario_dir/trace.out" || status=$?
+    --trace 1 --workload nas --seed 0 > "$work_dir/trace.out" || status=$?
 if [ "$status" -ne 0 ]; then
-    cat "$scenario_dir/trace.out" >&2
+    cat "$work_dir/trace.out" >&2
     echo "benchmark --trace 1 --workload nas exited $status, want 0" >&2
     exit 1
 fi
-if grep "(not measured)" "$scenario_dir/trace.out" >&2; then
+if grep "(not measured)" "$work_dir/trace.out" >&2; then
     echo "benchmark trace: the per-layer metrics above were not measured" >&2
     exit 1
 fi
-if ! tail -n 1 "$scenario_dir/trace.out" | grep -q '^{"correct":true'; then
-    tail -n 1 "$scenario_dir/trace.out" >&2
+if ! tail -n 1 "$work_dir/trace.out" | grep -q '^{"correct":true'; then
+    tail -n 1 "$work_dir/trace.out" >&2
     echo "benchmark trace: the last line is not a correct result" >&2
     exit 1
 fi

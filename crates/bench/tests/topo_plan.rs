@@ -8,7 +8,6 @@
 //! of drawing from a proptest RNG: every failure reproduces.
 
 use ibfabric::fabric::FabricReport;
-use ibfabric::hca::HcaConfig;
 use ibfabric::perftest::{rc_qp_pair, BwConfig, BwPeer};
 use ibfabric::qp::QpConfig;
 use ibfabric::ulp::{NullUlp, Ulp};
@@ -31,7 +30,7 @@ struct Observed {
 /// coalescing on or off.
 fn stream_observables(spec: &TopoSpec, coalescing: bool, msgs: u64) -> Observed {
     let last = spec.total_hosts() - 1;
-    let (mut f, nodes) = spec.build(23, coalescing, HcaConfig::default(), |host| {
+    let (mut f, nodes) = spec.build(23, coalescing, |host| {
         if host == 0 {
             Box::new(BwPeer::sender(BwConfig::new(65536, msgs))) as Box<dyn Ulp>
         } else if host == last {

@@ -828,23 +828,68 @@ mod tests {
         assert!(r.value > 10.0 && r.value < 40.0, "{}", r.value);
     }
 
+    /// The lossy Longbow is the only draw on the engine RNG, so these runs
+    /// are the first to show a change in dispatch order. Each case pins
+    /// `value` and `events_processed` at seed offsets 0 and 3.
     #[test]
-    fn verbs_bandwidth_scenario_runs_with_loss() {
-        let s = Scenario {
-            name: "lossy".into(),
-            seed: 7,
-            topology: Topology {
-                delay_us: 50,
-                loss_ppm: 10_000,
-            },
-            workload: Workload::VerbsBandwidth {
-                transport: "rc".into(),
-                size: 4096,
-                iters: 100,
-            },
+    fn lossy_rc_scenarios_are_pinned() {
+        let latency = |mode: &str| Workload::VerbsLatency {
+            mode: mode.into(),
+            size: 4096,
+            iters: 500,
         };
-        let r = s.run(&RunConfig::default());
-        assert!(r.value > 0.0);
+        let bandwidth = |size, iters| Workload::VerbsBandwidth {
+            transport: "rc".into(),
+            size,
+            iters,
+        };
+        let cases = [
+            (
+                42,
+                100,
+                5_000,
+                bandwidth(65_536, 200),
+                [(2.0803916161989195, 180_279), (1.4759552557416842, 240_074)],
+            ),
+            (
+                42,
+                50,
+                20_000,
+                latency("send_rc"),
+                [(9727.19578, 17_860), (10506.929660000007, 18_018)],
+            ),
+            (
+                42,
+                50,
+                20_000,
+                latency("write_rc"),
+                [(9726.796580000004, 17_860), (10506.532060000007, 18_018)],
+            ),
+            (
+                7,
+                50,
+                10_000,
+                bandwidth(4096, 100),
+                [(0.8531153090521637, 2_076), (0.5687919809551337, 2_387)],
+            ),
+        ];
+        for (seed, delay_us, loss_ppm, workload, pinned) in cases {
+            let s = Scenario {
+                name: format!("{workload:?} at {delay_us} us, {loss_ppm} ppm"),
+                seed,
+                topology: Topology { delay_us, loss_ppm },
+                workload,
+            };
+            for (offset, (value, events)) in [0, 3].into_iter().zip(pinned) {
+                let cfg = RunConfig {
+                    seed: offset,
+                    ..RunConfig::default()
+                };
+                let (r, prov) = crate::runner::run_scenario(&s, &cfg);
+                let got = (r.value, prov.tally.counters.events_processed);
+                assert_eq!(got, (value, events), "{}, seed offset {offset}", s.name);
+            }
+        }
     }
 
     #[test]

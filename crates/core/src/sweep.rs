@@ -260,10 +260,7 @@ mod tests {
         // must land in the caller's thread-local tally after the join.
         fn probe_run() {
             let mut b = ibfabric::fabric::FabricBuilder::new(7);
-            let _n = b.add_hca(
-                ibfabric::hca::HcaConfig::default(),
-                Box::new(ibfabric::ulp::NullUlp),
-            );
+            let _n = b.add_hca(Box::new(ibfabric::ulp::NullUlp));
             b.finish().run();
         }
         let cfg = RunConfig::default();

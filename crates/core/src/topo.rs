@@ -18,7 +18,6 @@
 
 use crate::config::RunConfig;
 use ibfabric::fabric::{Fabric, NodeHandle};
-use ibfabric::hca::HcaConfig;
 use ibfabric::ulp::Ulp;
 
 pub use ibtopo::{ulp_list, SiteSpec, TopoSpec, WanSpec, WanStyle, Wiring};
@@ -35,12 +34,7 @@ pub fn build_topo<F>(
 where
     F: FnMut(usize) -> Box<dyn Ulp>,
 {
-    spec.build(
-        cfg.seed_for(seed),
-        cfg.coalescing,
-        HcaConfig::default(),
-        ulp_for,
-    )
+    spec.build(cfg.seed_for(seed), cfg.coalescing, ulp_for)
 }
 
 /// [`build_topo`] for a two-host spec: returns the endpoint handles
@@ -52,13 +46,7 @@ pub fn build_pair(
     ulp_a: Box<dyn Ulp>,
     ulp_b: Box<dyn Ulp>,
 ) -> (Fabric, NodeHandle, NodeHandle) {
-    spec.build_pair(
-        cfg.seed_for(seed),
-        cfg.coalescing,
-        HcaConfig::default(),
-        ulp_a,
-        ulp_b,
-    )
+    spec.build_pair(cfg.seed_for(seed), cfg.coalescing, ulp_a, ulp_b)
 }
 
 #[cfg(test)]

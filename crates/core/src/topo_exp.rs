@@ -107,7 +107,6 @@ fn alltoall_latency(cfg: &RunConfig, spec: &TopoSpec, len: u32, iters: u32) -> f
     let mut job = MpiJob::build_on_topo(
         spec,
         MpiConfig::default(),
-        ibfabric::hca::HcaConfig::default(),
         cfg.seed_for(73),
         cfg.coalescing,
         |rank, n| {

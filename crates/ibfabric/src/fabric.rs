@@ -8,7 +8,7 @@
 //! linear forwarding tables), and schedules every ULP's `start` callback at
 //! time zero.
 
-use crate::hca::{HcaActor, HcaConfig, HcaCore, START_TOKEN};
+use crate::hca::{HcaActor, HcaCore, START_TOKEN};
 use crate::link::{EgressPort, LinkConfig};
 use crate::switch::Switch;
 use crate::types::Lid;
@@ -170,10 +170,10 @@ impl FabricBuilder {
     }
 
     /// Add a compute node: an HCA running `ulp`. A LID is assigned.
-    pub fn add_hca(&mut self, cfg: HcaConfig, ulp: Box<dyn Ulp>) -> NodeHandle {
+    pub fn add_hca(&mut self, ulp: Box<dyn Ulp>) -> NodeHandle {
         let lid = Lid(self.next_lid);
         self.next_lid += 1;
-        let core = HcaCore::new(lid, cfg);
+        let core = HcaCore::new(lid);
         let actor = self.register(Box::new(HcaActor::new(core, ulp)), Kind::Endpoint(lid));
         let handle = NodeHandle { actor, lid };
         self.nodes.push(handle);
@@ -216,18 +216,20 @@ impl FabricBuilder {
     /// the runnable fabric.
     pub fn finish(mut self) -> Fabric {
         // Attach egress ports for every adjacency entry, each with its own
-        // delivery stream.
+        // delivery stream, and give each HCA a stream to itself.
         self.engine
-            .reserve_streams(self.adj.iter().map(Vec::len).sum());
+            .reserve_streams(self.adj.iter().map(Vec::len).sum::<usize>() + self.nodes.len());
         for (id, adj) in self.adj.iter().enumerate() {
             for &(peer, port, cfg) in adj {
                 let egress = EgressPort::new(peer, cfg, self.engine.open_stream(id, peer));
                 match self.kinds[id] {
-                    Kind::Endpoint(_) => self
-                        .engine
-                        .actor_mut::<HcaActor>(id)
-                        .core_mut()
-                        .attach_port(egress),
+                    Kind::Endpoint(_) => {
+                        let redelivery = self.engine.open_stream(id, id);
+                        self.engine
+                            .actor_mut::<HcaActor>(id)
+                            .core_mut()
+                            .attach_port(egress, redelivery)
+                    }
                     Kind::Switch => self
                         .engine
                         .actor_mut::<Switch>(id)
@@ -442,8 +444,8 @@ mod tests {
 
     fn two_nodes_via_switch(len: u32) -> (Fabric, NodeHandle, NodeHandle) {
         let mut b = FabricBuilder::new(7);
-        let n1 = b.add_hca(HcaConfig::default(), Box::new(OneShot::new()));
-        let n2 = b.add_hca(HcaConfig::default(), Box::new(OneShot::new()));
+        let n1 = b.add_hca(Box::new(OneShot::new()));
+        let n2 = b.add_hca(Box::new(OneShot::new()));
         let sw = b.add_switch();
         b.link(n1.actor, sw, LinkConfig::ddr_lan());
         b.link(n2.actor, sw, LinkConfig::ddr_lan());
@@ -473,9 +475,9 @@ mod tests {
     #[test]
     fn lids_are_unique_and_dense() {
         let mut b = FabricBuilder::new(1);
-        let n1 = b.add_hca(HcaConfig::default(), Box::new(NullUlp));
-        let n2 = b.add_hca(HcaConfig::default(), Box::new(NullUlp));
-        let n3 = b.add_hca(HcaConfig::default(), Box::new(NullUlp));
+        let n1 = b.add_hca(Box::new(NullUlp));
+        let n2 = b.add_hca(Box::new(NullUlp));
+        let n3 = b.add_hca(Box::new(NullUlp));
         assert_eq!((n1.lid, n2.lid, n3.lid), (Lid(1), Lid(2), Lid(3)));
     }
 
@@ -483,8 +485,8 @@ mod tests {
     fn routing_across_two_switches() {
         // n1 - sw1 - sw2 - n2: the SM must install routes on both switches.
         let mut b = FabricBuilder::new(7);
-        let n1 = b.add_hca(HcaConfig::default(), Box::new(OneShot::new()));
-        let n2 = b.add_hca(HcaConfig::default(), Box::new(OneShot::new()));
+        let n1 = b.add_hca(Box::new(OneShot::new()));
+        let n2 = b.add_hca(Box::new(OneShot::new()));
         let sw1 = b.add_switch();
         let sw2 = b.add_switch();
         b.link(n1.actor, sw1, LinkConfig::ddr_lan());
@@ -519,7 +521,7 @@ mod tests {
     #[should_panic(expected = "exactly one cable")]
     fn hca_cannot_take_two_cables() {
         let mut b = FabricBuilder::new(1);
-        let n1 = b.add_hca(HcaConfig::default(), Box::new(NullUlp));
+        let n1 = b.add_hca(Box::new(NullUlp));
         let s1 = b.add_switch();
         let s2 = b.add_switch();
         b.link(n1.actor, s1, LinkConfig::ddr_lan());

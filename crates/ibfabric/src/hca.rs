@@ -9,7 +9,7 @@ use crate::slab::{QpSlab, RtoPop};
 use crate::types::Lid;
 use crate::ulp::Ulp;
 use crate::verbs::{Completion, RecvWr, SendWr};
-use simcore::{Actor, ActorId, Ctx, Dur, Rate, SerialResource, Time};
+use simcore::{Actor, ActorId, Ctx, Dur, Rate, SerialResource, StreamId, Time};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -26,38 +26,27 @@ pub const RETRANSMIT_BASE: u64 = 1 << 60;
 /// [`HcaCore::merge_head_eligible`].
 const SEND_TRAIN_MAX_MSG_LEN: u32 = 64 << 10;
 
-/// Host-side timing parameters of an HCA + driver stack.
-///
-/// Calibrated so that back-to-back RC half-round-trip latency for small
-/// messages lands near the few-microsecond DDR figures of the paper's
-/// testbed, and so the Longbow pair adds its documented ~5 µs.
-#[derive(Copy, Clone, Debug)]
-pub struct HcaConfig {
-    /// CPU cost to post one work request (descriptor write + doorbell).
-    pub post_overhead: Dur,
-    /// Latency from hardware completion to the ULP observing the CQE.
-    pub cq_latency: Dur,
-    /// Extra receive-side cost for channel semantics (recv-WQE consumption);
-    /// RDMA operations skip it, which is why RDMA write latency beats
-    /// send/recv in Figure 3.
-    pub recv_overhead: Dur,
-}
+// Host-side timing of an HCA + driver stack, calibrated so that
+// back-to-back RC half-round-trip latency for small messages lands near the
+// few-microsecond DDR figures of the paper's testbed, and so the Longbow
+// pair adds its documented ~5 µs.
 
-impl Default for HcaConfig {
-    fn default() -> Self {
-        HcaConfig {
-            post_overhead: Dur::from_ns(300),
-            cq_latency: Dur::from_ns(300),
-            recv_overhead: Dur::from_ns(400),
-        }
-    }
-}
+/// CPU cost to post one work request (descriptor write + doorbell).
+const POST_OVERHEAD: Dur = Dur::from_ns(300);
+/// Latency from hardware completion to the ULP observing the CQE.
+const CQ_LATENCY: Dur = Dur::from_ns(300);
+/// Extra receive-side cost for channel semantics (recv-WQE consumption);
+/// RDMA operations skip it, which is why RDMA write latency beats
+/// send/recv in Figure 3.
+const RECV_OVERHEAD: Dur = Dur::from_ns(400);
 
 /// The verbs-facing half of an HCA, handed to the ULP.
 pub struct HcaCore {
     lid: Lid,
-    cfg: HcaConfig,
     port: Option<EgressPort>,
+    /// The stream this HCA re-delivers a train's later messages to itself
+    /// on, opened with the port.
+    redelivery: Option<StreamId>,
     /// Per-QP hot state — state machines, retransmission-timer slots, and
     /// the recycled drive scratch — packed contiguously by QP number.
     qps: QpSlab,
@@ -91,7 +80,7 @@ struct PendingTrain {
     /// The accumulated packet: `msgs` whole messages, `msg_gap_ns` apart.
     pkt: Packet,
     /// A datagram run's SendDones, one per member in member order (empty
-    /// for RC runs). Each is due `cq_latency` after its own member leaves
+    /// for RC runs). Each is due `CQ_LATENCY` after its own member leaves
     /// the port; [`HcaCore::flush_pending`] fills the instants in.
     wire_outs: Vec<(Time, Completion)>,
     /// The members' ULP headers in member order, once a second headered
@@ -102,11 +91,11 @@ struct PendingTrain {
 
 impl HcaCore {
     /// New core with no port attached yet (the fabric builder wires it).
-    pub fn new(lid: Lid, cfg: HcaConfig) -> Self {
+    pub fn new(lid: Lid) -> Self {
         HcaCore {
             lid,
-            cfg,
             port: None,
+            redelivery: None,
             qps: QpSlab::new(),
             host_cpu: SerialResource::new(Rate::INFINITE),
             packets_sent: 0,
@@ -130,11 +119,6 @@ impl HcaCore {
     /// This port's LID.
     pub fn lid(&self) -> Lid {
         self.lid
-    }
-
-    /// Host timing configuration.
-    pub fn config(&self) -> HcaConfig {
-        self.cfg
     }
 
     /// Create a QP; QPNs are assigned densely from 0.
@@ -184,7 +168,7 @@ impl HcaCore {
     /// processing, e.g. the IPoIB/TCP stack).
     pub fn post_send_after(&mut self, ctx: &mut Ctx<'_>, qpn: Qpn, wr: SendWr, earliest: Time) {
         let at = earliest.max(ctx.now());
-        let (_, ready) = self.host_cpu.reserve_dur(at, self.cfg.post_overhead);
+        let (_, ready) = self.host_cpu.reserve_dur(at, POST_OVERHEAD);
         let mut out = self.qps.take_scratch();
         self.qps.qp_mut(qpn).post_send(wr, &mut out);
         self.arm_if_requested(ctx, qpn, &out);
@@ -280,11 +264,7 @@ impl HcaCore {
             self.enqueue_tx(ctx, ready, pkt);
         }
         for c in out.completions.drain(..) {
-            ctx.send(
-                ctx.self_id(),
-                Box::new(CompletionDelivery(c)),
-                self.cfg.cq_latency,
-            );
+            ctx.send(ctx.self_id(), Box::new(CompletionDelivery(c)), CQ_LATENCY);
         }
         if let Some(c) = out.tx_completions.pop() {
             // A UD send's wire-out completion, valid once its datagram — the
@@ -300,7 +280,7 @@ impl HcaCore {
                 ctx.send_at(
                     ctx.self_id(),
                     Box::new(CompletionDelivery(c)),
-                    tx_end + self.cfg.cq_latency,
+                    tx_end + CQ_LATENCY,
                 );
             }
         }
@@ -468,18 +448,17 @@ impl HcaCore {
         if wire_outs.is_empty() {
             return port.send(ctx, ready, pkt);
         }
-        // A datagram run: each member's SendDone is due `cq_latency` after
+        // A datagram run: each member's SendDone is due `CQ_LATENCY` after
         // its own serialization end, read off the departure pattern of
         // whatever deliveries the port splits the run into. The run's
         // SendDones leave as one completion run, so the ULP's re-posts land
         // in the next pending train.
-        let cq_latency = self.cfg.cq_latency;
         let mut cqes = wire_outs;
         let mut due = cqes.iter_mut().map(|(at, _)| at);
         port.send_reporting(ctx, ready, pkt, |departed, p| {
             for k in 0..p.count {
                 let end = departed + Dur::from_ns(p.member_arrival_offset_ns(k));
-                *due.next().expect("one SendDone per datagram") = end + cq_latency;
+                *due.next().expect("one SendDone per datagram") = end + CQ_LATENCY;
             }
         });
         Self::emit_completions(ctx, cqes);
@@ -495,12 +474,15 @@ impl HcaCore {
     /// run's replies merge into one return-path run.
     ///
     /// This event receives the messages that are due now; the rest arrive
-    /// again, re-delivered as one packet, at the tail of the first of them.
-    /// Headerless RC messages are all due at the head: their only reply is
-    /// the hardware ACK. A message with a ULP header (see [`Packet::data`])
-    /// goes to a protocol whose own sends must reach the port in the order
-    /// the per-message path gives them, so it is received in an event at its
-    /// own tail instant; datagrams follow [`Self::datagrams_covered`].
+    /// again, re-delivered as one packet on the HCA's stream to itself, at
+    /// the tail of the first of them. As the next packet's head lands after
+    /// this packet's last tail, that stream's instants never decrease and it
+    /// holds at most one packet. Headerless RC messages are all due at the
+    /// head: their only reply is the hardware ACK. A message with a ULP
+    /// header (see [`Packet::data`]) goes to a protocol whose own sends must
+    /// reach the port in the order the per-message path gives them, so it
+    /// is received in an event at its own tail instant; datagrams follow
+    /// [`Self::datagrams_covered`].
     fn handle_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet, redelivered: bool) {
         debug_assert_eq!(pkt.dst_lid, self.lid, "packet routed to wrong HCA");
         let port = self.port.as_ref().expect("HCA port not wired");
@@ -535,7 +517,8 @@ impl HcaCore {
         self.packets_received += (disposed * f) as u64;
         if disposed < pkt.msgs {
             let rest = pkt.msg_slice(disposed, pkt.msgs - disposed);
-            ctx.send_at(ctx.self_id(), rest, tail(disposed));
+            let redelivery = self.redelivery.expect("HCA port not wired");
+            ctx.send_stream(redelivery, rest, tail(disposed));
         }
         if pkt.msgs == 1 {
             if receive == 1 {
@@ -554,7 +537,7 @@ impl HcaCore {
     /// — at `tail`, its last fragment's arrival instant. The QP's ACKs and
     /// read responses leave from `tail` (hardware path, no host) and its
     /// retransmission timer runs from `tail`. Each completion is due
-    /// `cq_latency` after `tail`, plus the receive overhead when the message
+    /// `CQ_LATENCY` after `tail`, plus the receive overhead when the message
     /// consumed a receive WQE. A run's completions collect in `run` to leave
     /// as one [`CompletionRun`]; a lone message's leave one event each.
     fn receive_message(
@@ -565,9 +548,9 @@ impl HcaCore {
         run: Option<&mut Vec<(Time, Completion)>>,
     ) {
         let qpn = msg.dst_qpn;
-        let mut done = tail + self.cfg.cq_latency;
+        let mut done = tail + CQ_LATENCY;
         if matches!(msg.opcode, Opcode::UdSend | Opcode::RcSend { .. }) {
-            done += self.cfg.recv_overhead;
+            done += RECV_OVERHEAD;
         }
         let mut out = self.qps.take_scratch();
         self.qps.qp_mut(qpn).on_packet(msg, &mut out);
@@ -594,7 +577,7 @@ impl HcaCore {
     /// How many of a run of `msgs ≥ 1` datagrams to UD QP `qpn`, whose
     /// head arrives at `head`, this event receives. Each is an ordinary
     /// datagram at its own arrival instant: it takes one receive WQE and
-    /// completes `cq_latency + recv_overhead` later, or counts in
+    /// completes `CQ_LATENCY + RECV_OVERHEAD` later, or counts in
     /// `ud_dropped` when none is posted. This event receives the members
     /// that WQEs already posted by the head's arrival cover
     /// ([`Self::recv_cover`]), and the head itself, which is due now, drops
@@ -636,14 +619,16 @@ impl HcaCore {
         port.credit_returned(ctx);
     }
 
-    /// Attach the (single) port. Used by the fabric builder.
-    pub fn attach_port(&mut self, egress: EgressPort) {
+    /// Attach the (single) port, and `redelivery`, a stream from this HCA
+    /// to itself. Used by the fabric builder.
+    pub fn attach_port(&mut self, egress: EgressPort, redelivery: StreamId) {
         assert!(self.port.is_none(), "HCA port already attached");
         self.port = Some(egress);
+        self.redelivery = Some(redelivery);
     }
 }
 
-/// Internal self-message carrying a CQE to the ULP after `cq_latency`.
+/// Internal self-message carrying a CQE to the ULP after `CQ_LATENCY`.
 struct CompletionDelivery(Completion);
 
 /// Internal self-message carrying a batch of CQEs whose delivery events were
@@ -807,8 +792,8 @@ mod tests {
         if !coalescing {
             b.disable_coalescing();
         }
-        let a = b.add_hca(HcaConfig::default(), Box::new(Recorder::new()));
-        let c = b.add_hca(HcaConfig::default(), Box::new(Recorder::new()));
+        let a = b.add_hca(Box::new(Recorder::new()));
+        let c = b.add_hca(Box::new(Recorder::new()));
         b.link(a.actor, c.actor, cable);
         let mut f = b.finish();
         let (qa, qb) = crate::perftest::rc_qp_pair(&mut f, a, c, QpConfig::rc());
@@ -1020,8 +1005,8 @@ mod tests {
         if !coalescing {
             fb.disable_coalescing();
         }
-        let na = fb.add_hca(HcaConfig::default(), Box::new(a));
-        let nb = fb.add_hca(HcaConfig::default(), Box::new(b));
+        let na = fb.add_hca(Box::new(a));
+        let nb = fb.add_hca(Box::new(b));
         fb.link(na.actor, nb.actor, LinkConfig::ddr_lan());
         let mut f = fb.finish();
         let (qa, qb) = if rc {
@@ -1118,7 +1103,7 @@ mod tests {
     #[test]
     fn ud_trains_are_exact_when_drops_hang_on_reposts() {
         // 32-byte datagrams arrive 300 ns apart (the posting overhead),
-        // faster than a re-post lands (cq_latency + recv_overhead = 700 ns),
+        // faster than a re-post lands (CQ_LATENCY + RECV_OVERHEAD = 700 ns),
         // so two WQEs recycled on each RecvDone cover some arrivals and not
         // others, and completion runs re-post ahead of their instants.
         let [_, rx] =

@@ -24,15 +24,14 @@
 //!
 //! ```
 //! use ibfabric::fabric::FabricBuilder;
-//! use ibfabric::hca::HcaConfig;
 //! use ibfabric::link::LinkConfig;
 //! use ibfabric::perftest::{rc_qp_pair, BwConfig, BwPeer};
 //! use ibfabric::qp::QpConfig;
 //!
 //! // Two nodes back-to-back on a DDR cable, streaming 64 KB messages.
 //! let mut b = FabricBuilder::new(1);
-//! let tx = b.add_hca(HcaConfig::default(), Box::new(BwPeer::sender(BwConfig::new(65536, 100))));
-//! let rx = b.add_hca(HcaConfig::default(), Box::new(BwPeer::receiver()));
+//! let tx = b.add_hca(Box::new(BwPeer::sender(BwConfig::new(65536, 100))));
+//! let rx = b.add_hca(Box::new(BwPeer::receiver()));
 //! b.link(tx.actor, rx.actor, LinkConfig::ddr_lan());
 //! let mut fabric = b.finish();
 //! let (qt, qr) = rc_qp_pair(&mut fabric, tx, rx, QpConfig::rc());
@@ -56,7 +55,7 @@ pub mod ulp;
 pub mod verbs;
 
 pub use fabric::{Fabric, FabricBuilder, NodeHandle};
-pub use hca::{HcaActor, HcaConfig, HcaCore};
+pub use hca::{HcaActor, HcaCore};
 pub use link::LinkConfig;
 pub use packet::{Opcode, Packet};
 pub use qp::{QpConfig, QpState, Qpn, TransportType};

@@ -328,13 +328,13 @@ pub fn ud_qp_pair(
 mod tests {
     use super::*;
     use crate::fabric::{Fabric, FabricBuilder, NodeHandle};
-    use crate::hca::{HcaActor, HcaConfig};
+    use crate::hca::HcaActor;
     use crate::link::LinkConfig;
 
     fn back_to_back(ulp_a: Box<dyn Ulp>, ulp_b: Box<dyn Ulp>) -> (Fabric, NodeHandle, NodeHandle) {
         let mut b = FabricBuilder::new(3);
-        let n1 = b.add_hca(HcaConfig::default(), ulp_a);
-        let n2 = b.add_hca(HcaConfig::default(), ulp_b);
+        let n1 = b.add_hca(ulp_a);
+        let n2 = b.add_hca(ulp_b);
         b.link(n1.actor, n2.actor, LinkConfig::ddr_lan());
         let f = b.finish();
         (f, n1, n2)

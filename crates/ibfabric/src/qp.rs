@@ -1327,18 +1327,14 @@ mod reliability_tests {
     #[test]
     fn wan_rtt_longer_than_rto_retransmits_but_delivers_once() {
         use crate::fabric::FabricBuilder;
-        use crate::hca::HcaConfig;
         use crate::link::LinkConfig;
         use crate::perftest::{rc_qp_pair, BwConfig, BwPeer};
         use simcore::Rate;
 
         let msgs = 4u64;
         let mut builder = FabricBuilder::new(11);
-        let n1 = builder.add_hca(
-            HcaConfig::default(),
-            Box::new(BwPeer::sender(BwConfig::new(65536, msgs))),
-        );
-        let n2 = builder.add_hca(HcaConfig::default(), Box::new(BwPeer::receiver()));
+        let n1 = builder.add_hca(Box::new(BwPeer::sender(BwConfig::new(65536, msgs))));
+        let n2 = builder.add_hca(Box::new(BwPeer::receiver()));
         builder.link(
             n1.actor,
             n2.actor,

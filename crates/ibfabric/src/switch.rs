@@ -152,7 +152,33 @@ mod tests {
     use crate::packet::{Opcode, Packet};
     use crate::qp::Qpn;
     use crate::types::Lid;
-    use simcore::{Engine, Time};
+    use simcore::{Engine, StreamId, Time};
+
+    /// Sends one packet over its stream when its one timer fires.
+    struct Source {
+        stream: Option<StreamId>,
+        pkt: Option<Packet>,
+    }
+    impl Actor for Source {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: ActorId, _msg: Box<dyn Any>) {
+            panic!("the source takes no messages");
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            let (stream, pkt) = (self.stream.unwrap(), self.pkt.take().unwrap());
+            ctx.send_stream(stream, pkt, ctx.now());
+        }
+    }
+
+    /// Add a [`Source`] that sends `pkt` to `switch` at time zero.
+    fn send_at_zero(e: &mut Engine, switch: ActorId, pkt: Packet) {
+        let src = e.add_actor(Box::new(Source {
+            stream: None,
+            pkt: Some(pkt),
+        }));
+        let stream = e.open_stream(src, switch);
+        e.actor_mut::<Source>(src).stream = Some(stream);
+        e.schedule_timer(Time::ZERO, src, 0);
+    }
 
     /// Actor that records packet arrival times.
     struct Sink {
@@ -160,7 +186,7 @@ mod tests {
     }
     impl Actor for Sink {
         fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: ActorId, _msg: Box<dyn Any>) {
-            panic!("sink expects packets on the packet lane");
+            panic!("the sink takes only packets");
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: ActorId, _pkt: Packet) {
             self.arrivals.push(ctx.now());
@@ -210,7 +236,7 @@ mod tests {
             ),
         );
         sw.set_route(5, 0);
-        e.schedule_message(Time::ZERO, swid, swid, test_packet(5, 930));
+        send_at_zero(&mut e, swid, test_packet(5, 930));
         e.run();
         // 200ns fwd + (930+70)ns serialization + 100ns propagation = 1300ns.
         assert_eq!(e.actor::<Sink>(sink).arrivals, vec![Time::from_ns(1300)]);
@@ -223,7 +249,7 @@ mod tests {
         let mut e = Engine::new(1);
         let sw = Switch::new();
         let swid = e.add_actor(Box::new(sw));
-        e.schedule_message(Time::ZERO, swid, swid, test_packet(9, 1));
+        send_at_zero(&mut e, swid, test_packet(9, 1));
         e.run();
     }
 }

@@ -1,11 +1,11 @@
 //! # ibwire — wire-level InfiniBand types
 //!
 //! The leaf crate holding the identifiers and the packet struct that travel
-//! between fabric actors. It exists so that `simcore` can carry a *typed*
-//! packet lane in its event queue ([`Packet`] rides inline in the engine's
-//! pooled event nodes, with no `Box<dyn Any>` allocation or downcast per
-//! fragment) without depending on the full fabric model, while `ibfabric`
-//! re-exports everything here under its original paths.
+//! between fabric actors. It exists so that `simcore` can carry packets
+//! *typed* in its delivery streams ([`Packet`] rides inline in the stream,
+//! with no `Box<dyn Any>` allocation or downcast per fragment) without
+//! depending on the full fabric model, while `ibfabric` re-exports
+//! everything here under its original paths.
 
 use bytes::Bytes;
 use std::fmt;

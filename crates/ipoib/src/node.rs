@@ -200,7 +200,6 @@ impl Ulp for IpoibNode {
 mod tests {
     use super::*;
     use ibfabric::fabric::{Fabric, NodeHandle};
-    use ibfabric::hca::HcaConfig;
     use ibfabric::link::LinkConfig;
     use ibtopo::{SiteSpec, TopoSpec};
 
@@ -219,7 +218,6 @@ mod tests {
         let (mut f, tx, rx) = spec.build_pair(
             5,
             true,
-            HcaConfig::default(),
             Box::new(IpoibNode::sender(cfg, tcp, n_streams, bytes)),
             Box::new(IpoibNode::receiver(cfg, tcp, n_streams, bytes)),
         );

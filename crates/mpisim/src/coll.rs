@@ -83,8 +83,10 @@ pub fn bcast_binomial(members: &[usize], me: usize, root: usize, len: u32, tag: 
     ops
 }
 
-/// Scatter + ring-allgather broadcast (MVAPICH2's large-message algorithm).
-/// Requires a power-of-two member count (all the paper's configurations are).
+/// Scatter + ring-allgather broadcast (MVAPICH2's large-message algorithm):
+/// a [`scatter`] of `len / n`-byte chunks, then an [`allgather_ring`] of
+/// them. Requires a power-of-two member count (all the paper's
+/// configurations are).
 pub fn bcast_scatter_ring(
     members: &[usize],
     me: usize,
@@ -97,46 +99,9 @@ pub fn bcast_scatter_ring(
         n.is_power_of_two(),
         "scatter+ring requires power-of-two ranks"
     );
-    if n == 1 {
-        return Vec::new();
-    }
     let chunk = len.div_ceil(n as u32).max(1);
-    let vroot = index_of(members, root);
-    let vme = (index_of(members, me) + n - vroot) % n;
-    let at = |v: usize| members[(v + vroot) % n];
-    let mut ops = Vec::new();
-    // Recursive-halving binomial scatter: at step `m`, holders (vrank % 2m
-    // == 0) ship the upper half of their range (m chunks) to vrank + m.
-    let mut m = n / 2;
-    while m >= 1 {
-        let step_tag = tag + (n / 2 / m).trailing_zeros();
-        if vme.is_multiple_of(2 * m) {
-            ops.push(Op::Send {
-                to: at(vme + m),
-                len: chunk * m as u32,
-                tag: step_tag,
-            });
-        } else if vme % (2 * m) == m {
-            ops.push(Op::Recv {
-                from: at(vme - m),
-                tag: step_tag,
-            });
-        }
-        m /= 2;
-    }
-    // Ring allgather: n-1 steps of simultaneous send-right / recv-left.
-    let right = at((vme + 1) % n);
-    let left = at((vme + n - 1) % n);
-    let ring_base = tag + 32;
-    for step in 0..(n - 1) as u32 {
-        ops.push(Op::Exchange {
-            to: right,
-            from: left,
-            len: chunk,
-            tag: ring_base + step,
-            count: 1,
-        });
-    }
+    let mut ops = scatter(members, me, root, chunk, tag);
+    ops.extend(allgather_ring(members, me, chunk, tag + 32));
     ops
 }
 
@@ -279,6 +244,8 @@ pub fn scatter(members: &[usize], me: usize, root: usize, chunk: u32, tag: u32) 
     let vme = (index_of(members, me) + n - vroot) % n;
     let at = |v: usize| members[(v + vroot) % n];
     let mut ops = Vec::new();
+    // Recursive halving: at step `m`, holders (vrank % 2m == 0) ship the
+    // upper half of their range (m chunks) to vrank + m.
     let mut m = n / 2;
     while m >= 1 {
         let step_tag = tag + (n / 2 / m).trailing_zeros();

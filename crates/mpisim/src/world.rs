@@ -4,7 +4,7 @@
 use crate::proto::{MpiConfig, P2p, TOKEN_COPY};
 use crate::script::{Op, ScriptRunner, TOKEN_COMPUTE};
 use ibfabric::fabric::{Fabric, NodeHandle};
-use ibfabric::hca::{HcaConfig, HcaCore};
+use ibfabric::hca::HcaCore;
 use ibfabric::perftest::rc_qp_pair;
 use ibfabric::ulp::Ulp;
 use ibfabric::verbs::Completion;
@@ -82,8 +82,6 @@ pub struct JobSpec {
     pub delay: Dur,
     /// MPI library configuration.
     pub mpi: MpiConfig,
-    /// Host adapter parameters.
-    pub hca: HcaConfig,
     /// Engine seed.
     pub seed: u64,
     /// Fragment-train coalescing on the wire path.
@@ -98,7 +96,6 @@ impl JobSpec {
             ranks_b,
             delay,
             mpi: MpiConfig::default(),
-            hca: HcaConfig::default(),
             seed: 42,
             coalescing: true,
         }
@@ -112,12 +109,6 @@ impl JobSpec {
     /// Replace the MPI configuration.
     pub fn with_mpi(mut self, mpi: MpiConfig) -> Self {
         self.mpi = mpi;
-        self
-    }
-
-    /// Turn fragment-train coalescing on or off.
-    pub fn with_coalescing(mut self, coalescing: bool) -> Self {
-        self.coalescing = coalescing;
         self
     }
 
@@ -143,14 +134,7 @@ impl MpiJob {
     /// arbitrary generated fabrics go through [`MpiJob::build_on_topo`].
     pub fn build<F: Fn(usize, usize) -> Vec<Op>>(spec: JobSpec, program: F) -> Self {
         let topo = TopoSpec::clusters(spec.ranks_a, spec.ranks_b, spec.delay);
-        Self::build_on_topo(
-            &topo,
-            spec.mpi,
-            spec.hca,
-            spec.seed,
-            spec.coalescing,
-            program,
-        )
+        Self::build_on_topo(&topo, spec.mpi, spec.seed, spec.coalescing, program)
     }
 
     /// Build an MPI job on any declarative topology: rank `r` runs on host
@@ -160,14 +144,13 @@ impl MpiJob {
     pub fn build_on_topo<F: Fn(usize, usize) -> Vec<Op>>(
         topo: &TopoSpec,
         mpi: MpiConfig,
-        hca: HcaConfig,
         seed: u64,
         coalescing: bool,
         program: F,
     ) -> Self {
         let n = topo.total_hosts();
         assert!(n >= 1, "need at least one rank");
-        let (mut fabric, nodes) = topo.build(seed, coalescing, hca, |rank| {
+        let (mut fabric, nodes) = topo.build(seed, coalescing, |rank| {
             Box::new(MpiProcess::new(rank, n, mpi, program(rank, n))) as Box<dyn Ulp>
         });
         // Full RC mesh: one connected QP pair per rank pair.

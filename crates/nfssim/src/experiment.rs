@@ -2,7 +2,6 @@
 
 use crate::client::{NfsClient, NfsClientConfig};
 use crate::server::{NfsServer, NfsServerConfig};
-use ibfabric::hca::HcaConfig;
 use ibfabric::qp::QpConfig;
 use ibtopo::TopoSpec;
 use ipoib::node::IpoibConfig;
@@ -142,13 +141,8 @@ pub fn run_read_experiment(setup: NfsSetup) -> NfsThroughput {
         None => TopoSpec::single_switch(2),
         Some(delay) => TopoSpec::two_site(delay),
     };
-    let (mut f, server, client) = spec.build_pair(
-        setup.seed,
-        setup.coalescing,
-        HcaConfig::default(),
-        server_ulp,
-        client_ulp,
-    );
+    let (mut f, server, client) =
+        spec.build_pair(setup.seed, setup.coalescing, server_ulp, client_ulp);
 
     // Transport wiring.
     match setup.transport {

@@ -171,7 +171,6 @@ impl LongbowPair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibfabric::hca::HcaConfig;
     use ibfabric::perftest::{rc_qp_pair, BwConfig, BwPeer, LatMode, PingPong};
     use ibfabric::qp::QpConfig;
 
@@ -182,8 +181,8 @@ mod tests {
         ulp_b: Box<dyn ibfabric::Ulp>,
     ) -> (ibfabric::Fabric, ibfabric::NodeHandle, ibfabric::NodeHandle) {
         let mut b = FabricBuilder::new(11);
-        let n1 = b.add_hca(HcaConfig::default(), ulp_a);
-        let n2 = b.add_hca(HcaConfig::default(), ulp_b);
+        let n1 = b.add_hca(ulp_a);
+        let n2 = b.add_hca(ulp_b);
         let sw_a = b.add_switch();
         let sw_b = b.add_switch();
         b.link(n1.actor, sw_a, LinkConfig::ddr_lan());
@@ -219,14 +218,8 @@ mod tests {
     fn pair_adds_about_5us_at_zero_delay() {
         // Back-to-back baseline.
         let mut bb = FabricBuilder::new(1);
-        let n1 = bb.add_hca(
-            HcaConfig::default(),
-            Box::new(PingPong::new(LatMode::SendRc, true, 4, 50)),
-        );
-        let n2 = bb.add_hca(
-            HcaConfig::default(),
-            Box::new(PingPong::new(LatMode::SendRc, false, 4, 50)),
-        );
+        let n1 = bb.add_hca(Box::new(PingPong::new(LatMode::SendRc, true, 4, 50)));
+        let n2 = bb.add_hca(Box::new(PingPong::new(LatMode::SendRc, false, 4, 50)));
         bb.link(n1.actor, n2.actor, LinkConfig::ddr_lan());
         let mut f = bb.finish();
         let (qa, qb) = rc_qp_pair(&mut f, n1, n2, QpConfig::rc());
@@ -302,11 +295,8 @@ mod tests {
         // SDR rate; 16 credits cap throughput at ~credits * pkt / RTT.
         fn ud_bw_with(credits: Option<usize>) -> f64 {
             let mut builder = FabricBuilder::new(29);
-            let n1 = builder.add_hca(
-                HcaConfig::default(),
-                Box::new(BwPeer::sender(BwConfig::new(2048, 3000))),
-            );
-            let n2 = builder.add_hca(HcaConfig::default(), Box::new(BwPeer::receiver()));
+            let n1 = builder.add_hca(Box::new(BwPeer::sender(BwConfig::new(2048, 3000))));
+            let n2 = builder.add_hca(Box::new(BwPeer::receiver()));
             let sw_a = builder.add_switch();
             let sw_b = builder.add_switch();
             builder.link(n1.actor, sw_a, LinkConfig::ddr_lan());
@@ -345,11 +335,8 @@ mod tests {
         // A lossy long-haul link: every message still arrives exactly once
         // thanks to go-back-N retransmission.
         let mut builder = FabricBuilder::new(23);
-        let n1 = builder.add_hca(
-            HcaConfig::default(),
-            Box::new(BwPeer::sender(BwConfig::new(4096, 200))),
-        );
-        let n2 = builder.add_hca(HcaConfig::default(), Box::new(BwPeer::receiver()));
+        let n1 = builder.add_hca(Box::new(BwPeer::sender(BwConfig::new(4096, 200))));
+        let n2 = builder.add_hca(Box::new(BwPeer::receiver()));
         let sw_a = builder.add_switch();
         let sw_b = builder.add_switch();
         builder.link(n1.actor, sw_a, LinkConfig::ddr_lan());

@@ -3,7 +3,6 @@
 
 use crate::client::{PfsClient, PfsClientConfig};
 use crate::server::{MdsServer, OssServer, OssServerConfig};
-use ibfabric::hca::HcaConfig;
 use ibfabric::perftest::rc_qp_pair;
 use ibfabric::qp::QpConfig;
 use ibfabric::ulp::Ulp;
@@ -80,17 +79,11 @@ pub fn run_striped_read(setup: PfsSetup) -> PfsThroughput {
             wans: vec![WanSpec::longbow(0, 1, delay)],
         },
     };
-    let (mut f, nodes) =
-        spec.build(
-            setup.seed,
-            setup.coalescing,
-            HcaConfig::default(),
-            |host| match host {
-                0 => Box::new(PfsClient::new(client_cfg)) as Box<dyn Ulp>,
-                1 => Box::new(MdsServer::new(setup.stripe_count as u32)),
-                _ => Box::new(OssServer::new(OssServerConfig::default())),
-            },
-        );
+    let (mut f, nodes) = spec.build(setup.seed, setup.coalescing, |host| match host {
+        0 => Box::new(PfsClient::new(client_cfg)) as Box<dyn Ulp>,
+        1 => Box::new(MdsServer::new(setup.stripe_count as u32)),
+        _ => Box::new(OssServer::new(OssServerConfig::default())),
+    });
     let (client, mds) = (nodes[0], nodes[1]);
     let osses = &nodes[2..];
 

@@ -5,35 +5,29 @@
 //! scheduled message deliveries and timers; the engine pops events in strict
 //! `(time, sequence)` order, so simulations are fully deterministic.
 //!
-//! ## The two message lanes
+//! ## Packets and control messages
 //!
 //! Fabric traffic dominates event volume: a single large RC message becomes
 //! thousands of MTU fragments, each crossing several hops (HCA → switch →
-//! Longbow → Longbow → switch → HCA), and every hop is one event. The engine
-//! therefore carries messages as a [`Msg`] with two lanes:
-//!
-//! * **Packet lane** — [`Msg::Packet`] holds an [`ibwire::Packet`] *by value*
-//!   inside the pooled event node and dispatches to [`Actor::on_packet`]. No
-//!   allocation, no `dyn Any` downcast per fragment.
-//! * **Control lane** — [`Msg::Ctrl`] is the classic `Box<dyn Any>` for
-//!   everything else (completions, credits, ULP user messages), dispatched to
-//!   [`Actor::on_message`]. Zero-sized control messages (e.g. link credits)
-//!   don't allocate either: `Box::new` of a ZST is allocation-free.
-//!
-//! `Ctx::send`/`Engine::schedule_message` accept `impl Into<Msg>`, so existing
-//! `Box::new(value)` call sites keep working while fabric code passes a bare
-//! `Packet`.
+//! Longbow → Longbow → switch → HCA), and every hop is one event. A packet
+//! therefore travels only through a delivery stream (below), which holds
+//! the [`ibwire::Packet`] *by value* and dispatches it to
+//! [`Actor::on_packet`]: no allocation, no `dyn Any` downcast per fragment.
+//! Everything else (completions, credits, ULP user messages) is a
+//! `Box<dyn Any + Send>` sent with [`Ctx::send`] and dispatched to
+//! [`Actor::on_message`]. Zero-sized messages (e.g. link credits) don't
+//! allocate either: `Box::new` of a ZST is allocation-free.
 //!
 //! ## Event pooling
 //!
-//! Event payloads scheduled with [`Ctx::send_at`] and timers live in a slab
-//! (`Vec<Option<EventKind>>` plus a free list); the event queue orders only
-//! compact 32-byte `(time, seq, index)` keys. Steady-state simulation
-//! allocates nothing per event: nodes are recycled through the free list
+//! Control messages and timers live in a slab (`Vec<Option<EventKind>>`
+//! plus a free list) of 40-byte nodes; the event queue orders only compact
+//! 32-byte `(time, seq, index)` keys. Steady-state simulation allocates
+//! nothing per event: nodes are recycled through the free list
 //! ([`EngineCounters::pool_hits`]) and the slab only grows while the
 //! in-flight population of such events reaches a new high
-//! ([`EngineCounters::events_allocated`]). Deliveries sent on a stream
-//! (below) take no slab node.
+//! ([`EngineCounters::events_allocated`]). Packets take no slab node: they
+//! wait in their stream.
 //!
 //! ## Same-timestamp ordering
 //!
@@ -47,22 +41,23 @@
 //!
 //! ## Delivery streams
 //!
-//! A link's egress port schedules each packet's arrival as soon as it
-//! reserves the wire, so a congested port's whole backlog would otherwise sit
-//! in the event queue and the slab. A port instead sends through a stream of
-//! its own, bound to the port's owner and peer when it is opened
-//! ([`Engine::open_stream`], [`Ctx::send_stream`]). The stream keeps its
-//! packets inline in a FIFO, each with the `(time, seq)` it got when
-//! scheduled, and the queue holds only the front's key. When that key pops,
-//! the engine takes the front packet, queues the next front's key and
-//! dispatches the packet. A stream's times never decrease (a send before
-//! its stream's tail panics), so each FIFO is sorted, the queue always holds
-//! each stream's minimum, and the pop order is exactly the one direct sends
-//! would give. A packet sent to an empty stream waits inline in the
-//! stream itself, so a shallow pipeline, one delivery in flight per port,
-//! touches no shared memory. The backlog behind it waits in page-sized
-//! chunks from one pool the engine's streams share, so a drained burst's
-//! memory serves the next burst on any port.
+//! A stream carries one sender's packets to one peer, bound to both when it
+//! is opened ([`Engine::open_stream`], [`Ctx::send_stream`]): each link's
+//! egress port has one, and so does each HCA, to itself, for the messages
+//! of a train it receives later than the train's head. A port schedules
+//! each packet's arrival as soon as it reserves the wire, so a congested
+//! port's whole backlog waits in its stream. The stream keeps its packets
+//! inline in a FIFO, each with the `(time, seq)` it got when scheduled, and
+//! the queue holds only the front's key. When that key pops, the engine
+//! takes the front packet, queues the next front's key and hands the packet
+//! to the peer's [`Actor::on_packet`]. A stream's times never decrease (a
+//! send before its stream's tail panics), so each FIFO is sorted, the queue
+//! always holds each stream's minimum, and the pop order is exactly the one
+//! a slab event per packet would give. A packet sent to an empty stream
+//! waits inline in the stream itself, so a shallow pipeline, one delivery
+//! in flight per port, touches no shared memory. The backlog behind it
+//! waits in page-sized chunks from one pool the engine's streams share, so
+//! a drained burst's memory serves the next burst on any port.
 
 use crate::calqueue::EventQueue;
 use crate::time::{Dur, Time};
@@ -74,74 +69,6 @@ use std::collections::VecDeque;
 
 /// Index of an actor within an [`Engine`].
 pub type ActorId = usize;
-
-/// A message travelling between actors: the typed packet lane or the boxed
-/// control lane. See the [module docs](self) for why the lanes exist.
-///
-/// Control payloads carry a `Send` bound so a whole [`Engine`] — including
-/// its queued events — is `Send` and can move between threads. Handlers
-/// still receive a plain `Box<dyn Any>`; the bound only constrains
-/// construction.
-pub enum Msg {
-    /// A fabric packet, carried by value (fast path).
-    Packet(Packet),
-    /// Anything else, carried as `Box<dyn Any + Send>` (control path).
-    Ctrl(Box<dyn Any + Send>),
-}
-
-impl Msg {
-    /// Downcast a control-lane message to a concrete type. Packet-lane
-    /// messages and control messages of a different type come back as `Err`.
-    pub fn downcast<T: Any>(self) -> Result<Box<T>, Msg> {
-        match self {
-            Msg::Ctrl(b) => b.downcast::<T>().map_err(Msg::Ctrl),
-            p => Err(p),
-        }
-    }
-
-    /// Extract the packet, if this is a packet-lane message.
-    pub fn into_packet(self) -> Result<Packet, Msg> {
-        match self {
-            Msg::Packet(p) => Ok(p),
-            m => Err(m),
-        }
-    }
-
-    /// True for packet-lane messages.
-    pub fn is_packet(&self) -> bool {
-        matches!(self, Msg::Packet(_))
-    }
-}
-
-impl std::fmt::Debug for Msg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Msg::Packet(p) => f.debug_tuple("Packet").field(p).finish(),
-            Msg::Ctrl(_) => f.write_str("Ctrl(..)"),
-        }
-    }
-}
-
-impl From<Packet> for Msg {
-    fn from(p: Packet) -> Msg {
-        Msg::Packet(p)
-    }
-}
-
-impl From<Box<dyn Any + Send>> for Msg {
-    fn from(b: Box<dyn Any + Send>) -> Msg {
-        Msg::Ctrl(b)
-    }
-}
-
-/// Any concretely-typed box rides the control lane; `Box::new(value)` call
-/// sites convert implicitly. (No overlap with the other impls: `dyn Any` is
-/// unsized and `Packet` converts by value, not boxed.)
-impl<T: Any + Send> From<Box<T>> for Msg {
-    fn from(b: Box<T>) -> Msg {
-        Msg::Ctrl(b)
-    }
-}
 
 /// Handle to a delivery stream opened with [`Engine::open_stream`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -176,16 +103,16 @@ struct Stream {
 /// threads as one unit. Actors are plain state machines — no interior
 /// sharing — so the bound is free in practice.
 pub trait Actor: Any + Send {
-    /// Deliver a control-lane message sent by `from`.
+    /// Deliver a control message sent by `from`.
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ActorId, msg: Box<dyn Any>);
 
-    /// Deliver a packet-lane message sent by `from`.
+    /// Deliver a packet `from` sent on a delivery stream.
     ///
     /// Only fabric entities (HCAs, switches) receive packets; the
     /// default implementation treats a packet arriving anywhere else as a
     /// wiring bug.
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: ActorId, _pkt: Packet) {
-        panic!("actor received a fabric packet but does not handle the packet lane");
+        panic!("actor received a fabric packet but does not handle packets");
     }
 
     /// A timer armed via [`Ctx::timer`] has fired. `token` is the value the
@@ -193,11 +120,12 @@ pub trait Actor: Any + Send {
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
 }
 
+/// A slab event: a control message or a timer. Packets never take one.
 pub(crate) enum EventKind {
     Message {
         from: ActorId,
         to: ActorId,
-        msg: Msg,
+        msg: Box<dyn Any + Send>,
     },
     Timer {
         actor: ActorId,
@@ -273,8 +201,8 @@ pub struct EngineCounters {
     pub events_processed: u64,
     /// Event nodes that required a fresh heap allocation (slab growth). In
     /// steady state this should plateau while `pool_hits` keeps climbing.
-    /// Only direct sends and timers take slab nodes; stream deliveries
-    /// wait inline in their stream (see the [module docs](self)).
+    /// Only control messages and timers take slab nodes; packets wait
+    /// inline in their stream (see the [module docs](self)).
     pub events_allocated: u64,
     /// Event nodes recycled from the free pool instead of allocated.
     pub pool_hits: u64,
@@ -282,7 +210,7 @@ pub struct EngineCounters {
     /// a delivery stream contributes only its front's key, not the
     /// deliveries waiting behind it (see the [module docs](self)).
     pub peak_queue_len: u64,
-    /// Fragment-train hop deliveries dispatched: packet-lane events whose
+    /// Fragment-train hop deliveries dispatched: packet deliveries whose
     /// packet carried `count > 1` fragments across a hop as one event. A
     /// packet an actor sends itself (an HCA re-delivering the messages of a
     /// train not yet due) crosses no hop and is not counted.
@@ -290,8 +218,8 @@ pub struct EngineCounters {
     /// Fragment hop-deliveries that rode inside a train instead of costing
     /// their own event (`count - 1` per dispatched train).
     pub fragments_coalesced: u64,
-    /// Control-path (ACK) train hop deliveries dispatched: packet-lane
-    /// events whose packet carried `count > 1` acknowledgements as one
+    /// Control-path (ACK) train hop deliveries dispatched: packet
+    /// deliveries whose packet carried `count > 1` acknowledgements as one
     /// event.
     pub control_trains: u64,
     /// Control-path hop-deliveries (cumulative-ACK runs) that rode inside a
@@ -471,9 +399,10 @@ impl Core {
     }
 
     /// The first key of `stream` just popped: take its packet and queue the
-    /// next one's key, if any.
+    /// next one's key, if any. Returns the stream's sender and peer with
+    /// the packet.
     #[inline]
-    fn pop_stream(&mut self, stream: u32) -> EventKind {
+    fn pop_stream(&mut self, stream: u32) -> (ActorId, ActorId, Packet) {
         let s = &mut self.streams[stream as usize];
         let pkt = match s.front.take() {
             Some((_, pkt)) => pkt,
@@ -499,11 +428,7 @@ impl Core {
                 stream: true,
             });
         }
-        EventKind::Message {
-            from: s.from,
-            to: s.to,
-            msg: Msg::Packet(pkt),
-        }
+        (s.from, s.to, pkt)
     }
 }
 
@@ -537,8 +462,10 @@ impl Ctx<'_> {
     ///
     /// With `delay == Dur::ZERO` the message is delivered at the current
     /// instant, but **after** every event already queued for this instant
-    /// (ties break in scheduling order).
-    pub fn send(&mut self, to: ActorId, msg: impl Into<Msg>, delay: Dur) {
+    /// (ties break in scheduling order). `msg` is `Send` so a whole
+    /// [`Engine`], queued events included, can move between threads; the
+    /// handler receives it as a plain `Box<dyn Any>`.
+    pub fn send(&mut self, to: ActorId, msg: Box<dyn Any + Send>, delay: Dur) {
         self.send_at(to, msg, self.now + delay);
     }
 
@@ -547,14 +474,14 @@ impl Ctx<'_> {
     /// `at` must not be in the past; scheduling "now" is allowed and the
     /// message is delivered after all effects of the current event settle.
     #[inline]
-    pub fn send_at(&mut self, to: ActorId, msg: impl Into<Msg>, at: Time) {
+    pub fn send_at(&mut self, to: ActorId, msg: Box<dyn Any + Send>, at: Time) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
         self.core.push_event(
             at,
             EventKind::Message {
                 from: self.self_id,
                 to,
-                msg: msg.into(),
+                msg,
             },
         );
     }
@@ -562,9 +489,11 @@ impl Ctx<'_> {
     /// Schedule `pkt` for delivery at `at` through `stream`, to the peer
     /// the stream was opened for.
     ///
-    /// Dispatch order is exactly that of [`Ctx::send_at`]; the difference
-    /// is where the packet waits: inline in the stream's FIFO, with only the
-    /// stream's front in the event queue (see the [module docs](self)).
+    /// The packet takes its `(time, seq)` now, as [`Ctx::send_at`] does, so
+    /// it is dispatched, to the peer's [`Actor::on_packet`], exactly where a
+    /// message sent now for `at` would be. It waits inline in the stream's
+    /// FIFO, with only the stream's front in the event queue (see the
+    /// [module docs](self)).
     ///
     /// # Panics
     /// Panics if `at` precedes the stream's last send: a stream's times
@@ -722,16 +651,16 @@ impl Engine {
     }
 
     /// Schedule a message delivery from outside any actor (driver code).
-    pub fn schedule_message(&mut self, at: Time, from: ActorId, to: ActorId, msg: impl Into<Msg>) {
+    pub fn schedule_message(
+        &mut self,
+        at: Time,
+        from: ActorId,
+        to: ActorId,
+        msg: Box<dyn Any + Send>,
+    ) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
-        self.core.push_event(
-            at,
-            EventKind::Message {
-                from,
-                to,
-                msg: msg.into(),
-            },
-        );
+        self.core
+            .push_event(at, EventKind::Message { from, to, msg });
     }
 
     /// Schedule a timer on `actor` from outside any actor (driver code).
@@ -756,45 +685,43 @@ impl Engine {
             self.now
         );
         self.now = key.at();
-        let kind = if key.stream {
-            self.core.pop_stream(key.idx)
-        } else {
-            let kind = self.core.nodes[key.idx as usize]
-                .take()
-                .expect("heap key points at an empty slab slot");
-            self.core.free.push(key.idx);
-            kind
-        };
         self.core.counters.events_processed += 1;
-        // Train accounting: a packet-lane delivery with `count > 1` moved
-        // `count` members across this hop in one event — data fragments and
-        // datagram runs on the forward path, cumulative-ACK runs on the
-        // return path. A packet an actor sends itself crossed no hop.
-        if let EventKind::Message {
-            from,
-            to,
-            msg: Msg::Packet(p),
-        } = &kind
-        {
-            if p.count > 1 && from != to {
-                if matches!(p.opcode, ibwire::Opcode::RcAck) {
-                    self.core.counters.control_trains += 1;
-                    self.core.counters.control_coalesced += (p.count - 1) as u64;
-                } else {
-                    self.core.counters.trains_emitted += 1;
-                    self.core.counters.fragments_coalesced += (p.count - 1) as u64;
-                }
-            }
-        }
-
-        let actor_id = match &kind {
-            EventKind::Message { to, .. } => *to,
-            EventKind::Timer { actor, .. } => *actor,
-        };
         // Split-borrow: the dispatched actor comes out of `self.actors`
         // while `Ctx` borrows `self.core` — disjoint fields, so handlers
         // schedule directly into the event queue with no intermediate
         // buffering (and no per-event take/put of the actor box).
+        if key.stream {
+            let (from, to, pkt) = self.core.pop_stream(key.idx);
+            // Train accounting: a packet with `count > 1` moved `count`
+            // members across this hop in one event — data fragments and
+            // datagram runs on the forward path, cumulative-ACK runs on the
+            // return path. A packet an actor sends itself crossed no hop.
+            if pkt.count > 1 && from != to {
+                let saved = (pkt.count - 1) as u64;
+                if matches!(pkt.opcode, ibwire::Opcode::RcAck) {
+                    self.core.counters.control_trains += 1;
+                    self.core.counters.control_coalesced += saved;
+                } else {
+                    self.core.counters.trains_emitted += 1;
+                    self.core.counters.fragments_coalesced += saved;
+                }
+            }
+            let mut ctx = Ctx {
+                now: self.now,
+                self_id: to,
+                core: &mut self.core,
+            };
+            self.actors[to].on_packet(&mut ctx, from, pkt);
+            return true;
+        }
+        let kind = self.core.nodes[key.idx as usize]
+            .take()
+            .expect("heap key points at an empty slab slot");
+        self.core.free.push(key.idx);
+        let actor_id = match &kind {
+            EventKind::Message { to, .. } => *to,
+            EventKind::Timer { actor, .. } => *actor,
+        };
         let mut ctx = Ctx {
             now: self.now,
             self_id: actor_id,
@@ -802,10 +729,7 @@ impl Engine {
         };
         let actor = &mut self.actors[actor_id];
         match kind {
-            EventKind::Message { from, msg, .. } => match msg {
-                Msg::Packet(pkt) => actor.on_packet(&mut ctx, from, pkt),
-                Msg::Ctrl(b) => actor.on_message(&mut ctx, from, b),
-            },
+            EventKind::Message { from, msg, .. } => actor.on_message(&mut ctx, from, msg),
             EventKind::Timer { token, .. } => actor.on_timer(&mut ctx, token),
         }
         true
@@ -847,8 +771,8 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ActorId, msg: Box<dyn Any>) {
             self.count += 1;
             if self.count < self.limit {
-                // Re-box the payload: the control lane requires `Send`
-                // construction, which the received `Box<dyn Any>` erased.
+                // Re-box the payload: a sent message must be `Send`, which
+                // the received `Box<dyn Any>` erased.
                 let v = *msg.downcast::<u8>().expect("echo payload is a u8");
                 ctx.send(from, Box::new(v), self.delay);
             }
@@ -978,9 +902,11 @@ mod tests {
             packets: vec![],
             ctrl: 0,
         }));
-        e.schedule_message(Time::ZERO, s, s, test_packet(11));
+        let stream = e.open_stream(s, s);
+        e.core.push_stream(stream, Time::ZERO, test_packet(11));
         e.schedule_message(Time::ZERO, s, s, Box::new(()));
-        e.schedule_message(Time::from_us(1), s, s, test_packet(12));
+        e.core
+            .push_stream(stream, Time::from_us(1), test_packet(12));
         e.run();
         let sink = e.actor::<PktSink>(s);
         assert_eq!(sink.packets, vec![11, 12]);
@@ -988,11 +914,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not handle the packet lane")]
+    #[should_panic(expected = "does not handle packets")]
     fn packet_to_non_fabric_actor_panics() {
         let mut e = Engine::new(1);
         let a = e.add_actor(Box::new(Echo::new(Dur::ZERO, 1)));
-        e.schedule_message(Time::ZERO, a, a, test_packet(0));
+        let stream = e.open_stream(a, a);
+        e.core.push_stream(stream, Time::ZERO, test_packet(0));
         e.run();
     }
 
@@ -1106,7 +1033,7 @@ mod tests {
     /// Drives a seeded mix of stream sends, direct sends and timers from
     /// every event it handles. A stream send carries a packet tagged in
     /// `msg_id`; with `streams == None` it becomes a direct `send_at` of the
-    /// same packet to the same actor at the same time.
+    /// same packet, boxed, to the same actor at the same time.
     struct Script {
         streams: Option<Vec<StreamId>>,
         sinks: Vec<ActorId>,
@@ -1144,7 +1071,7 @@ mod tests {
                     };
                     match &self.streams {
                         Some(ids) => ctx.send_stream(ids[s], pkt, at),
-                        None => ctx.send_at(self.sinks[s], pkt, at),
+                        None => ctx.send_at(self.sinks[s], Box::new(pkt), at),
                     }
                 } else if roll < 80 {
                     let to = if roll < 70 {
@@ -1177,7 +1104,8 @@ mod tests {
         log.lock().unwrap().push((ctx.now(), ctx.self_id(), tag));
     }
 
-    /// Logs each delivery, packet or direct, and pokes the script back.
+    /// Logs each delivery, streamed packet, boxed packet or tag, and pokes
+    /// the script back.
     struct ScriptSink {
         script: ActorId,
         log: DispatchLog,
@@ -1195,7 +1123,11 @@ mod tests {
 
     impl Actor for ScriptSink {
         fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ActorId, msg: Box<dyn Any>) {
-            self.poke(ctx, from, *msg.downcast::<u64>().unwrap());
+            let tag = match msg.downcast::<u64>() {
+                Ok(tag) => *tag,
+                Err(msg) => msg.downcast::<Packet>().expect("a boxed packet").msg_id,
+            };
+            self.poke(ctx, from, tag);
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: ActorId, pkt: Packet) {
             self.poke(ctx, from, pkt.msg_id);
@@ -1312,10 +1244,7 @@ mod tests {
             for k in 0..BURST {
                 let key = e.core.queue.pop(&mut e.core.counters).expect("queued");
                 assert!(key.stream);
-                let EventKind::Message { msg, .. } = e.core.pop_stream(key.idx) else {
-                    unreachable!("streams carry messages")
-                };
-                assert_eq!(msg.into_packet().expect("a packet").psn, k);
+                assert_eq!(e.core.pop_stream(key.idx).2.psn, k);
             }
             assert!(e.core.streams[s.0 as usize].chunks.is_empty());
             assert_eq!(e.core.spare.len(), chunks, "every chunk went back");
@@ -1323,15 +1252,9 @@ mod tests {
         assert_eq!(e.counters().events_allocated, 0);
     }
 
+    /// A slab node holds a control message or a timer, never a packet.
     #[test]
-    fn msg_downcast_round_trips() {
-        let m: Msg = Box::new(42u32).into();
-        assert!(!m.is_packet());
-        assert_eq!(*m.downcast::<u32>().unwrap(), 42);
-
-        let m: Msg = test_packet(5).into();
-        assert!(m.is_packet());
-        let m = m.downcast::<u32>().unwrap_err(); // packets refuse downcast
-        assert_eq!(m.into_packet().unwrap().psn, 5);
+    fn a_slab_node_is_at_most_40_bytes() {
+        assert!(std::mem::size_of::<Option<EventKind>>() <= 40);
     }
 }

@@ -42,7 +42,7 @@ pub mod rate;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Actor, ActorId, Ctx, Engine, EngineCounters, Msg, StreamId};
+pub use engine::{Actor, ActorId, Ctx, Engine, EngineCounters, StreamId};
 pub use ibwire::Packet;
 /// The trait to draw from [`Ctx::rng`] with, re-exported so actors can draw
 /// without depending on `rand`.

@@ -30,7 +30,6 @@
 //! [`FabricBuilder::link`] like any LAN cable.
 
 use ibfabric::fabric::{note_topo, Fabric, FabricBuilder, NodeHandle};
-use ibfabric::hca::HcaConfig;
 use ibfabric::link::LinkConfig;
 use ibfabric::ulp::Ulp;
 use obsidian::{LongbowConfig, LongbowPair};
@@ -440,7 +439,7 @@ impl TopoSpec {
     /// order (`ulp_for(host)` supplies each host's ULP), then per site its
     /// switches and LAN cables, then the WAN cables in declaration order.
     /// Returns the host handles in host-id order.
-    pub fn lower<F>(&self, b: &mut FabricBuilder, hca: HcaConfig, mut ulp_for: F) -> Vec<NodeHandle>
+    pub fn lower<F>(&self, b: &mut FabricBuilder, mut ulp_for: F) -> Vec<NodeHandle>
     where
         F: FnMut(usize) -> Box<dyn Ulp>,
     {
@@ -450,7 +449,7 @@ impl TopoSpec {
         let total = self.total_hosts();
         let mut nodes = Vec::with_capacity(total);
         for host in 0..total {
-            nodes.push(b.add_hca(hca, ulp_for(host)));
+            nodes.push(b.add_hca(ulp_for(host)));
         }
 
         // Per-site wiring; remember each site's WAN attachment switch.
@@ -537,13 +536,7 @@ impl TopoSpec {
     /// experiments. Returns the runnable fabric plus host handles.
     /// `coalescing: false` forces the per-fragment wire path
     /// ([`FabricBuilder::disable_coalescing`]).
-    pub fn build<F>(
-        &self,
-        seed: u64,
-        coalescing: bool,
-        hca: HcaConfig,
-        ulp_for: F,
-    ) -> (Fabric, Vec<NodeHandle>)
+    pub fn build<F>(&self, seed: u64, coalescing: bool, ulp_for: F) -> (Fabric, Vec<NodeHandle>)
     where
         F: FnMut(usize) -> Box<dyn Ulp>,
     {
@@ -551,7 +544,7 @@ impl TopoSpec {
         if !coalescing {
             b.disable_coalescing();
         }
-        let nodes = self.lower(&mut b, hca, ulp_for);
+        let nodes = self.lower(&mut b, ulp_for);
         (b.finish(), nodes)
     }
 
@@ -561,12 +554,11 @@ impl TopoSpec {
         &self,
         seed: u64,
         coalescing: bool,
-        hca: HcaConfig,
         ulp_a: Box<dyn Ulp>,
         ulp_b: Box<dyn Ulp>,
     ) -> (Fabric, NodeHandle, NodeHandle) {
         assert_eq!(self.total_hosts(), 2, "build_pair needs a two-host spec");
-        let (f, nodes) = self.build(seed, coalescing, hca, ulp_list(vec![ulp_a, ulp_b]));
+        let (f, nodes) = self.build(seed, coalescing, ulp_list(vec![ulp_a, ulp_b]));
         (f, nodes[0], nodes[1])
     }
 }
@@ -691,7 +683,7 @@ mod tests {
 
     #[test]
     fn fat_tree_lowers_and_routes() {
-        let (f, nodes) = TopoSpec::fat_tree(2).build(1, true, HcaConfig::default(), null);
+        let (f, nodes) = TopoSpec::fat_tree(2).build(1, true, null);
         assert_eq!(nodes.len(), 4);
         // 2 leaves + 1 spine.
         assert_eq!(f.report().switches, 3);

@@ -259,7 +259,6 @@ fn rc_is_reliable_under_wan_loss() {
 #[test]
 fn random_tree_topologies_route_all_pairs() {
     use ibwan_repro::ibfabric::fabric::FabricBuilder;
-    use ibwan_repro::ibfabric::hca::HcaConfig;
     use ibwan_repro::ibfabric::link::LinkConfig;
 
     for seed in 0..12u64 {
@@ -294,7 +293,7 @@ fn random_tree_topologies_route_all_pairs() {
                 // Bystander nodes own no QPs.
                 Box::new(ibwan_repro::ibfabric::NullUlp)
             };
-            nodes.push(b.add_hca(HcaConfig::default(), ulp));
+            nodes.push(b.add_hca(ulp));
         }
         let switches: Vec<_> = (0..n_switches).map(|_| b.add_switch()).collect();
         // Random tree over switches: switch k links to a parent among 0..k.
