@@ -109,6 +109,10 @@ cargo run --release -p bench --bin repro -- --full --check results
 echo "==> golden gate, Full fidelity on the per-fragment wire path (data only)"
 cargo run --release -p bench --bin repro -- --no-coalescing --full --check results
 
+echo "==> golden gate, Full fidelity one simulation at a time (--workers 1 caps every pool,"
+echo "    the runner's and each experiment's own sweep: data bit-identical, work equal)"
+cargo run --release -p bench --bin repro -- --workers 1 --full --check results
+
 echo "==> rustdoc (warnings are errors: no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 

@@ -7,7 +7,7 @@
 //!                                                  # delay sweep (0..10 ms)
 //! ibwan-sim --example                              # print a sample scenario
 //! ibwan-sim --json scenario.json                   # emit results as JSON
-//! ibwan-sim --no-coalescing scenario.json          # per-fragment wire path
+//! ibwan-sim --no-coalescing scenario.json          # per-fragment, per-hop wire path
 //! ibwan-sim --seed N scenario.json                 # offset scenario seeds
 //! ```
 //!

@@ -15,8 +15,9 @@
 //!             when the golden was recorded under the same config; exit
 //!             nonzero with a per-series report on any mismatch. Cannot be
 //!             combined with --json
-//!   --no-coalescing  force the per-fragment wire path (A/B harness for the
-//!             fragment-train fast path; outputs must be bit-identical)
+//!   --no-coalescing  force the per-fragment, per-hop wire path: no trains,
+//!             and every switch forwards as an event of its own (A/B harness
+//!             for trains and folded switches; outputs must be bit-identical)
 //!   --workers N  run up to N simulations at once, never more than the
 //!             free cores (default: one per core). `--workers 1` runs
 //!             them one at a time: slower, least memory

@@ -43,6 +43,12 @@ fn assert_golden(id: &str) {
 /// every table cell and JSON byte must survive the A/B flip. Returns the
 /// coalesced leg's engine counters.
 fn assert_coalescing_invisible(id: &str) -> EngineCounters {
+    coalescing_legs(id).0
+}
+
+/// As [`assert_coalescing_invisible`], returning both legs' engine
+/// counters: the coalesced leg's, then the per-fragment one's.
+fn coalescing_legs(id: &str) -> (EngineCounters, EngineCounters) {
     let e = find(id).unwrap_or_else(|| panic!("experiment {id} missing from catalog"));
     reset_run_tally();
     let coalesced = (e.run)(&RunConfig::default());
@@ -51,6 +57,7 @@ fn assert_coalescing_invisible(id: &str) -> EngineCounters {
         coalescing: false,
         ..RunConfig::default()
     });
+    let per_fragment_counters = take_run_tally().counters;
     assert_eq!(
         coalesced.to_table(),
         per_fragment.to_table(),
@@ -61,7 +68,7 @@ fn assert_coalescing_invisible(id: &str) -> EngineCounters {
         per_fragment.to_json(),
         "{id}: JSON changed when coalescing was disabled"
     );
-    counters
+    (counters, per_fragment_counters)
 }
 
 #[test]
@@ -152,6 +159,26 @@ fn headered_figures_are_identical_with_and_without_coalescing() {
             "{id}: coalesced leg dispatched no trains — A/B is vacuous: {c:?}"
         );
     }
+}
+
+/// Folded hops A/B on a fabric without trains: fig10a's clusters hang off
+/// switches of more than two ports, so no train forms, and the two-port
+/// Longbow units folded into the ports that feed them are the only work
+/// the coalesced leg saves. Its figure must come out byte-identical, in
+/// fewer events than the per-fragment, per-hop leg.
+#[test]
+fn folded_hops_are_invisible_without_trains() {
+    let (folded, per_hop) = coalescing_legs("fig10a");
+    assert_eq!(
+        folded.trains_emitted, 0,
+        "fig10a forms no train: {folded:?}"
+    );
+    assert!(
+        folded.events_processed < per_hop.events_processed,
+        "folding saved no event: {} against {}",
+        folded.events_processed,
+        per_hop.events_processed
+    );
 }
 
 /// The seed offset must shift the whole run onto a different deterministic

@@ -19,8 +19,10 @@ use pfs::PfsSetup;
 pub struct RunConfig {
     /// Iteration-count scale (`Quick` for CI, `Full` for recorded numbers).
     pub fidelity: Fidelity,
-    /// Fragment-train coalescing on the wire path (`--no-coalescing` clears
-    /// it). A/B-invisible in every virtual-time observable.
+    /// Fragment trains on the wire path, and two-port switches folded into
+    /// the ports that feed them (`--no-coalescing` clears it, forcing the
+    /// per-fragment, per-hop path). A/B-invisible in every virtual-time
+    /// observable.
     pub coalescing: bool,
     /// Additive offset applied to every experiment's canonical engine seed
     /// via [`RunConfig::seed_for`]; the default `0` reproduces the recorded
@@ -30,9 +32,10 @@ pub struct RunConfig {
     /// has loss. It is part of [`RunConfig::digest`], and the repo benchmark
     /// sets it per run.
     pub seed: u64,
-    /// Simulations to run at once (`--workers`). `None` runs one per free
-    /// core, and `Some(1)` one at a time in the least memory; either way a
-    /// pool never runs more workers than it has free cores or inputs (see
+    /// Simulations to run at once (`--workers`), across every pool of the
+    /// process, nested ones included. `None` runs one per free core, and
+    /// `Some(1)` one at a time in the least memory; either way a pool never
+    /// runs more workers than it has free cores or inputs (see
     /// [`crate::sweep::parallel_map`]).
     pub workers: Option<usize>,
 }

@@ -487,12 +487,27 @@ impl Workload {
                     ranks_per_cluster,
                 })
             }
-            "mpi_pattern" => Ok(Workload::MpiPattern {
-                ranks_per_cluster: num("ranks_per_cluster")? as usize,
-                spec: mpisim::patterns::Pattern::from_value(
+            "mpi_pattern" => {
+                let ranks_per_cluster = count("ranks_per_cluster")? as usize;
+                let spec = mpisim::patterns::Pattern::from_value(
                     v.get("spec").ok_or("workload: missing \"spec\"")?,
-                )?,
-            }),
+                )?;
+                if let Some(req) = spec
+                    .required_ranks()
+                    .filter(|&r| r != 2 * ranks_per_cluster)
+                {
+                    return Err(format!(
+                        "workload: field \"spec\": pattern {} needs exactly {req} ranks, \
+                         and \"ranks_per_cluster\" {ranks_per_cluster} makes {}",
+                        spec.name(),
+                        2 * ranks_per_cluster
+                    ));
+                }
+                Ok(Workload::MpiPattern {
+                    ranks_per_cluster,
+                    spec,
+                })
+            }
             "nfs" => Ok(Workload::Nfs {
                 transport: NFS_TRANSPORTS.check(text("transport")?)?,
                 threads: count("threads")? as usize,
@@ -1085,6 +1100,25 @@ mod tests {
             (
                 r#"{ "kind": "mpi_pattern", "ranks_per_cluster": 4, "spec": { "pattern": "moebius" } }"#,
                 "moebius",
+            ),
+            // mpi_pattern with no ranks, a halo grid that is not the job's
+            // rank count (3x3 on 2+2 ranks, an empty grid), and a block size
+            // that would wrap to 1 byte.
+            (
+                r#"{ "kind": "mpi_pattern", "ranks_per_cluster": 0, "spec": { "pattern": "ring", "block_bytes": 64, "iters": 2 } }"#,
+                r#""ranks_per_cluster""#,
+            ),
+            (
+                r#"{ "kind": "mpi_pattern", "ranks_per_cluster": 2, "spec": { "pattern": "halo2d", "rows": 3, "cols": 3, "face_bytes": 64, "iters": 2, "compute_us": 0 } }"#,
+                "needs exactly 9 ranks",
+            ),
+            (
+                r#"{ "kind": "mpi_pattern", "ranks_per_cluster": 2, "spec": { "pattern": "halo2d", "rows": 0, "cols": 2, "face_bytes": 64, "iters": 2, "compute_us": 0 } }"#,
+                "needs exactly 0 ranks",
+            ),
+            (
+                r#"{ "kind": "mpi_pattern", "ranks_per_cluster": 2, "spec": { "pattern": "ring", "block_bytes": 4294967297, "iters": 2 } }"#,
+                r#""block_bytes" is 4294967297: the limit is 4294967295"#,
             ),
             // Names no run accepts.
             (

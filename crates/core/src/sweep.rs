@@ -7,8 +7,9 @@
 //! its experiments through [`parallel_map`], and an experiment's own sweep
 //! opens a second pool on the runner's worker thread. Every pool claims its
 //! workers in one process-wide count while it runs, and a pool opened inside
-//! another subtracts that claim from the machine's cores before sizing
-//! itself, so nested pools share the cores instead of multiplying them.
+//! another subtracts that claim from the process's budget (the machine's
+//! cores, capped by [`RunConfig::workers`]) before sizing itself, so nested
+//! pools share the budget instead of multiplying it.
 
 use crate::config::RunConfig;
 use crate::results::{Figure, Series};
@@ -40,24 +41,25 @@ impl Drop for Claim<'_> {
 }
 
 /// Workers for a pool over `inputs` inputs on a machine with `cores` cores,
-/// `claimed` of which enclosing pools already hold:
-/// `min(inputs, free, workers.unwrap_or(free))`, where `free` is
-/// `cores - claimed` and at least 1.
+/// `claimed` of the process's workers being held by enclosing pools:
+/// `min(inputs, free)`, where `free` is `min(cores, workers) - claimed`
+/// and at least 1.
 ///
 /// The default runs one simulation per free core. Each worker holds one
 /// simulation in memory, so [`RunConfig::workers`] (`--workers 1`) is how
-/// to run them one at a time in the least memory.
+/// to run them one at a time in the least memory: it caps the whole
+/// process, nested pools included.
 fn pool_size(cores: usize, claimed: usize, workers: Option<usize>, inputs: usize) -> usize {
-    let free = cores.saturating_sub(claimed).max(1);
-    workers.unwrap_or(free).min(free).min(inputs).max(1)
+    let budget = workers.map_or(cores, |w| w.min(cores));
+    budget.saturating_sub(claimed).min(inputs).max(1)
 }
 
 /// Map `f` over `inputs` in parallel, preserving order.
 ///
 /// Runs on a pool of scoped worker threads that self-schedule inputs from a
-/// shared index in input order. The pool has `min(inputs, free, workers)`
-/// threads, where `free` is the cores no enclosing pool holds (at least 1)
-/// and `workers` is [`RunConfig::workers`], `free` when unset. Each worker
+/// shared index in input order. The pool has `min(inputs, free)` threads,
+/// where `free` is what no enclosing pool holds of the process's budget:
+/// the cores, capped by [`RunConfig::workers`] (at least 1). Each worker
 /// accumulates engine stats into its own thread-local
 /// [`ibfabric::fabric::RunTally`]; the pool merges them back into the
 /// calling thread on join, so per-experiment tallies survive the fan-out.
@@ -208,6 +210,8 @@ mod tests {
             ((1, 3, Some(1), 100), 1, "1 core, over-claimed"),
             ((8, 0, None, 3), 3, "never more workers than inputs"),
             ((8, 0, Some(6), 2), 2, "never more workers than inputs"),
+            ((8, 2, Some(2), 100), 1, "--workers 2 caps nested pools too"),
+            ((8, 1, Some(2), 100), 1, "--workers 2 caps nested pools too"),
         ];
         for ((cores, claimed, workers, inputs), want, case) in table {
             assert_eq!(pool_size(cores, claimed, workers, inputs), want, "{case}");

@@ -3,7 +3,8 @@
 //!
 //! [`FabricBuilder`] accumulates HCAs, switches (among them the two-port
 //! switches the `obsidian` crate configures as Longbow XR units), and
-//! cables; [`FabricBuilder::finish`] wires egress ports, runs the subnet
+//! cables; [`FabricBuilder::finish`] wires egress ports, folding each
+//! lossless two-port switch into the ports that feed it, runs the subnet
 //! manager (BFS shortest-path LID routing, which is how a real SM programs
 //! linear forwarding tables), and schedules every ULP's `start` callback at
 //! time zero.
@@ -134,8 +135,9 @@ pub struct FabricBuilder {
     next_lid: u16,
     nodes: Vec<NodeHandle>,
     /// Fragment-train coalescing on the wire path, where the topology can
-    /// carry trains exactly (see [`FabricBuilder::finish`]). It changes wall
-    /// clock only: every virtual-time observable is the same either way.
+    /// carry trains exactly, and two-port switches folded into the ports
+    /// that feed them (see [`FabricBuilder::finish`]). It changes wall clock
+    /// only: every virtual-time observable is the same either way.
     coalescing: bool,
 }
 
@@ -153,9 +155,11 @@ impl FabricBuilder {
         }
     }
 
-    /// Force the per-fragment path for this fabric: `repro --no-coalescing`,
-    /// and components that introduce per-fragment divergence trains cannot
-    /// express (e.g. random per-fragment loss injection).
+    /// Force the per-fragment, per-hop path for this fabric: no trains, and
+    /// every switch forwards as an event of its own. For
+    /// `repro --no-coalescing`, and components that introduce per-fragment
+    /// divergence trains cannot express (e.g. random per-fragment loss
+    /// injection).
     pub fn disable_coalescing(&mut self) {
         self.coalescing = false;
     }
@@ -212,16 +216,83 @@ impl FabricBuilder {
         }
     }
 
+    /// Switches folded into the ports that feed them
+    /// ([`EgressPort::fold`]). A switch folds when its fabric coalesces, it
+    /// drops nothing, and it has exactly two cables, to two different peers,
+    /// neither credited: each of its egresses then has one feeder, the port
+    /// on its other cable. A chain of them stays unfolded when its receiver
+    /// also has a credited cable straight to the chain's head: seeing the
+    /// head as the sender, it would return a credit it does not owe.
+    fn folded(&self) -> Vec<bool> {
+        let uncredited = |&(_, _, cfg): &(ActorId, usize, LinkConfig)| cfg.credit_packets.is_none();
+        let mut folded: Vec<bool> = (0..self.kinds.len())
+            .map(|id| {
+                self.coalescing
+                    && matches!(self.kinds[id], Kind::Switch)
+                    && self.engine.actor::<Switch>(id).loss_per_million == 0
+                    && matches!(&self.adj[id][..], [a, b] if a.0 != b.0 && uncredited(a) && uncredited(b))
+            })
+            .collect();
+        // Unfolded switches have no credited cable, so unfolding a chain
+        // makes no new triangle: one pass finds them all.
+        for head in 0..folded.len() {
+            if folded[head] || self.adj[head].iter().all(uncredited) {
+                continue;
+            }
+            for &(first, _, _) in &self.adj[head] {
+                let (hops, end) = self.chain(&folded, head, first);
+                if self.adj[head].iter().any(|a| a.0 == end && !uncredited(a)) {
+                    for (sw, _) in hops {
+                        folded[sw] = false;
+                    }
+                }
+            }
+        }
+        folded
+    }
+
+    /// The folded switches a packet crosses leaving `head` on its cable to
+    /// `first`, in order, each with its outgoing cable, and the first actor
+    /// past them that is not folded.
+    fn chain(
+        &self,
+        folded: &[bool],
+        head: ActorId,
+        first: ActorId,
+    ) -> (Vec<(ActorId, LinkConfig)>, ActorId) {
+        let (mut prev, mut cur) = (head, first);
+        let mut hops = Vec::new();
+        while folded[cur] {
+            let &(next, _, out) = self.adj[cur]
+                .iter()
+                .find(|&&(peer, _, _)| peer != prev)
+                .expect("a folded switch has two peers");
+            hops.push((cur, out));
+            (prev, cur) = (cur, next);
+        }
+        (hops, cur)
+    }
+
     /// Wire ports, run the subnet manager, schedule ULP starts, and return
     /// the runnable fabric.
     pub fn finish(mut self) -> Fabric {
-        // Attach egress ports for every adjacency entry, each with its own
-        // delivery stream, and give each HCA a stream to itself.
+        // Attach egress ports for every adjacency entry of an actor that is
+        // not folded, each with its own delivery stream to the first actor
+        // past the switches folded into it, and give each HCA a stream to
+        // itself. Folded switches keep their routes but get no port.
+        let folded = self.folded();
         self.engine
             .reserve_streams(self.adj.iter().map(Vec::len).sum::<usize>() + self.nodes.len());
         for (id, adj) in self.adj.iter().enumerate() {
+            if folded[id] {
+                continue;
+            }
             for &(peer, port, cfg) in adj {
-                let egress = EgressPort::new(peer, cfg, self.engine.open_stream(id, peer));
+                let (hops, end) = self.chain(&folded, id, peer);
+                let mut egress = EgressPort::new(peer, cfg, self.engine.open_stream(id, end));
+                for (sw, out) in hops {
+                    egress.fold(self.engine.actor::<Switch>(sw).fwd_latency, out);
+                }
                 match self.kinds[id] {
                     Kind::Endpoint(_) => {
                         let redelivery = self.engine.open_stream(id, id);
@@ -360,13 +431,22 @@ impl Fabric {
     /// of who moved what.
     pub fn report(&self) -> FabricReport {
         let mut r = FabricReport::default();
+        // A folded switch's packets count in the ports that feed it.
         for &node in &self.nodes {
             let core = self.hca(node).core();
             r.hca_packets_sent += core.packets_sent();
             r.hca_packets_received += core.packets_received();
+            r.switch_packets_forwarded += core.port.as_ref().map_or(0, EgressPort::hops_forwarded);
         }
         for &sw in &self.switches {
-            r.switch_packets_forwarded += self.engine.actor::<Switch>(sw).forwarded();
+            let sw = self.engine.actor::<Switch>(sw);
+            let hops: u64 = sw
+                .ports
+                .iter()
+                .flatten()
+                .map(EgressPort::hops_forwarded)
+                .sum();
+            r.switch_packets_forwarded += sw.forwarded() + hops;
         }
         r.nodes = self.nodes.len();
         r.switches = self.switches.len();
@@ -450,7 +530,12 @@ mod tests {
         b.link(n1.actor, sw, LinkConfig::ddr_lan());
         b.link(n2.actor, sw, LinkConfig::ddr_lan());
         let mut f = b.finish();
-        // Create QPs and connect: sender n1 -> receiver n2.
+        one_shot(&mut f, n1, n2, len);
+        (f, n1, n2)
+    }
+
+    /// Create QPs and connect: `n1` sends one `len`-byte message to `n2`.
+    fn one_shot(f: &mut Fabric, n1: NodeHandle, n2: NodeHandle, len: u32) {
         let q1 = f.hca_mut(n1).core_mut().create_qp(QpConfig::rc());
         let q2 = f.hca_mut(n2).core_mut().create_qp(QpConfig::rc());
         f.hca_mut(n2).core_mut().connect(q2, (n1.lid, q1));
@@ -458,7 +543,6 @@ mod tests {
         let ulp = f.hca_mut(n1).ulp_mut::<OneShot>();
         ulp.peer = Some((n2.lid, q2));
         ulp.len = len;
-        (f, n1, n2)
     }
 
     #[test]
@@ -484,7 +568,9 @@ mod tests {
     #[test]
     fn routing_across_two_switches() {
         // n1 - sw1 - sw2 - n2: the SM must install routes on both switches.
+        // Per hop, so that both forward by them instead of folding.
         let mut b = FabricBuilder::new(7);
+        b.disable_coalescing();
         let n1 = b.add_hca(Box::new(OneShot::new()));
         let n2 = b.add_hca(Box::new(OneShot::new()));
         let sw1 = b.add_switch();
@@ -515,6 +601,81 @@ mod tests {
         assert_eq!(r.hca_packets_sent, 3);
         assert_eq!(r.hca_packets_received, 3);
         assert_eq!(r.switch_packets_forwarded, 3);
+    }
+
+    /// The switch between the two nodes, and packets it forwarded itself.
+    fn own_forwards(f: &Fabric) -> u64 {
+        f.engine.actor::<Switch>(f.switches()[0]).forwarded()
+    }
+
+    /// A lossless, uncredited two-port switch takes no event, and the
+    /// report still counts what crossed it.
+    #[test]
+    fn a_two_port_switch_folds_into_the_ports_that_feed_it() {
+        let (mut f, _, _) = two_nodes_via_switch(4096);
+        f.run();
+        assert_eq!(own_forwards(&f), 0);
+        assert_eq!(f.report().switch_packets_forwarded, 3);
+    }
+
+    /// A credited two-port switch, a three-port switch and every switch of
+    /// a fabric without trains still take their events.
+    #[test]
+    fn switches_that_do_not_fold_forward_their_own_packets() {
+        // (case, first cable credited, a third node on the switch, trains)
+        for (case, credited, third, coalescing) in [
+            ("credited", true, false, true),
+            ("three ports", false, true, true),
+            ("no coalescing", false, false, false),
+        ] {
+            let mut b = FabricBuilder::new(7);
+            if !coalescing {
+                b.disable_coalescing();
+            }
+            let n1 = b.add_hca(Box::new(OneShot::new()));
+            let n2 = b.add_hca(Box::new(OneShot::new()));
+            let sw = b.add_switch();
+            let ddr = LinkConfig::ddr_lan();
+            b.link(
+                n1.actor,
+                sw,
+                if credited { ddr.with_credits(4) } else { ddr },
+            );
+            b.link(n2.actor, sw, ddr);
+            if third {
+                let n3 = b.add_hca(Box::new(NullUlp));
+                b.link(n3.actor, sw, ddr);
+            }
+            let mut f = b.finish();
+            one_shot(&mut f, n1, n2, 4096);
+            f.run();
+            assert_eq!(f.hca(n2).ulp::<OneShot>().got, vec![(4096, 99)], "{case}");
+            assert_eq!(own_forwards(&f), 3, "{case}");
+            assert_eq!(f.report().switch_packets_forwarded, 3, "{case}");
+        }
+    }
+
+    /// A chain of two-port switches whose far end also has a credited
+    /// cable straight to the chain's head stays unfolded; the chain beside
+    /// it folds.
+    #[test]
+    fn a_chain_beside_a_credited_cable_to_its_head_stays_unfolded() {
+        let mut b = FabricBuilder::new(1);
+        let n1 = b.add_hca(Box::new(NullUlp));
+        let n2 = b.add_hca(Box::new(NullUlp));
+        let (head, hop, end) = (b.add_switch(), b.add_switch(), b.add_switch());
+        let (lan_hop, lan_end) = (b.add_switch(), b.add_switch());
+        b.link(n1.actor, head, LinkConfig::ddr_lan());
+        b.link(head, hop, LinkConfig::ddr_lan());
+        b.link(hop, end, LinkConfig::ddr_lan());
+        b.link(head, end, LinkConfig::ddr_lan().with_credits(4));
+        b.link(end, lan_hop, LinkConfig::ddr_lan());
+        b.link(lan_hop, lan_end, LinkConfig::ddr_lan());
+        b.link(lan_end, n2.actor, LinkConfig::ddr_lan());
+        let folded = b.folded();
+        assert!(!folded[hop], "the head's credited peer ends the chain");
+        assert!(folded[lan_hop] && folded[lan_end]);
+        assert!(!folded[head] && !folded[end], "three cables");
     }
 
     #[test]

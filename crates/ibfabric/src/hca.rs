@@ -43,7 +43,7 @@ const RECV_OVERHEAD: Dur = Dur::from_ns(400);
 /// The verbs-facing half of an HCA, handed to the ULP.
 pub struct HcaCore {
     lid: Lid,
-    port: Option<EgressPort>,
+    pub(crate) port: Option<EgressPort>,
     /// The stream this HCA re-delivers a train's later messages to itself
     /// on, opened with the port.
     redelivery: Option<StreamId>,

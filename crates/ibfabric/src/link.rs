@@ -57,110 +57,35 @@ impl LinkConfig {
     }
 }
 
-/// The egress half of a link attached to a port: owns the serialization
-/// resource, the credit pool, the waiting queue, and the delivery stream its
-/// packets reach the peer through.
-pub struct EgressPort {
-    /// Neighbor actor on the other end of the cable.
-    pub peer: ActorId,
-    cfg: LinkConfig,
+/// One direction of a cable as its transmitter sees it: the serializer and
+/// the propagation latency behind it. A port's own cable is a wire, and so is
+/// the outgoing cable of each switch folded into the port.
+struct Wire {
     tx: SerialResource,
-    credits: Option<usize>,
-    queue: VecDeque<(Time, Packet)>,
-    stream: StreamId,
+    latency: Dur,
 }
 
-impl EgressPort {
-    /// New egress port towards `peer`, scheduling its deliveries on
-    /// `stream`, opened from the port's owner to `peer` and used by no
-    /// other sender.
-    pub fn new(peer: ActorId, cfg: LinkConfig, stream: StreamId) -> Self {
-        EgressPort {
-            peer,
-            cfg,
+impl Wire {
+    fn new(cfg: LinkConfig) -> Self {
+        Wire {
             tx: SerialResource::new(cfg.rate),
-            credits: cfg.credit_packets,
-            queue: VecDeque::new(),
-            stream,
+            latency: cfg.latency,
         }
     }
 
-    /// Send `pkt` — train or single — across this port, beginning no
-    /// earlier than `ready`: reserve the wire and schedule each resulting
-    /// delivery at the peer. Trains ride as one event when the link supports
-    /// it and are otherwise expanded into their per-fragment members
-    /// (bit-identical timing either way). A packet that finds no credit
-    /// waits in the port until [`EgressPort::credit_returned`] releases it.
-    ///
-    /// Every reservation starts no earlier than the previous one finished,
-    /// so the port's delivery times never decrease, as its stream requires:
-    /// the event queue holds one delivery per port however deep the port's
-    /// backlog, and the backlog waits in the stream.
-    pub fn send(&mut self, ctx: &mut Ctx<'_>, ready: Time, pkt: Packet) {
-        self.send_reporting(ctx, ready, pkt, |_, _| {});
-    }
-
-    /// As [`EgressPort::send`], also handing `departed` each delivery's
-    /// packet and departure: the instant its head finishes serializing.
-    /// Deliveries a credited link holds back for a credit are not reported.
-    pub fn send_reporting(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        ready: Time,
-        pkt: Packet,
-        mut departed: impl FnMut(Time, &Packet),
-    ) {
-        let (stream, latency) = (self.stream, self.cfg.latency);
-        self.transmit_seq(ready, pkt, &mut |arrival, p| {
-            departed(arrival - latency, &p);
-            ctx.send_stream(stream, p, arrival)
-        });
-    }
-
-    /// A credit returned from the peer: the packet waiting longest for one,
-    /// if any, takes it and goes on the wire.
-    pub fn credit_returned(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some((arrival, pkt)) = self.take_credit(ctx.now()) {
-            ctx.send_stream(self.stream, pkt, arrival);
-        }
-    }
-
-    /// Submit `pkt` for transmission beginning no earlier than `ready`.
-    /// Returns `Some((arrival, pkt))` if a credit was available (schedule
-    /// the delivery), or `None` if the packet was queued awaiting credits.
-    fn transmit(&mut self, ready: Time, pkt: Packet) -> Option<(Time, Packet)> {
-        match self.credits {
-            Some(0) => {
-                self.queue.push_back((ready, pkt));
-                None
-            }
-            Some(ref mut n) => {
-                *n -= 1;
-                Some(self.serialize(ready, pkt))
-            }
-            None => Some(self.serialize(ready, pkt)),
-        }
-    }
-
-    fn serialize(&mut self, ready: Time, pkt: Packet) -> (Time, Packet) {
+    /// Reserve the wire for one packet ready at `ready`; returns its arrival
+    /// at the far end.
+    fn reserve(&mut self, ready: Time, pkt: &Packet) -> Time {
         let (_start, finish) = self.tx.reserve(ready, pkt.wire_bytes());
-        (finish + self.cfg.latency, pkt)
+        finish + self.latency
     }
 
-    /// Submit a whole train (member `k` arriving at `ready` plus
-    /// [`Packet::member_arrival_offset_ns`]) as one serialization
-    /// reservation. Returns the head's arrival time at the peer after
-    /// rewriting `pkt`'s spacing to the departure pattern, or `None` when the
-    /// link cannot carry the train as a unit (credited link, or no
-    /// closed-form service pattern) and the caller must de-coalesce via
-    /// [`EgressPort::transmit_seq`].
-    fn transmit_train(&mut self, ready: Time, pkt: &mut Packet) -> Option<Time> {
+    /// Reserve a whole train (member `k` ready at `ready` plus
+    /// [`Packet::member_arrival_offset_ns`]) at once: the head's arrival,
+    /// `pkt`'s spacing rewritten to the departure pattern, or `None` when
+    /// there is no closed form and the caller must de-coalesce.
+    fn reserve_train(&mut self, ready: Time, pkt: &mut Packet) -> Option<Time> {
         debug_assert!(pkt.is_train());
-        if self.credits.is_some() {
-            // Credit accounting is per fragment; trains cannot cross a
-            // credited link as a unit.
-            return None;
-        }
         let (head_finish, gap_out, msg_gap_out) = self.tx.reserve_train(
             ready,
             pkt.msgs,
@@ -173,37 +98,32 @@ impl EgressPort {
         if pkt.msgs > 1 {
             pkt.msg_gap_ns = msg_gap_out.as_ns();
         }
-        Some(head_finish + self.cfg.latency)
+        Some(head_finish + self.latency)
     }
 
-    /// Reserve the wire for `pkt` as [`EgressPort::send`] does, handing
-    /// each resulting delivery to `deliver(arrival, pkt)`.
-    fn transmit_seq(&mut self, ready: Time, pkt: Packet, deliver: &mut impl FnMut(Time, Packet)) {
+    /// Send `pkt`, train or single, beginning no earlier than `ready`,
+    /// handing each resulting delivery to `deliver(arrival, pkt)`. A train
+    /// the wire has no closed form for is split, down to its members if
+    /// need be, so timing is that of the per-fragment path.
+    fn send(&mut self, ready: Time, pkt: Packet, deliver: &mut impl FnMut(Time, Packet)) {
         if !pkt.is_train() {
-            if let Some((arrival, pkt)) = self.transmit(ready, pkt) {
-                deliver(arrival, pkt);
-            }
-            return;
+            return deliver(self.reserve(ready, &pkt), pkt);
         }
         let mut pkt = pkt;
-        if let Some(arrival) = self.transmit_train(ready, &mut pkt) {
-            deliver(arrival, pkt);
-            return;
-        }
-        if pkt.msgs > 1 && self.credits.is_some() && pkt.frags_per_msg() == 1 {
-            return self.transmit_run(ready, pkt, deliver);
+        if let Some(arrival) = self.reserve_train(ready, &mut pkt) {
+            return deliver(arrival, pkt);
         }
         // De-coalesce a super-train by binary splitting: a backlog draining
         // mid-run breaks the departure pattern into uniform segments, so
         // contiguous halves often still ride as single reservations (the
         // early half back-to-back behind the backlog, the late half on the
-        // arrival grid once the port is idle). Recursion bottoms out at
+        // arrival grid once the wire is idle). Recursion bottoms out at
         // per-message trains, which is exactly the unmerged path.
         if pkt.msgs > 1 {
             let msg_gap = Dur::from_ns(pkt.msg_gap_ns);
             let half = pkt.msgs / 2;
-            self.transmit_seq(ready, pkt.msg_slice(0, half), deliver);
-            self.transmit_seq(
+            self.send(ready, pkt.msg_slice(0, half), deliver);
+            self.send(
                 ready + msg_gap * half as u64,
                 pkt.msg_slice(half, pkt.msgs - half),
                 deliver,
@@ -214,30 +134,187 @@ impl EgressPort {
         // exactly the per-fragment path, so timing stays bit-identical.
         let gap = Dur::from_ns(pkt.gap_ns);
         for k in 0..pkt.count {
-            if let Some((arrival, member)) = self.transmit(ready + gap * k as u64, pkt.frag(k)) {
+            let member = pkt.frag(k);
+            deliver(self.reserve(ready + gap * k as u64, &member), member);
+        }
+    }
+}
+
+/// A two-port switch folded into the port that feeds it: what reaches it
+/// leaves on its outgoing wire its forwarding latency later, reserved by
+/// the port (see [`EgressPort::fold`]).
+struct Hop {
+    fwd_latency: Dur,
+    wire: Wire,
+    forwarded: u64,
+}
+
+/// Carry a delivery that reaches the first of `hops` at `arrival` through
+/// all of them, in order: it enters each hop's wire that hop's forwarding
+/// latency after arriving, and `deliver` takes what leaves the last.
+fn forward(hops: &mut [Hop], arrival: Time, pkt: Packet, deliver: &mut impl FnMut(Time, Packet)) {
+    let Some((hop, rest)) = hops.split_first_mut() else {
+        return deliver(arrival, pkt);
+    };
+    hop.forwarded += u64::from(pkt.count);
+    hop.wire.send(arrival + hop.fwd_latency, pkt, &mut |at, p| {
+        forward(rest, at, p, deliver)
+    });
+}
+
+/// The egress half of a link attached to a port: owns the wire, the credit
+/// pool, the waiting queue, the switches folded in behind the cable, and the
+/// delivery stream its packets reach their receiver through.
+pub struct EgressPort {
+    /// Neighbor actor on the other end of the cable.
+    pub peer: ActorId,
+    cfg: LinkConfig,
+    wire: Wire,
+    credits: Option<usize>,
+    queue: VecDeque<(Time, Packet)>,
+    /// Folded switches, in path order from the cable's far end.
+    hops: Vec<Hop>,
+    stream: StreamId,
+}
+
+impl EgressPort {
+    /// New egress port towards `peer`, scheduling its deliveries on
+    /// `stream`, opened from the port's owner to the receiver its packets
+    /// reach (`peer`, or the actor behind the switches folded into the
+    /// port) and used by no other sender.
+    pub fn new(peer: ActorId, cfg: LinkConfig, stream: StreamId) -> Self {
+        EgressPort {
+            peer,
+            cfg,
+            wire: Wire::new(cfg),
+            credits: cfg.credit_packets,
+            queue: VecDeque::new(),
+            hops: Vec::new(),
+            stream,
+        }
+    }
+
+    /// Fold a two-port switch in at the end of the port's path: what reaches
+    /// it leaves `fwd_latency` later on its outgoing cable `out`, which this
+    /// port reserves at once, exactly as the switch would if this port is its
+    /// one feeder. Credits count per hop, so neither cable may be credited.
+    pub(crate) fn fold(&mut self, fwd_latency: Dur, out: LinkConfig) {
+        debug_assert!(
+            self.credits.is_none() && out.credit_packets.is_none(),
+            "a credited cable carries no folded hop"
+        );
+        self.hops.push(Hop {
+            fwd_latency,
+            wire: Wire::new(out),
+            forwarded: 0,
+        });
+    }
+
+    /// Send `pkt` — train or single — across this port, beginning no
+    /// earlier than `ready`: reserve the wire, and those of the switches
+    /// folded in behind it, and schedule each resulting delivery at the
+    /// receiver. Trains ride as one event when the link supports it and are
+    /// otherwise expanded into their per-fragment members (bit-identical
+    /// timing either way). A packet that finds no credit waits in the port
+    /// until [`EgressPort::credit_returned`] releases it.
+    ///
+    /// Every reservation starts no earlier than the previous one finished,
+    /// so the port's delivery times never decrease, as its stream requires:
+    /// the event queue holds one delivery per port however deep the port's
+    /// backlog, and the backlog waits in the stream.
+    pub fn send(&mut self, ctx: &mut Ctx<'_>, ready: Time, pkt: Packet) {
+        self.send_reporting(ctx, ready, pkt, |_, _| {});
+    }
+
+    /// As [`EgressPort::send`], also handing `departed` each packet leaving
+    /// the port's own wire and its departure: the instant its head finishes
+    /// serializing. Deliveries a credited link holds back for a credit are
+    /// not reported.
+    pub fn send_reporting(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        ready: Time,
+        pkt: Packet,
+        mut departed: impl FnMut(Time, &Packet),
+    ) {
+        let (stream, latency) = (self.stream, self.wire.latency);
+        self.transmit_seq(
+            ready,
+            pkt,
+            &mut |arrival, p| departed(arrival - latency, p),
+            &mut |arrival, p| ctx.send_stream(stream, p, arrival),
+        );
+    }
+
+    /// A credit returned from the peer: the packet waiting longest for one,
+    /// if any, takes it and goes on the wire.
+    pub fn credit_returned(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some((arrival, pkt)) = self.take_credit(ctx.now()) {
+            ctx.send_stream(self.stream, pkt, arrival);
+        }
+    }
+
+    /// Reserve the wires for `pkt` as [`EgressPort::send`] does, handing
+    /// `departed` each packet that leaves the port's own wire, with its
+    /// arrival at the cable's far end, and `deliver(arrival, pkt)` each
+    /// delivery at the receiver.
+    fn transmit_seq(
+        &mut self,
+        ready: Time,
+        pkt: Packet,
+        departed: &mut impl FnMut(Time, &Packet),
+        deliver: &mut impl FnMut(Time, Packet),
+    ) {
+        if self.credits.is_some() {
+            return self.transmit_credited(ready, pkt, &mut |arrival, p| {
+                departed(arrival, &p);
+                deliver(arrival, p)
+            });
+        }
+        let hops = &mut self.hops[..];
+        self.wire.send(ready, pkt, &mut |arrival, p| {
+            departed(arrival, &p);
+            forward(hops, arrival, p, deliver)
+        });
+    }
+
+    /// Send `pkt` across a credited cable. Credits count per packet, so a
+    /// train crosses member by member, each submitted at its own instant as
+    /// the unmerged path submits it. Once no credit is left, the rest of a
+    /// run of one-packet messages (datagrams, ACKs) waits as one queue
+    /// entry, which [`EgressPort::take_credit`] releases a member per credit.
+    fn transmit_credited(
+        &mut self,
+        ready: Time,
+        pkt: Packet,
+        deliver: &mut impl FnMut(Time, Packet),
+    ) {
+        let run = pkt.msgs > 1 && pkt.frags_per_msg() == 1;
+        for k in 0..pkt.count {
+            let at = ready + Dur::from_ns(pkt.member_arrival_offset_ns(k));
+            if run && self.credits == Some(0) {
+                self.queue.push_back((at, pkt.msg_slice(k, pkt.msgs - k)));
+                return;
+            }
+            if let Some((arrival, member)) = self.transmit(at, pkt.frag(k)) {
                 deliver(arrival, member);
             }
         }
     }
 
-    /// Send a run of one-packet messages (datagrams, ACKs) across a
-    /// credited link, member `m` submitted at its own instant, as the
-    /// unmerged path submits them: members take credits in order, and once
-    /// none is left the rest waits as one queue entry, which
-    /// [`EgressPort::take_credit`] releases a member per credit. A queued
-    /// run costs one entry, not one per member.
-    fn transmit_run(&mut self, ready: Time, pkt: Packet, deliver: &mut impl FnMut(Time, Packet)) {
-        let msg_gap = Dur::from_ns(pkt.msg_gap_ns);
-        for m in 0..pkt.msgs {
-            let at = ready + msg_gap * m as u64;
-            if self.credits == Some(0) {
-                self.queue.push_back((at, pkt.msg_slice(m, pkt.msgs - m)));
-                return;
+    /// Submit `pkt` for transmission beginning no earlier than `ready`.
+    /// Returns `Some((arrival, pkt))` if a credit was available (schedule
+    /// the delivery), or `None` if the packet was queued awaiting credits.
+    fn transmit(&mut self, ready: Time, pkt: Packet) -> Option<(Time, Packet)> {
+        match self.credits {
+            Some(0) => {
+                self.queue.push_back((ready, pkt));
+                return None;
             }
-            if let Some((arrival, member)) = self.transmit(at, pkt.msg_train(m)) {
-                deliver(arrival, member);
-            }
+            Some(ref mut n) => *n -= 1,
+            None => {}
         }
+        Some((self.wire.reserve(ready, &pkt), pkt))
     }
 
     /// A credit returned from the peer at `now`; possibly releases a queued
@@ -259,7 +336,7 @@ impl EgressPort {
                 pkt
             };
             // The freed buffer is consumed immediately by the queued packet.
-            Some(self.serialize(ready.max(now), pkt))
+            Some((self.wire.reserve(ready.max(now), &pkt), pkt))
         } else {
             *n += 1;
             None
@@ -282,14 +359,20 @@ impl EgressPort {
         self.cfg
     }
 
-    /// Accumulated busy (transmitting) time — for utilization reporting.
-    pub fn busy_time(&self) -> Dur {
-        self.tx.busy_time()
+    /// Packets the switches folded into this port have forwarded.
+    pub fn hops_forwarded(&self) -> u64 {
+        self.hops.iter().map(|h| h.forwarded).sum()
     }
 
-    /// Earliest instant the transmitter is idle.
+    /// Accumulated busy (transmitting) time of the port's own wire — for
+    /// utilization reporting.
+    pub fn busy_time(&self) -> Dur {
+        self.wire.tx.busy_time()
+    }
+
+    /// Earliest instant the port's own wire is idle.
     pub fn next_free(&self) -> Time {
-        self.tx.next_free()
+        self.wire.tx.next_free()
     }
 }
 
@@ -304,6 +387,15 @@ mod tests {
     /// the reservations directly and never schedule a delivery.
     fn egress(cfg: LinkConfig) -> EgressPort {
         EgressPort::new(0, cfg, simcore::Engine::new(0).open_stream(0, 0))
+    }
+
+    /// Send `pkt` through `port` at `ready` and collect its deliveries.
+    fn deliveries(port: &mut EgressPort, ready: Time, pkt: Packet) -> Vec<(Time, Packet)> {
+        let mut got = Vec::new();
+        port.transmit_seq(ready, pkt, &mut |_, _| {}, &mut |arrival, p| {
+            got.push((arrival, p))
+        });
+        got
     }
 
     fn pkt(payload: u32) -> Packet {
@@ -381,13 +473,7 @@ mod tests {
         // Back-to-back train fresh off an HCA (gap 0 → serialization-paced).
         let t = train(2048, 4, 0);
         let golden = per_fragment_schedule(&mut a, Time::from_ns(500), &t);
-        let mut got = Vec::new();
-        b.transmit_seq(Time::from_ns(500), t, &mut |arrival, p| {
-            let gap = Dur::from_ns(p.gap_ns);
-            for k in 0..p.count {
-                got.push((arrival + gap * k as u64, p.psn.wrapping_add(k)));
-            }
-        });
+        let got = expand(&deliveries(&mut b, Time::from_ns(500), t));
         assert_eq!(got, golden);
         assert_eq!(a.busy_time(), b.busy_time());
         assert_eq!(a.next_free(), b.next_free());
@@ -406,10 +492,10 @@ mod tests {
         let t = train(1000, 5, 3000);
         let golden = per_fragment_schedule(&mut a, Time::from_ns(100), &t);
         let mut got = Vec::new();
-        b.transmit_seq(Time::from_ns(100), t, &mut |arrival, p| {
+        for (arrival, p) in deliveries(&mut b, Time::from_ns(100), t) {
             assert_eq!(p.count, 1, "backlogged slow train must de-coalesce");
             got.push((arrival, p.psn));
-        });
+        }
         assert_eq!(got, golden);
         assert_eq!(a.next_free(), b.next_free());
     }
@@ -425,10 +511,7 @@ mod tests {
         // has arrived by its turn: one back-to-back reservation.
         let t = train(1000, 5, 3000);
         let golden = per_fragment_schedule(&mut a, Time::from_ns(100), &t);
-        let mut deliveries = Vec::new();
-        b.transmit_seq(Time::from_ns(100), t, &mut |arrival, p| {
-            deliveries.push((arrival, p))
-        });
+        let deliveries = deliveries(&mut b, Time::from_ns(100), t);
         assert_eq!(
             deliveries.len(),
             1,
@@ -500,10 +583,7 @@ mod tests {
         let t = super_train(4, 1045, 4180);
         t.debug_validate_train();
         let golden = per_member_schedule(&mut a, Time::from_ns(500), &t);
-        let mut deliveries = Vec::new();
-        b.transmit_seq(Time::from_ns(500), t, &mut |arrival, p| {
-            deliveries.push((arrival, p))
-        });
+        let deliveries = deliveries(&mut b, Time::from_ns(500), t);
         assert_eq!(
             deliveries.len(),
             1,
@@ -528,10 +608,7 @@ mod tests {
         b.transmit(Time::ZERO, pkt(3000));
         let t = super_train(4, 1045, 20_000);
         let golden = per_member_schedule(&mut a, Time::from_ns(100), &t);
-        let mut deliveries = Vec::new();
-        b.transmit_seq(Time::from_ns(100), t, &mut |arrival, p| {
-            deliveries.push((arrival, p))
-        });
+        let deliveries = deliveries(&mut b, Time::from_ns(100), t);
         assert!(deliveries.len() > 1, "pattern break must de-coalesce");
         for (_, p) in &deliveries {
             assert!(p.msgs < 4, "split pieces must be strictly smaller");
@@ -555,10 +632,7 @@ mod tests {
         let t = super_train(32, 0, 4180);
         t.debug_validate_train();
         let golden = per_member_schedule(&mut a, Time::ZERO, &t);
-        let mut deliveries = Vec::new();
-        b.transmit_seq(Time::ZERO, t, &mut |arrival, p| {
-            deliveries.push((arrival, p))
-        });
+        let deliveries = deliveries(&mut b, Time::ZERO, t);
         assert!(
             deliveries.len() <= 8,
             "binary split should need O(log msgs) pieces, got {}",
@@ -589,28 +663,106 @@ mod tests {
         };
         t.debug_validate_train();
         let golden = per_member_schedule(&mut a, Time::from_ns(300), &t);
-        let mut deliveries = Vec::new();
-        b.transmit_seq(Time::from_ns(300), t, &mut |arrival, p| {
-            deliveries.push((arrival, p))
-        });
+        let deliveries = deliveries(&mut b, Time::from_ns(300), t);
         assert_eq!(deliveries.len(), 1);
         assert_eq!(expand(&deliveries), golden);
         assert_eq!(a.next_free(), b.next_free());
+    }
+
+    /// One port with two switches folded in, against its three cables as
+    /// separate ports whose deliveries are forwarded by hand: a DDR cable
+    /// into two SDR hops, a transit switch's and a Longbow unit's. The
+    /// receiver must see every member on the same schedule, the port must
+    /// report the first cable's departures, and every wire must end in the
+    /// same state. Returns the folded port's deliveries.
+    fn assert_fold_matches_chain(sends: &[(Time, Packet)]) -> Vec<(Time, Packet)> {
+        let hops = [
+            (Dur::from_ns(200), LinkConfig::sdr_lan()),
+            (Dur::from_ns(2500), LinkConfig::sdr_lan()),
+        ];
+        let mut folded = egress(LinkConfig::ddr_lan());
+        for (fwd, out) in hops {
+            folded.fold(fwd, out);
+        }
+        let mut chain = [
+            egress(LinkConfig::ddr_lan()),
+            egress(hops[0].1),
+            egress(hops[1].1),
+        ];
+        let (mut got, mut departed, mut want, mut first) = (vec![], vec![], vec![], vec![]);
+        for (ready, pkt) in sends {
+            folded.transmit_seq(
+                *ready,
+                pkt.clone(),
+                &mut |t, p| departed.push((t, p.clone())),
+                &mut |t, p| got.push((t, p)),
+            );
+            let [a, b, c] = &mut chain;
+            for (t1, p1) in deliveries(a, *ready, pkt.clone()) {
+                first.push((t1, p1.clone()));
+                for (t2, p2) in deliveries(b, t1 + hops[0].0, p1) {
+                    want.extend(deliveries(c, t2 + hops[1].0, p2));
+                }
+            }
+        }
+        assert_eq!(expand(&got), expand(&want));
+        assert_eq!(expand(&departed), expand(&first));
+        let wires = [&folded.wire, &folded.hops[0].wire, &folded.hops[1].wire];
+        for (k, (wire, port)) in wires.into_iter().zip(&chain).enumerate() {
+            assert_eq!(wire.tx.busy_time(), port.busy_time(), "wire {k}");
+            assert_eq!(wire.tx.next_free(), port.next_free(), "wire {k}");
+        }
+        let members: u64 = sends.iter().map(|(_, p)| u64::from(p.count)).sum();
+        assert_eq!(folded.hops_forwarded(), 2 * members);
+        got
+    }
+
+    #[test]
+    fn folded_hops_match_chained_ports() {
+        let ack_run = Packet {
+            opcode: Opcode::RcAck,
+            payload: 0,
+            msg_len: 0,
+            imm: u64::MAX,
+            count: 5,
+            msgs: 5,
+            msg_gap_ns: 4180,
+            ..pkt(0)
+        };
+        // A single packet, a back-to-back train and an ACK run each reach
+        // the receiver whole.
+        for (ready, p) in [
+            (Time::ZERO, pkt(930)),
+            (Time::from_ns(500), train(2048, 4, 0)),
+            (Time::from_ns(300), ack_run),
+        ] {
+            assert_eq!(assert_fold_matches_chain(&[(ready, p)]).len(), 1);
+        }
+        // A slow train crosses the idle DDR cable whole and splits behind a
+        // packet still serializing on the first SDR hop.
+        let got = assert_fold_matches_chain(&[
+            (Time::ZERO, pkt(4000)),
+            (Time::from_ns(2100), train(1000, 5, 3000)),
+        ]);
+        assert!(got.len() > 2, "the slow train must split at the hop");
+        // A super-train splits behind a backlog on the DDR cable.
+        let got = assert_fold_matches_chain(&[
+            (Time::ZERO, pkt(49_000)),
+            (Time::ZERO, super_train(32, 0, 4180)),
+        ]);
+        assert!(got.len() > 2, "the super-train must split");
     }
 
     #[test]
     fn credited_links_refuse_trains() {
         let cfg = LinkConfig::sdr_lan().with_credits(8);
         let mut port = egress(cfg);
-        let mut t = train(1024, 3, 0);
-        assert!(port.transmit_train(Time::ZERO, &mut t).is_none());
-        // transmit_seq falls back to per-fragment members, consuming credits.
-        let mut n = 0;
-        port.transmit_seq(Time::ZERO, t, &mut |_, p| {
-            assert_eq!(p.count, 1);
-            n += 1;
-        });
-        assert_eq!(n, 3);
+        // A credited port sends a train's members one by one, each
+        // consuming a credit.
+        let got = deliveries(&mut port, Time::ZERO, train(1024, 3, 0));
+        assert_eq!(got.len(), 3);
+        assert!(got.iter().all(|(_, p)| p.count == 1));
+        assert_eq!(port.credits, Some(5));
     }
 
     /// A datagram run behind exhausted credits waits as one queue entry
@@ -628,8 +780,10 @@ mod tests {
             ..pkt(512)
         };
         run.debug_validate_train();
-        let mut got = Vec::new();
-        whole.transmit_seq(Time::ZERO, run.clone(), &mut |t, p| got.push((t, p.msg_id)));
+        let mut got: Vec<_> = deliveries(&mut whole, Time::ZERO, run.clone())
+            .into_iter()
+            .map(|(t, p)| (t, p.msg_id))
+            .collect();
         let mut want = Vec::new();
         for m in 0..8 {
             let at = Time::from_ns(300 * m as u64);

@@ -14,11 +14,11 @@ use std::any::Any;
 /// also drop packets at random ([`Switch::with_loss`]): that, with a long
 /// forwarding latency, is how the `obsidian` crate models a Longbow XR unit.
 pub struct Switch {
-    fwd_latency: Dur,
+    pub(crate) fwd_latency: Dur,
     /// Drop probability per arriving packet, in parts per million
     /// (0 = lossless).
-    loss_per_million: u32,
-    ports: Vec<Option<EgressPort>>,
+    pub(crate) loss_per_million: u32,
+    pub(crate) ports: Vec<Option<EgressPort>>,
     /// Some attached port is credited, so arrivals may owe their ingress
     /// link a credit.
     credited: bool,
@@ -76,7 +76,9 @@ impl Switch {
         self.routes[i] = Some(port);
     }
 
-    /// Packets forwarded so far.
+    /// Packets forwarded so far. A switch folded into the ports that feed
+    /// it forwards none itself: they count its packets
+    /// ([`EgressPort::hops_forwarded`]).
     pub fn forwarded(&self) -> u64 {
         self.forwarded
     }

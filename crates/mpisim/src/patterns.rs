@@ -139,32 +139,39 @@ impl Pattern {
                 .and_then(|f| f.as_u64())
                 .ok_or_else(|| format!("pattern: missing or non-integer field {name:?}"))
         };
+        // Fields a run holds as `u32` (and the grid sides, whose product
+        // counts ranks): refuse what would wrap.
+        let field32 = |name: &str| {
+            let n = field(name)?;
+            u32::try_from(n)
+                .map_err(|_| format!("pattern: field {name:?} is {n}: the limit is {}", u32::MAX))
+        };
         let tag = v
             .get("pattern")
             .and_then(|t| t.as_str())
             .ok_or("pattern: missing \"pattern\" tag")?;
         match tag {
             "halo2d" => Ok(Pattern::Halo2d {
-                rows: field("rows")? as usize,
-                cols: field("cols")? as usize,
-                face_bytes: field("face_bytes")? as u32,
-                iters: field("iters")? as u32,
+                rows: field32("rows")? as usize,
+                cols: field32("cols")? as usize,
+                face_bytes: field32("face_bytes")?,
+                iters: field32("iters")?,
                 compute_us: field("compute_us")?,
             }),
             "master_worker" => Ok(Pattern::MasterWorker {
-                task_bytes: field("task_bytes")? as u32,
-                result_bytes: field("result_bytes")? as u32,
-                tasks_per_worker: field("tasks_per_worker")? as u32,
+                task_bytes: field32("task_bytes")?,
+                result_bytes: field32("result_bytes")?,
+                tasks_per_worker: field32("tasks_per_worker")?,
                 compute_us: field("compute_us")?,
             }),
             "ring" => Ok(Pattern::Ring {
-                block_bytes: field("block_bytes")? as u32,
-                iters: field("iters")? as u32,
+                block_bytes: field32("block_bytes")?,
+                iters: field32("iters")?,
             }),
             "sparse_random" => Ok(Pattern::SparseRandom {
                 degree: field("degree")? as usize,
-                msg_bytes: field("msg_bytes")? as u32,
-                supersteps: field("supersteps")? as u32,
+                msg_bytes: field32("msg_bytes")?,
+                supersteps: field32("supersteps")?,
                 seed: field("seed")?,
             }),
             other => Err(format!("unknown pattern kind {other:?}")),

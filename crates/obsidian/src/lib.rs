@@ -5,7 +5,11 @@
 //! "basic switch mode" the pair appears to the subnet manager as a two-ported
 //! switch, unifying the two cluster subnets transparently except for the
 //! added wire latency. The model takes that literally: each unit is an
-//! `ibfabric` [`Switch`] with two ports, configured by [`LongbowConfig`]. The
+//! `ibfabric` [`Switch`] with two ports, configured by [`LongbowConfig`].
+//! In a lossless fabric that forms trains, the port feeding a unit reserves
+//! the unit's outgoing wire itself, so the unit keeps its place in the
+//! subnet but costs no event; a lossy pair forms no trains, and its units
+//! forward packet by packet, rolling the loss in arrival order. The
 //! devices carry IB traffic at **SDR rate (8 Gb/s data)** over the WAN even
 //! when the clusters are DDR internally — the reason the paper's NFS
 //! LAN-to-WAN comparison drops ~36%.
