@@ -2,7 +2,7 @@
 //!
 //! The experiment catalog lives in [`ibwan_core::registry`] (re-exported
 //! here): every table/figure of the paper mapped to the experiment that
-//! regenerates it, with paper references, sweep axes, and cost estimates.
+//! regenerates it, with paper references and cost estimates.
 //! The `repro` binary runs entries through the unified
 //! [`ibwan_core::runner`] and golden-checks them; `ibwan_sim` runs
 //! scenario JSON through the same runner.

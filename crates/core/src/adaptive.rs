@@ -4,38 +4,38 @@
 //!
 //! The rendezvous protocol trades two bounce-buffer copies (eager) for an
 //! RTS/CTS handshake (one extra round trip). Eager copy cost for an
-//! `L`-byte message is `2 L / copy_rate`; the handshake costs ~1.5 RTT.
+//! `L`-byte message is `2 L / COPY_RATE`; the handshake costs ~1.5 RTT.
 //! Rendezvous only wins when the copies cost more than the handshake, so
 //! the break-even threshold grows linearly with RTT.
 
 use mpisim::bench::osu_latency;
-use mpisim::proto::MpiConfig;
+use mpisim::proto::{MpiConfig, COPY_RATE};
 use mpisim::world::JobSpec;
-use simcore::{Dur, Rate};
+use simcore::Dur;
 
 /// Pick a rendezvous threshold for the measured round-trip time.
 ///
-/// `copy_rate` is the eager bounce-buffer memcpy rate. The result is
-/// clamped to `[8 KB, 1 MB]`: 8 KB is the MVAPICH2 LAN default, and above
-/// 1 MB registration-cache effects (not modeled) favor rendezvous anyway.
-pub fn adaptive_threshold(rtt: Dur, copy_rate: Rate) -> u32 {
+/// Copies run at MPI's eager bounce-buffer memcpy rate, [`COPY_RATE`]. The
+/// result is clamped to `[8 KB, 1 MB]`: 8 KB is the MVAPICH2 LAN default,
+/// and above 1 MB registration-cache effects (not modeled) favor rendezvous
+/// anyway.
+pub fn adaptive_threshold(rtt: Dur) -> u32 {
     if rtt <= Dur::from_us(50) {
         // Intra-cluster regime: keep the MVAPICH2 LAN default, where
         // rendezvous also buys registration-cache and memory benefits.
         return 8 << 10;
     }
     let handshake_ns = rtt.as_ns() as f64 * 1.5;
-    let ns_per_byte = copy_rate.ps_per_byte() as f64 / 1000.0;
+    let ns_per_byte = COPY_RATE.ps_per_byte() as f64 / 1000.0;
     let breakeven = handshake_ns / (2.0 * ns_per_byte);
     (breakeven as u32).clamp(8 << 10, 1 << 20)
 }
 
 /// An [`MpiConfig`] tuned for the measured RTT.
 pub fn adaptive_config(rtt: Dur) -> MpiConfig {
-    let base = MpiConfig::default();
     MpiConfig {
-        eager_threshold: adaptive_threshold(rtt, base.copy_rate),
-        ..base
+        eager_threshold: adaptive_threshold(rtt),
+        ..MpiConfig::default()
     }
 }
 
@@ -59,9 +59,8 @@ mod tests {
 
     #[test]
     fn threshold_grows_with_rtt() {
-        let base = MpiConfig::default();
-        let t_100us = adaptive_threshold(Dur::from_us(200), base.copy_rate);
-        let t_10ms = adaptive_threshold(Dur::from_ms(20), base.copy_rate);
+        let t_100us = adaptive_threshold(Dur::from_us(200));
+        let t_10ms = adaptive_threshold(Dur::from_ms(20));
         assert!(t_10ms > t_100us, "{t_10ms} vs {t_100us}");
         assert_eq!(t_10ms, 1 << 20); // clamped at 1 MB for a 10 ms WAN
     }

@@ -21,7 +21,7 @@ use mpisim::proto::{MpiConfig, RndvProtocol};
 use mpisim::world::JobSpec;
 use nfssim::{run_read_experiment, NfsSetup};
 use pfs::{run_striped_read, PfsSetup};
-use sdp::{SdpConfig, SdpNode};
+use sdp::SdpNode;
 use simcore::Dur;
 
 /// Extension A: NFS *write* throughput for the three transports vs delay
@@ -124,8 +124,8 @@ fn sdp_stream_bw(cfg: &RunConfig, delay: Dur, msg_size: u32, count: u64) -> f64 
         cfg,
         59,
         &TopoSpec::two_site(delay),
-        Box::new(SdpNode::sender(SdpConfig::default(), msg_size, count)),
-        Box::new(SdpNode::receiver(SdpConfig::default())),
+        Box::new(SdpNode::sender(msg_size, count)),
+        Box::new(SdpNode::receiver()),
     );
     let (qa, qb) = ibfabric::perftest::rc_qp_pair(&mut f, a, b, QpConfig::rc());
     f.hca_mut(a).ulp_mut::<SdpNode>().socket.qpn = qa;

@@ -2,8 +2,8 @@
 //! evaluation section (plus the extension experiments) as a uniform,
 //! metadata-carrying catalog.
 //!
-//! Each [`Experiment`] knows its paper reference, sweep axes, and a rough
-//! relative cost, and regenerates its [`Figure`] from an explicit
+//! Each [`Experiment`] knows its paper reference and a rough relative
+//! cost, and regenerates its [`Figure`] from an explicit
 //! [`RunConfig`] — no process-global engine state. The runner
 //! ([`crate::runner`]) schedules entries by cost and stamps provenance;
 //! the `bench` crate re-exports this catalog for the `repro` and
@@ -24,8 +24,6 @@ pub struct Experiment {
     pub description: &'static str,
     /// Where in the paper the figure appears ("Figure 5", "Table 1", ...).
     pub paper_ref: &'static str,
-    /// The quantities the experiment sweeps ("delay", "msg size", ...).
-    pub axes: &'static [&'static str],
     /// Relative cost estimate (arbitrary units; larger = slower at Full
     /// fidelity). The runner schedules expensive entries first so the
     /// slowest job never starts last.
@@ -83,7 +81,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "table1",
             description: "Delay overhead corresponding to wire length",
             paper_ref: "Table 1",
-            axes: &["distance (km)"],
             cost: 1,
             run: |_cfg| verbs::table1(),
             check: Some(|f| expect_series(f, 1)),
@@ -92,7 +89,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig3",
             description: "Verbs-level latency: UD/RC send, RDMA write, back-to-back",
             paper_ref: "Figure 3",
-            axes: &["msg size", "transport"],
             cost: 2,
             run: verbs::fig3_latency,
             check: Some(finite_nonnegative),
@@ -101,7 +97,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig4a",
             description: "Verbs UD bandwidth vs delay",
             paper_ref: "Figure 4(a)",
-            axes: &["msg size", "delay"],
             cost: 4,
             run: |cfg| verbs::fig4_ud_bandwidth(cfg, false),
             check: Some(finite_nonnegative),
@@ -110,7 +105,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig4b",
             description: "Verbs UD bidirectional bandwidth vs delay",
             paper_ref: "Figure 4(b)",
-            axes: &["msg size", "delay"],
             cost: 4,
             run: |cfg| verbs::fig4_ud_bandwidth(cfg, true),
             check: Some(finite_nonnegative),
@@ -119,7 +113,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig5a",
             description: "Verbs RC bandwidth vs delay",
             paper_ref: "Figure 5(a)",
-            axes: &["msg size", "delay"],
             cost: 4,
             run: |cfg| verbs::fig5_rc_bandwidth(cfg, false),
             check: Some(finite_nonnegative),
@@ -128,7 +121,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig5b",
             description: "Verbs RC bidirectional bandwidth vs delay",
             paper_ref: "Figure 5(b)",
-            axes: &["msg size", "delay"],
             cost: 4,
             run: |cfg| verbs::fig5_rc_bandwidth(cfg, true),
             check: Some(finite_nonnegative),
@@ -137,7 +129,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig6a",
             description: "IPoIB-UD single-stream throughput (TCP windows)",
             paper_ref: "Figure 6(a)",
-            axes: &["TCP window", "delay"],
             cost: 6,
             run: |cfg| ipoib_exp::fig6_ipoib_ud(cfg, false),
             check: Some(finite_nonnegative),
@@ -146,7 +137,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig6b",
             description: "IPoIB-UD parallel-stream throughput",
             paper_ref: "Figure 6(b)",
-            axes: &["streams", "delay"],
             cost: 6,
             run: |cfg| ipoib_exp::fig6_ipoib_ud(cfg, true),
             check: Some(finite_nonnegative),
@@ -155,7 +145,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig7a",
             description: "IPoIB-RC single-stream throughput (MTUs)",
             paper_ref: "Figure 7(a)",
-            axes: &["TCP window", "delay"],
             cost: 6,
             run: |cfg| ipoib_exp::fig7_ipoib_rc(cfg, false),
             check: Some(finite_nonnegative),
@@ -164,7 +153,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig7b",
             description: "IPoIB-RC parallel-stream throughput",
             paper_ref: "Figure 7(b)",
-            axes: &["streams", "delay"],
             cost: 6,
             run: |cfg| ipoib_exp::fig7_ipoib_rc(cfg, true),
             check: Some(finite_nonnegative),
@@ -173,7 +161,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig8a",
             description: "MPI bandwidth (MVAPICH2 defaults)",
             paper_ref: "Figure 8(a)",
-            axes: &["msg size", "delay"],
             cost: 8,
             run: |cfg| mpi_exp::fig8_mpi_bandwidth(cfg, false),
             check: Some(finite_nonnegative),
@@ -182,7 +169,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig8b",
             description: "MPI bidirectional bandwidth",
             paper_ref: "Figure 8(b)",
-            axes: &["msg size", "delay"],
             cost: 8,
             run: |cfg| mpi_exp::fig8_mpi_bandwidth(cfg, true),
             check: Some(finite_nonnegative),
@@ -191,7 +177,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig9a",
             description: "MPI bandwidth at 10 ms: rendezvous threshold tuning",
             paper_ref: "Figure 9(a)",
-            axes: &["msg size", "rndv threshold"],
             cost: 8,
             run: |cfg| mpi_exp::fig9_threshold_tuning(cfg, false),
             check: Some(finite_nonnegative),
@@ -200,7 +185,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig9b",
             description: "MPI bidir bandwidth at 10 ms: threshold tuning",
             paper_ref: "Figure 9(b)",
-            axes: &["msg size", "rndv threshold"],
             cost: 8,
             run: |cfg| mpi_exp::fig9_threshold_tuning(cfg, true),
             check: Some(finite_nonnegative),
@@ -209,7 +193,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig10a",
             description: "Multi-pair message rate, 10 us delay",
             paper_ref: "Figure 10(a)",
-            axes: &["pairs", "msg size"],
             cost: 10,
             run: |cfg| mpi_exp::fig10_message_rate(cfg, 10),
             check: Some(finite_nonnegative),
@@ -218,7 +201,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig10b",
             description: "Multi-pair message rate, 1 ms delay",
             paper_ref: "Figure 10(b)",
-            axes: &["pairs", "msg size"],
             cost: 10,
             run: |cfg| mpi_exp::fig10_message_rate(cfg, 1000),
             check: Some(finite_nonnegative),
@@ -227,7 +209,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig10c",
             description: "Multi-pair message rate, 10 ms delay",
             paper_ref: "Figure 10(c)",
-            axes: &["pairs", "msg size"],
             cost: 10,
             run: |cfg| mpi_exp::fig10_message_rate(cfg, 10000),
             check: Some(finite_nonnegative),
@@ -236,7 +217,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig11a",
             description: "Bcast latency, 10 us delay: original vs hierarchical",
             paper_ref: "Figure 11(a)",
-            axes: &["msg size", "algorithm"],
             cost: 6,
             run: |cfg| mpi_exp::fig11_bcast(cfg, 10),
             check: Some(|f| expect_series(f, 2)),
@@ -245,7 +225,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig11b",
             description: "Bcast latency, 100 us delay: original vs hierarchical",
             paper_ref: "Figure 11(b)",
-            axes: &["msg size", "algorithm"],
             cost: 6,
             run: |cfg| mpi_exp::fig11_bcast(cfg, 100),
             check: Some(|f| expect_series(f, 2)),
@@ -254,7 +233,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig11c",
             description: "Bcast latency, 1 ms delay: original vs hierarchical",
             paper_ref: "Figure 11(c)",
-            axes: &["msg size", "algorithm"],
             cost: 6,
             run: |cfg| mpi_exp::fig11_bcast(cfg, 1000),
             check: Some(|f| expect_series(f, 2)),
@@ -263,7 +241,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig12",
             description: "NAS IS/FT/CG class B vs delay",
             paper_ref: "Figure 12",
-            axes: &["benchmark", "delay"],
             cost: 12,
             run: nas_exp::fig12_nas,
             check: Some(finite_nonnegative),
@@ -272,7 +249,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig13a",
             description: "NFS/RDMA read throughput: LAN and WAN delays",
             paper_ref: "Figure 13(a)",
-            axes: &["threads", "delay"],
             cost: 10,
             run: nfs_exp::fig13a_nfs_rdma,
             check: Some(finite_nonnegative),
@@ -281,7 +257,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig13b",
             description: "NFS transports at 100 us delay",
             paper_ref: "Figure 13(b)",
-            axes: &["threads", "transport"],
             cost: 10,
             run: |cfg| nfs_exp::fig13_transport_comparison(cfg, 100),
             check: Some(finite_nonnegative),
@@ -290,7 +265,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "fig13c",
             description: "NFS transports at 1000 us delay",
             paper_ref: "Figure 13(c)",
-            axes: &["threads", "transport"],
             cost: 10,
             run: |cfg| nfs_exp::fig13_transport_comparison(cfg, 1000),
             check: Some(finite_nonnegative),
@@ -300,7 +274,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "extA",
             description: "NFS write throughput (paper omitted its numbers)",
             paper_ref: "Section 5.4 (unplotted)",
-            axes: &["threads", "delay"],
             cost: 10,
             run: ext_exp::ext_nfs_write,
             check: Some(finite_nonnegative),
@@ -309,7 +282,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "extB",
             description: "Rendezvous protocol comparison (RPUT/RGET/R3) on the WAN",
             paper_ref: "Section 5.3 (implied)",
-            axes: &["msg size", "protocol"],
             cost: 6,
             run: ext_exp::ext_rndv_protocols,
             check: Some(|f| expect_series(f, 3)),
@@ -318,7 +290,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "extC",
             description: "Flat vs hierarchical allreduce (paper future work)",
             paper_ref: "Section 6 (future work)",
-            axes: &["msg size", "algorithm"],
             cost: 6,
             run: ext_exp::ext_hierarchical_allreduce,
             check: Some(|f| expect_series(f, 2)),
@@ -327,7 +298,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "extD",
             description: "Longbow buffer depth: link-credit BDP wall on the WAN",
             paper_ref: "Section 3 (implied)",
-            axes: &["delay", "credits"],
             cost: 4,
             run: ext_exp::ext_longbow_credits,
             check: Some(finite_nonnegative),
@@ -336,7 +306,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "extE",
             description: "SDP vs IPoIB sockets throughput (related-work comparison)",
             paper_ref: "Section 2 (related work)",
-            axes: &["msg size", "transport"],
             cost: 6,
             run: ext_exp::ext_sdp_vs_ipoib,
             check: Some(finite_nonnegative),
@@ -345,7 +314,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "extF",
             description: "Parallel-filesystem striping over the WAN (future work)",
             paper_ref: "Section 6 (future work)",
-            axes: &["stripe width", "delay"],
             cost: 8,
             run: ext_exp::ext_pfs_striping,
             check: Some(finite_nonnegative),
@@ -355,7 +323,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "topoA-3site-bw",
             description: "RC bandwidth across a generated 3-site WAN chain",
             paper_ref: "TopoSpec smoke (beyond the paper)",
-            axes: &["delay", "msg size"],
             cost: 4,
             run: topo_exp::topo_a_3site_bw,
             check: Some(|f| expect_series(f, 2)),
@@ -364,7 +331,6 @@ pub fn catalog() -> Vec<Experiment> {
             id: "topoB-fattree-alltoall",
             description: "MPI alltoall over two generated fat-tree sites",
             paper_ref: "TopoSpec smoke (beyond the paper)",
-            axes: &["msg size", "delay"],
             cost: 4,
             run: topo_exp::topo_b_fattree_alltoall,
             check: Some(|f| expect_series(f, 2)),
@@ -408,7 +374,6 @@ mod tests {
         for e in &cat {
             assert!(!e.description.is_empty(), "{}: empty description", e.id);
             assert!(!e.paper_ref.is_empty(), "{}: empty paper_ref", e.id);
-            assert!(!e.axes.is_empty(), "{}: no sweep axes", e.id);
             assert!(e.cost > 0, "{}: zero cost", e.id);
         }
     }

@@ -21,7 +21,7 @@ use crate::config::RunConfig;
 use crate::topo::TopoSpec;
 use crate::{ipoib_exp, verbs};
 use ibfabric::perftest::LatMode;
-use ibfabric::qp::QpConfig;
+use ibfabric::types::DEFAULT_MTU;
 use ipoib::node::{IpoibConfig, IpoibMode, MAX_IP_PACKET};
 use mpisim::bench as mpibench;
 use mpisim::proto::{MpiConfig, RndvProtocol};
@@ -426,20 +426,25 @@ impl Workload {
             "ipoib" => {
                 let mode = text("mode")?;
                 let mtu = num32("mtu")?;
-                // Connected mode carries TCP in the configured MTU, which
-                // must leave room for the TCP/IP headers; datagram mode
-                // ignores the field.
-                if IPOIB_MODES.get(&mode)? == IpoibMode::Rc && mtu <= TCP_IP_HEADER {
-                    return Err(format!(
-                        "workload: field \"mtu\" is {mtu}: connected mode needs more than \
-                         the {TCP_IP_HEADER} bytes of TCP/IP headers"
-                    ));
-                }
-                if IPOIB_MODES.get(&mode)? == IpoibMode::Rc && mtu > MAX_IP_PACKET {
-                    return Err(format!(
-                        "workload: field \"mtu\" is {mtu}: connected mode carries IP \
-                         packets of at most {MAX_IP_PACKET} bytes"
-                    ));
+                let problem = match IPOIB_MODES.get(&mode)? {
+                    // Datagram mode sends each IP packet as one UD datagram.
+                    IpoibMode::Ud if mtu != IpoibConfig::ud().mtu => Some(format!(
+                        "datagram mode carries IP packets in {}-byte datagrams",
+                        IpoibConfig::ud().mtu
+                    )),
+                    // Connected mode carries TCP in the configured MTU,
+                    // which must leave room for the TCP/IP headers.
+                    IpoibMode::Rc if mtu <= TCP_IP_HEADER => Some(format!(
+                        "connected mode needs more than the {TCP_IP_HEADER} bytes of \
+                         TCP/IP headers"
+                    )),
+                    IpoibMode::Rc if mtu > MAX_IP_PACKET => Some(format!(
+                        "connected mode carries IP packets of at most {MAX_IP_PACKET} bytes"
+                    )),
+                    _ => None,
+                };
+                if let Some(problem) = problem {
+                    return Err(format!("workload: field \"mtu\" is {mtu}: {problem}"));
                 }
                 Ok(Workload::Ipoib {
                     mode,
@@ -455,7 +460,7 @@ impl Workload {
             }),
             "mpi_bandwidth" => Ok(Workload::MpiBandwidth {
                 size: num32("size")?,
-                window: num32("window")?,
+                window: count32("window")?,
                 iters: count32("iters")?,
                 eager_threshold: narrow("eager_threshold", num_or("eager_threshold", 0)?)?,
                 rndv_protocol: match v.get("rndv_protocol") {
@@ -472,7 +477,7 @@ impl Workload {
             "message_rate" => Ok(Workload::MessageRate {
                 pairs: count("pairs")? as usize,
                 size: num32("size")?,
-                window: num32("window")?,
+                window: count32("window")?,
                 iters: count32("iters")?,
             }),
             "nas" => {
@@ -511,7 +516,7 @@ impl Workload {
             "nfs" => Ok(Workload::Nfs {
                 transport: NFS_TRANSPORTS.check(text("transport")?)?,
                 threads: count("threads")? as usize,
-                file_mib: num("file_mib")?,
+                file_mib: count("file_mib")?,
                 write: flag("write")?,
             }),
             other => Err(format!("unknown workload kind {other:?}")),
@@ -521,10 +526,9 @@ impl Workload {
 
 /// A UD message is one datagram, so it must fit the UD QP's MTU.
 fn ud_fits(size: u32) -> Result<(), String> {
-    let mtu = QpConfig::ud().mtu;
-    if size > mtu {
+    if size > DEFAULT_MTU {
         return Err(format!(
-            "workload: field \"size\" is {size}: a UD message must fit the {mtu}-byte MTU"
+            "workload: field \"size\" is {size}: a UD message must fit the {DEFAULT_MTU}-byte MTU"
         ));
     }
     Ok(())
@@ -1012,7 +1016,57 @@ mod tests {
                 file_mib: 256,
                 write: true,
             },
+            Workload::Ipoib {
+                mode: "ud".into(),
+                mtu: 2048,
+                window: 1 << 20,
+                streams: 4,
+                bytes_per_stream: 8 << 20,
+            },
         ]
+    }
+
+    /// Every workload kind runs at 100 µs with and without coalescing: the
+    /// two values must be equal, and the coalesced run's `value` and
+    /// `events_processed` are pinned. No golden runs the scenario path, so
+    /// this is where a changed model constant on it shows.
+    #[test]
+    fn every_workload_kind_is_pinned_with_and_without_coalescing() {
+        let pinned = [
+            (107.084, 404),
+            (967.9178706563032, 47),
+            (862.8635499437374, 17_661),
+            (107.748, 244),
+            (875.0489754073565, 1_844),
+            (247.60500000000002, 1_972),
+            (0.22309647119015832, 195_018),
+            (0.656587527, 274_540),
+            (0.000942288, 2_110),
+            (472.4106739517647, 43_252),
+            (469.5827275046823, 72_700),
+        ];
+        let workloads = every_workload_variant();
+        assert_eq!(workloads.len(), pinned.len());
+        for (workload, (value, events)) in workloads.into_iter().zip(pinned) {
+            let s = Scenario {
+                name: format!("{workload:?} at 100 us"),
+                seed: 42,
+                topology: Topology {
+                    delay_us: 100,
+                    loss_ppm: 0,
+                },
+                workload,
+            };
+            let (r, prov) = crate::runner::run_scenario(&s, &RunConfig::default());
+            let per_hop = RunConfig {
+                coalescing: false,
+                ..RunConfig::default()
+            };
+            let (r2, _) = crate::runner::run_scenario(&s, &per_hop);
+            assert_eq!(r.value, r2.value, "{}: coalescing moved the value", s.name);
+            let got = (r.value, prov.tally.counters.events_processed);
+            assert_eq!(got, (value, events), "{}", s.name);
+        }
     }
 
     /// Property-style sweep: every variant must survive
@@ -1191,6 +1245,26 @@ mod tests {
             (
                 r#"{ "kind": "ipoib", "mode": "ud", "mtu": 2048, "window": 65536, "streams": 1, "bytes_per_stream": 0 }"#,
                 r#""bytes_per_stream""#,
+            ),
+            // Datagram mode sends one IP packet per 2048-byte datagram, so
+            // no other MTU would change the run.
+            (
+                r#"{ "kind": "ipoib", "mode": "ud", "mtu": 512, "window": 65536, "streams": 1, "bytes_per_stream": 1024 }"#,
+                r#""mtu" is 512"#,
+            ),
+            // Windows of no messages, and an NFS file of no records: each
+            // would measure nothing and print 0.
+            (
+                r#"{ "kind": "mpi_bandwidth", "size": 8, "window": 0, "iters": 1 }"#,
+                r#""window""#,
+            ),
+            (
+                r#"{ "kind": "message_rate", "pairs": 1, "size": 8, "window": 0, "iters": 2 }"#,
+                r#""window""#,
+            ),
+            (
+                r#"{ "kind": "nfs", "transport": "rdma", "threads": 1, "file_mib": 0 }"#,
+                r#""file_mib""#,
             ),
             // Jobs with no ranks, and NFS with no client threads.
             (

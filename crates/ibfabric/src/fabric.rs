@@ -119,10 +119,8 @@ pub struct NodeHandle {
 }
 
 enum Kind {
-    Endpoint(#[allow(dead_code)] Lid),
+    Endpoint,
     Switch,
-    /// Non-fabric actor (benchmark drivers etc.).
-    Other,
 }
 
 /// Builds a fabric on top of a fresh [`Engine`].
@@ -178,7 +176,7 @@ impl FabricBuilder {
         let lid = Lid(self.next_lid);
         self.next_lid += 1;
         let core = HcaCore::new(lid);
-        let actor = self.register(Box::new(HcaActor::new(core, ulp)), Kind::Endpoint(lid));
+        let actor = self.register(Box::new(HcaActor::new(core, ulp)), Kind::Endpoint);
         let handle = NodeHandle { actor, lid };
         self.nodes.push(handle);
         handle
@@ -195,20 +193,11 @@ impl FabricBuilder {
         self.register(Box::new(switch), Kind::Switch)
     }
 
-    /// Add a non-fabric actor (driver, coordinator). It gets no ports.
-    pub fn add_actor(&mut self, actor: Box<dyn Actor>) -> ActorId {
-        self.register(actor, Kind::Other)
-    }
-
     /// Cable two fabric entities together with symmetric link parameters.
     pub fn link(&mut self, a: ActorId, b: ActorId, cfg: LinkConfig) {
         for &(id, peer) in &[(a, b), (b, a)] {
-            assert!(
-                !matches!(self.kinds[id], Kind::Other),
-                "cannot cable a non-fabric actor"
-            );
             let port = self.ports_used[id];
-            if let Kind::Endpoint(_) = self.kinds[id] {
+            if let Kind::Endpoint = self.kinds[id] {
                 assert_eq!(port, 0, "HCAs take exactly one cable");
             }
             self.ports_used[id] += 1;
@@ -294,7 +283,7 @@ impl FabricBuilder {
                     egress.fold(self.engine.actor::<Switch>(sw).fwd_latency, out);
                 }
                 match self.kinds[id] {
-                    Kind::Endpoint(_) => {
+                    Kind::Endpoint => {
                         let redelivery = self.engine.open_stream(id, id);
                         self.engine
                             .actor_mut::<HcaActor>(id)
@@ -305,7 +294,6 @@ impl FabricBuilder {
                         .engine
                         .actor_mut::<Switch>(id)
                         .attach_port(port, egress),
-                    Kind::Other => unreachable!("non-fabric actors take no cable"),
                 }
             }
         }

@@ -296,11 +296,6 @@ impl HcaCore {
             let pending = self.pending.as_mut().unwrap();
             if pending.pkt.msgs == 1 {
                 pending.pkt.msg_gap_ns = (ready - pending.ready).as_ns();
-                if pending.pkt.stride == 0 && pending.pkt.payload > 0 {
-                    // Single-fragment members: the super-train invariants
-                    // want `stride` to state the per-member coverage.
-                    pending.pkt.stride = pending.pkt.payload;
-                }
             }
             if let Some(header) = &pkt.data {
                 if pending.headers.is_empty() {
@@ -392,17 +387,12 @@ impl HcaCore {
         } else {
             pkt.psn == p.psn.wrapping_add(p.count)
         };
-        // Single-fragment messages carry `stride == 0` on the wire; the
-        // merged run normalizes its stride to `payload` (so the super-train
-        // invariants hold), which the raw shape check must tolerate.
-        let stride_ok = pkt.stride == p.stride || (f == 1 && pkt.stride == 0);
         if !(self.merge_head_eligible(pkt)
             && pkt.opcode == p.opcode
             && pkt.dst_lid == p.dst_lid
             && pkt.dst_qpn == p.dst_qpn
             && pkt.src_qpn == p.src_qpn
             && pkt.count == f
-            && stride_ok
             && pkt.payload == p.payload
             && pkt.msg_len == p.msg_len
             && pkt.gap_ns == p.gap_ns

@@ -412,7 +412,6 @@ mod tests {
             offset: 0,
             imm: 0,
             count: 1,
-            stride: 0,
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
@@ -428,7 +427,6 @@ mod tests {
             },
             msg_len: payload * count,
             count,
-            stride: payload,
             gap_ns,
             ..pkt(payload)
         }
@@ -536,7 +534,6 @@ mod tests {
             msg_len: 4096,
             imm: u64::MAX,
             count: 2 * msgs,
-            stride: 2048,
             gap_ns,
             msgs,
             msg_gap_ns,
@@ -774,7 +771,6 @@ mod tests {
         let (mut whole, mut split) = (egress(cfg), egress(cfg));
         let run = Packet {
             count: 8,
-            stride: 512,
             msgs: 8,
             msg_gap_ns: 300,
             ..pkt(512)

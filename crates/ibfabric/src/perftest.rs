@@ -5,7 +5,7 @@
 //!
 //! * [`PingPong`] — latency test: strict request/response alternation; the
 //!   reported figure is half the mean round-trip, exactly like `perftest`.
-//! * [`BwPeer`] — bandwidth test: keeps `tx_depth` work requests outstanding
+//! * [`BwPeer`] — bandwidth test: keeps 128 Send work requests outstanding
 //!   until `iters` messages complete; unidirectional tests make one node a
 //!   pure receiver, bidirectional tests configure both sides to transmit.
 
@@ -13,7 +13,7 @@ use crate::hca::HcaCore;
 use crate::qp::{QpConfig, Qpn};
 use crate::types::Lid;
 use crate::ulp::Ulp;
-use crate::verbs::{Completion, RecvWr, SendKind, SendWr};
+use crate::verbs::{Completion, RecvWr, SendWr};
 use simcore::{Ctx, OnlineStats, Time};
 
 /// Which latency flavour [`PingPong`] runs.
@@ -116,6 +116,10 @@ impl Ulp for PingPong {
     }
 }
 
+/// Work requests kept outstanding at the sender (perftest `--tx-depth`).
+/// Every bandwidth test sends with Send semantics.
+const TX_DEPTH: u64 = 128;
+
 /// Configuration for one side of a bandwidth test.
 #[derive(Copy, Clone, Debug)]
 pub struct BwConfig {
@@ -123,21 +127,12 @@ pub struct BwConfig {
     pub size: u32,
     /// Messages to send.
     pub iters: u64,
-    /// Work requests kept outstanding at the sender (perftest `--tx-depth`).
-    pub tx_depth: usize,
-    /// Send or RdmaWrite.
-    pub kind: SendKind,
 }
 
 impl BwConfig {
-    /// perftest-like defaults: depth 128, Send semantics.
+    /// `iters` Send messages of `size` bytes.
     pub fn new(size: u32, iters: u64) -> Self {
-        BwConfig {
-            size,
-            iters,
-            tx_depth: 128,
-            kind: SendKind::Send,
-        }
+        BwConfig { size, iters }
     }
 }
 
@@ -235,11 +230,7 @@ impl BwPeer {
 
     fn post_one(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>) {
         let cfg = self.tx.expect("post_one on a pure receiver");
-        let mut wr = match cfg.kind {
-            SendKind::Send => SendWr::send(self.posted, cfg.size, 0),
-            SendKind::RdmaWrite => SendWr::rdma_write(self.posted, cfg.size),
-            SendKind::RdmaRead => SendWr::rdma_read(self.posted, cfg.size),
-        };
+        let mut wr = SendWr::send(self.posted, cfg.size, 0);
         if let Some(p) = self.peer {
             wr = wr.to(p);
         }
@@ -263,7 +254,7 @@ impl Ulp for BwPeer {
         self.replenish_recvs(hca);
         if let Some(cfg) = self.tx {
             self.started = Some(ctx.now());
-            let burst = (cfg.tx_depth as u64).min(cfg.iters);
+            let burst = TX_DEPTH.min(cfg.iters);
             for _ in 0..burst {
                 self.post_one(hca, ctx);
             }

@@ -18,7 +18,7 @@
 //! ACKs, so its bandwidth is delay-independent (Figure 4).
 
 use crate::packet::{Opcode, Packet, Position};
-use crate::types::Lid;
+use crate::types::{Lid, DEFAULT_MTU};
 use crate::verbs::{Completion, RecvWr, SendKind, SendWr};
 #[cfg(test)]
 use bytes::Bytes;
@@ -27,6 +27,10 @@ use simcore::Dur;
 use std::collections::VecDeque;
 
 pub use ibwire::Qpn;
+
+/// RC: maximum outstanding RDMA reads (IB "initiator depth"). UD never
+/// reads.
+const MAX_OUTSTANDING_READS: usize = 4;
 
 /// Queue-pair state, following the verbs connection state machine
 /// (`ibv_modify_qp`): receives may be posted from `Init`, packets are
@@ -55,13 +59,9 @@ pub enum TransportType {
 pub struct QpConfig {
     /// Transport service.
     pub transport: TransportType,
-    /// Path MTU: payload bytes per packet.
-    pub mtu: u32,
     /// RC: maximum outstanding (un-ACKed) messages. The paper's testbed
     /// behaviour calibrates to 16.
     pub max_inflight_msgs: usize,
-    /// RC: maximum outstanding RDMA reads (IB "initiator depth").
-    pub max_outstanding_reads: usize,
     /// Deliver [`Completion::WriteArrived`] for silent RDMA writes (models a
     /// memory-polling receiver, as `rdma_lat` uses).
     pub notify_silent_writes: bool,
@@ -74,24 +74,20 @@ pub struct QpConfig {
 
 impl QpConfig {
     /// RC QP with the calibrated defaults (2 KB MTU, 16-message window).
-    pub fn rc() -> Self {
+    pub const fn rc() -> Self {
         QpConfig {
             transport: TransportType::Rc,
-            mtu: crate::types::DEFAULT_MTU,
             max_inflight_msgs: 16,
-            max_outstanding_reads: 4,
             notify_silent_writes: false,
             rto: Dur::from_ms(60),
         }
     }
 
     /// UD QP with 2 KB MTU.
-    pub fn ud() -> Self {
+    pub const fn ud() -> Self {
         QpConfig {
             transport: TransportType::Ud,
-            mtu: crate::types::DEFAULT_MTU,
             max_inflight_msgs: usize::MAX,
-            max_outstanding_reads: 0,
             notify_silent_writes: false,
             rto: Dur::from_ms(60),
         }
@@ -292,6 +288,10 @@ impl Qp {
     pub fn modify_to_rtr(&mut self, remote: (Lid, Qpn)) {
         assert_eq!(self.cfg.transport, TransportType::Rc, "only RC connects");
         assert_eq!(self.state, QpState::Init, "RTR requires Init");
+        assert_ne!(
+            remote.0, self.local_lid,
+            "a QP cannot connect to its own HCA"
+        );
         self.remote = Some(remote);
         self.state = QpState::Rtr;
     }
@@ -376,16 +376,19 @@ impl Qp {
 
     fn post_send_ud(&mut self, wr: SendWr, out: &mut QpOutput) {
         assert!(
-            wr.len <= self.cfg.mtu,
-            "UD message of {} bytes exceeds MTU {}",
-            wr.len,
-            self.cfg.mtu
+            wr.len <= DEFAULT_MTU,
+            "UD message of {} bytes exceeds MTU {DEFAULT_MTU}",
+            wr.len
         );
         assert_eq!(wr.kind, SendKind::Send, "UD supports only Send");
         let dest = wr
             .ud_dest
             .or(self.remote)
             .expect("UD send requires a destination address");
+        assert_ne!(
+            dest.0, self.local_lid,
+            "a UD datagram cannot address its own HCA"
+        );
         let msg_id = self.next_ud_msg_id;
         self.next_ud_msg_id += 1;
         out.packets.push(Packet {
@@ -401,7 +404,6 @@ impl Qp {
             offset: 0,
             imm: wr.imm,
             count: 1,
-            stride: 0,
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
@@ -428,7 +430,7 @@ impl Qp {
         while let Some(front) = self.sq.front() {
             let is_read = front.kind == SendKind::RdmaRead;
             if is_read {
-                if self.inflight_reads.len() >= self.cfg.max_outstanding_reads {
+                if self.inflight_reads.len() >= MAX_OUTSTANDING_READS {
                     break;
                 }
             } else if self.inflight.len() >= self.cfg.max_inflight_msgs.max(1) {
@@ -473,7 +475,6 @@ impl Qp {
             offset: 0,
             imm,
             count: 1,
-            stride: 0,
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
@@ -550,15 +551,18 @@ impl Qp {
             SendKind::RdmaWrite => Opcode::RcWrite { position },
             SendKind::RdmaRead => Opcode::RcReadResponse { position },
         };
-        let mtu = self.cfg.mtu;
-        let count = wr.len.div_ceil(mtu).max(1);
+        let count = wr.len.div_ceil(DEFAULT_MTU).max(1);
         let header_len = wr.header_len();
-        let train = if self.coalesce { wr.len / mtu } else { 0 };
+        let train = if self.coalesce {
+            wr.len / DEFAULT_MTU
+        } else {
+            0
+        };
         let mut idx = 0;
         while idx < count {
             let n = if idx == 0 && train >= 2 { train } else { 1 };
-            let offset = idx * mtu;
-            let payload = (wr.len - offset).min(mtu);
+            let offset = idx * DEFAULT_MTU;
+            let payload = (wr.len - offset).min(DEFAULT_MTU);
             let position = Position::of(idx, count);
             let (data, hdr_len) = match &wr.data {
                 Some(d) if header_len == 0 => (
@@ -583,7 +587,6 @@ impl Qp {
                 offset,
                 imm: wr.imm,
                 count: n,
-                stride: if n > 1 { mtu } else { 0 },
                 gap_ns: 0,
                 msgs: 1,
                 msg_gap_ns: 0,
@@ -727,7 +730,6 @@ impl Qp {
             offset: 0,
             imm: u64::MAX,
             count: 1,
-            stride: 0,
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
@@ -977,7 +979,7 @@ mod tests {
         for i in 0..6 {
             a.post_send(SendWr::rdma_read(i, 100), &mut out);
         }
-        assert_eq!(out.packets.len(), 4); // max_outstanding_reads
+        assert_eq!(out.packets.len(), MAX_OUTSTANDING_READS);
         assert_eq!(a.pending_sends(), 2);
     }
 
@@ -1019,7 +1021,6 @@ mod tests {
                 offset: 0,
                 imm: 0,
                 count: 1,
-                stride: 0,
                 gap_ns: 0,
                 msgs: 1,
                 msg_gap_ns: 0,
@@ -1147,7 +1148,6 @@ mod reliability_tests {
             offset: 0,
             imm: u64::MAX,
             count: 1,
-            stride: 0,
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
@@ -1231,7 +1231,6 @@ mod reliability_tests {
             offset: 0,
             imm: u64::MAX,
             count: 1,
-            stride: 0,
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
@@ -1401,6 +1400,24 @@ mod state_machine_tests {
         q.post_send(SendWr::send(1, 64, 0), &mut out);
     }
 
+    // Nothing sends to its own HCA (MPI delivers self-sends in shared
+    // memory), and a folded switch chain would carry such a packet to its far
+    // end, so both paths refuse it.
+    #[test]
+    #[should_panic(expected = "cannot connect to its own HCA")]
+    fn connecting_to_the_own_hca_panics() {
+        let mut q = Qp::new(Qpn(1), QpConfig::rc(), Lid(1));
+        q.connect((Lid(1), Qpn(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot address its own HCA")]
+    fn a_datagram_to_the_own_hca_panics() {
+        let mut a = Qp::new(Qpn(1), QpConfig::ud(), Lid(1));
+        let mut out = QpOutput::default();
+        a.post_send(SendWr::send(1, 64, 0).to((Lid(1), Qpn(2))), &mut out);
+    }
+
     #[test]
     #[should_panic(expected = "RTS requires RTR")]
     fn rts_without_rtr_panics() {
@@ -1425,7 +1442,7 @@ mod train_receive_tests {
     use super::*;
     use std::ops::Range;
 
-    const MTU: u32 = crate::types::DEFAULT_MTU;
+    const MTU: u32 = DEFAULT_MTU;
     /// A train with a short tail fragment behind it, and a train from
     /// `First` to `Last`.
     const LENS: [u32; 2] = [6 * MTU + 100, 4 * MTU];
@@ -1436,8 +1453,7 @@ mod train_receive_tests {
         let mut p = pkt.frag(range.start);
         if range.len() > 1 {
             p.count = range.len() as u32;
-            p.stride = pkt.stride;
-            let bytes = (range.start * pkt.stride) as usize..(range.end * pkt.stride) as usize;
+            let bytes = (range.start * pkt.payload) as usize..(range.end * pkt.payload) as usize;
             p.data = pkt.data.as_ref().map(|d| d.slice(bytes));
         }
         p
@@ -1502,7 +1518,7 @@ mod train_receive_tests {
         let mut completions = 0;
         for (r, round) in rounds.iter().enumerate() {
             for pkt in round {
-                let kept = |k: u32| r > 0 || !lost(pkt.msg_id, pkt.offset + k * pkt.stride);
+                let kept = |k: u32| r > 0 || !lost(pkt.msg_id, pkt.offset + k * pkt.payload);
                 let mut k = 0;
                 while k < pkt.count {
                     let start = k;

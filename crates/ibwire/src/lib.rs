@@ -147,12 +147,10 @@ pub struct Packet {
     /// value above 1 makes this a *fragment train*: `count` equal-size
     /// fragments of one message with consecutive PSNs, travelling the wire
     /// as a single event. `psn`, `offset`, `payload`, and `opcode` describe
-    /// the head fragment; [`Packet::frag`] materializes any member.
+    /// the head fragment; every member carries `payload` bytes, so fragment
+    /// `k` of a message sits at `offset + k * payload`. [`Packet::frag`]
+    /// materializes any member.
     pub count: u32,
-    /// Train member spacing in message bytes: fragment `k` sits at
-    /// `offset + k * stride`. Equals `payload` for trains (all members are
-    /// full-size); `0` for ordinary single-fragment packets.
-    pub stride: u32,
     /// Inter-fragment arrival spacing of the train at the current hop, in
     /// nanoseconds: fragment `k` arrives `k * gap_ns` after the head. Each
     /// hop rewrites it to its own egress spacing. `0` for single fragments
@@ -181,7 +179,7 @@ pub struct Packet {
     pub hdr_len: u32,
     /// Optional inline bytes, one of two kinds, told apart by `hdr_len`:
     /// - `hdr_len == 0`: an integrity payload, the fragments' own bytes. A
-    ///   train carries all its members' (`count * stride` bytes), sliced
+    ///   train carries all its members' (`count * payload` bytes), sliced
     ///   per member by [`Packet::frag`] and never merged into a super-train.
     /// - `hdr_len > 0`: the ULP headers (`SendWr::with_meta`) of the
     ///   messages whose `Last` fragment this packet carries, `msgs` headers
@@ -248,14 +246,10 @@ impl Packet {
     }
 
     /// Message bytes covered by the train within **one** message
-    /// (`frags_per_msg * stride`); for a super-train every spanned message
+    /// (`frags_per_msg * payload`); for a super-train every spanned message
     /// is covered by the same pattern.
     pub fn train_payload_bytes(&self) -> u32 {
-        if self.count > 1 {
-            self.frags_per_msg() * self.stride
-        } else {
-            self.payload
-        }
+        self.frags_per_msg() * self.payload
     }
 
     /// Whether the train's tail fragment completes its message (for a
@@ -297,8 +291,8 @@ impl Packet {
         }
         let f = self.frags_per_msg();
         let (msg_idx, frag_idx) = (k / f, k % f);
-        let offset = self.offset + frag_idx * self.stride;
-        let position = Self::position_at(offset, self.stride, self.msg_len);
+        let offset = self.offset + frag_idx * self.payload;
+        let position = Self::position_at(offset, self.payload, self.msg_len);
         let opcode = match self.opcode {
             Opcode::RcSend { .. } => Opcode::RcSend { position },
             Opcode::RcWrite { .. } => Opcode::RcWrite { position },
@@ -319,10 +313,10 @@ impl Packet {
             let data = self.data.as_ref().map(|d| {
                 debug_assert_eq!(
                     d.len(),
-                    (self.count * self.stride) as usize,
+                    (self.count * self.payload) as usize,
                     "train data must cover every member"
                 );
-                d.slice((k * self.stride) as usize..((k + 1) * self.stride) as usize)
+                d.slice((k * self.payload) as usize..((k + 1) * self.payload) as usize)
             });
             (data, 0)
         } else if position.is_last() {
@@ -333,15 +327,9 @@ impl Packet {
         Packet {
             opcode,
             psn,
-            payload: if self.stride > 0 {
-                self.stride
-            } else {
-                self.payload
-            },
             msg_id: self.msg_id + msg_idx as u64,
             offset,
             count: 1,
-            stride: 0,
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
@@ -394,7 +382,6 @@ impl Packet {
             ..*self
         };
         if f == 1 {
-            p.stride = 0;
             p.gap_ns = 0;
         }
         p
@@ -479,10 +466,7 @@ impl Packet {
                         !matches!(self.opcode, Opcode::RcWrite { .. }) || self.imm == u64::MAX,
                         "write super-trains are silent"
                     );
-                    debug_assert!(
-                        self.frags_per_msg() * self.stride >= self.msg_len,
-                        "super-train messages are complete"
-                    );
+                    debug_assert!(self.tail_is_last(), "super-train messages are complete");
                 }
                 _ => debug_assert!(
                     false,
@@ -491,15 +475,14 @@ impl Packet {
             }
         }
         if self.count > 1 && !matches!(self.opcode, Opcode::RcAck) {
-            debug_assert_eq!(self.stride, self.payload, "train members are equal-size");
             // Zero-byte messages are legal: a run of them merges with
-            // `stride == payload == 0`, one packet per message.
+            // `payload == 0`, one packet per message.
             debug_assert!(
-                self.stride > 0 || self.frags_per_msg() == 1,
+                self.payload > 0 || self.frags_per_msg() == 1,
                 "fragments of one message carry payload"
             );
             debug_assert!(
-                self.offset + self.frags_per_msg() * self.stride <= self.msg_len,
+                self.offset + self.train_payload_bytes() <= self.msg_len,
                 "train overruns its message"
             );
             debug_assert!(
@@ -510,7 +493,7 @@ impl Packet {
                 "only data fragments and datagram runs form trains"
             );
             if let Some(d) = self.data.as_ref().filter(|_| self.hdr_len == 0) {
-                debug_assert_eq!(d.len(), (self.count * self.stride) as usize);
+                debug_assert_eq!(d.len(), (self.count * self.payload) as usize);
             }
         }
     }
@@ -534,7 +517,6 @@ mod tests {
             offset: 0,
             imm: 0,
             count: 1,
-            stride: 0,
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,
@@ -592,7 +574,6 @@ mod tests {
             payload: 2048,
             msg_len: 8000,
             count: 3,
-            stride: 2048,
             gap_ns: 2090,
             ..pkt(
                 Opcode::RcSend {
@@ -623,7 +604,6 @@ mod tests {
         for k in 0..3 {
             let f = t.frag(k);
             assert_eq!(f.count, 1);
-            assert_eq!(f.stride, 0);
             assert_eq!(f.gap_ns, 0);
             assert_eq!(f.psn, 10 + k);
             assert_eq!(f.offset, k * 2048);
@@ -691,7 +671,6 @@ mod tests {
             msg_len: 4096,
             imm: u64::MAX,
             count: 8,
-            stride: 2048,
             gap_ns: 1045,
             msgs: 4,
             msg_gap_ns: 4180,
@@ -756,14 +735,13 @@ mod tests {
     }
 
     /// A run of `msgs` whole single-fragment messages of `len` bytes, shaped
-    /// as the HCA merges them: `stride` states the per-member coverage.
+    /// as the HCA merges them.
     fn message_run(opcode: Opcode, len: u32, msgs: u32) -> Packet {
         Packet {
             psn: 30,
             msg_id: 9,
             msg_len: len,
             count: msgs,
-            stride: len,
             msgs,
             msg_gap_ns: 1059,
             ..pkt(opcode, len)
@@ -786,7 +764,7 @@ mod tests {
                 for m in 0..4 {
                     let p = t.msg_train(m);
                     p.debug_validate_train();
-                    assert_eq!((p.count, p.stride, p.payload), (1, 0, len));
+                    assert_eq!((p.count, p.payload), (1, len));
                     assert_eq!((p.psn, p.msg_id), (30 + m, 9 + m as u64));
                 }
             }
@@ -812,7 +790,6 @@ mod tests {
             msg_len: 0,
             imm: u64::MAX,
             count: 5,
-            stride: 0,
             gap_ns: 0,
             msgs: 5,
             msg_gap_ns: 4180,

@@ -6,7 +6,7 @@ use ibfabric::hca::HcaCore;
 use ibfabric::qp::QpConfig;
 use ibfabric::ulp::Ulp;
 use ibfabric::verbs::Completion;
-use simcore::{Ctx, Dur, Rate, Time, TimeSeries};
+use simcore::{Ctx, Dur, Time, TimeSeries};
 use tcpstack::TcpConfig;
 
 /// Largest IP packet connected mode carries, in bytes: its MTU's bound.
@@ -29,10 +29,6 @@ pub struct IpoibConfig {
     /// IP MTU (one IP packet per IB message). UD caps at the IB MTU (2 KB);
     /// RC allows up to 64 KB (the maximum IP packet size).
     pub mtu: u32,
-    /// Fixed host cost per IP packet (interrupt + stack traversal).
-    pub per_packet_cpu: Dur,
-    /// Per-byte host cost (checksums + copies), as a processing rate.
-    pub per_byte_cpu: Rate,
 }
 
 impl IpoibConfig {
@@ -43,8 +39,6 @@ impl IpoibConfig {
         IpoibConfig {
             mode: IpoibMode::Ud,
             mtu: 2048,
-            per_packet_cpu: Dur::from_ns(2200),
-            per_byte_cpu: Rate::from_ps_per_byte(1000),
         }
     }
 
@@ -55,8 +49,6 @@ impl IpoibConfig {
         IpoibConfig {
             mode: IpoibMode::Rc,
             mtu,
-            per_packet_cpu: Dur::from_ns(2200),
-            per_byte_cpu: Rate::from_ps_per_byte(1000),
         }
     }
 

@@ -28,6 +28,16 @@ pub const TOKEN_IPOIB_DACK: u64 = 7;
 /// Delayed-ACK timeout (Linux's ~40 ms).
 const DELAYED_ACK: Dur = Dur::from_ms(40);
 
+/// Fixed host cost per IP packet (interrupt + stack traversal).
+const PER_PACKET_CPU: Dur = Dur::from_ns(2200);
+/// Per-byte host cost (checksums + copies), as a processing rate.
+const PER_BYTE_CPU: Rate = Rate::from_ps_per_byte(1000);
+
+/// Host work to send or receive one IP packet of `len` bytes.
+fn packet_cpu(len: u32) -> Dur {
+    PER_PACKET_CPU + PER_BYTE_CPU.tx_time(len as u64)
+}
+
 /// Bytes delivered in order on one TCP stream.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct StreamDelivery {
@@ -105,8 +115,7 @@ impl IpoibPort {
     fn send_segment(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>, stream: u32, seg: TcpSegment) {
         let wire_len = seg.wire_bytes() as u32;
         debug_assert!(wire_len <= self.cfg.mtu, "segment exceeds IP MTU");
-        let work = self.cfg.per_packet_cpu + self.cfg.per_byte_cpu.tx_time(wire_len as u64);
-        let (_, ready) = self.tx_cpu.reserve_dur(ctx.now(), work);
+        let (_, ready) = self.tx_cpu.reserve_dur(ctx.now(), packet_cpu(wire_len));
         let header = SegmentHeader {
             stream,
             segment: seg,
@@ -151,8 +160,7 @@ impl IpoibPort {
                 hca.post_recv(self.qpn, RecvWr { wr_id: 0 });
                 let header =
                     SegmentHeader::decode(data.as_ref().expect("IPoIB message without header"));
-                let work = self.cfg.per_packet_cpu + self.cfg.per_byte_cpu.tx_time(*len as u64);
-                let (_, finish) = self.rx_cpu.reserve_dur(ctx.now(), work);
+                let (_, finish) = self.rx_cpu.reserve_dur(ctx.now(), packet_cpu(*len));
                 self.deferred.push_back(header);
                 ctx.timer_at(finish, TOKEN_IPOIB_RX);
                 true

@@ -16,7 +16,7 @@
 
 use crate::wire::{MpiWire, CTRL_BYTES, EAGER_HEADER_BYTES};
 use ibfabric::hca::HcaCore;
-use ibfabric::qp::{QpConfig, Qpn};
+use ibfabric::qp::Qpn;
 use ibfabric::verbs::{Completion, RecvWr, SendWr};
 use simcore::{Ctx, Dur, Rate, SerialResource};
 use std::collections::{HashMap, VecDeque};
@@ -49,6 +49,13 @@ pub enum RndvProtocol {
     R3,
 }
 
+/// Chunk size for the R3 packetized path.
+const R3_CHUNK: u32 = 16384;
+/// Memcpy rate for eager bounce-buffer copies (~4 GB/s).
+pub const COPY_RATE: Rate = Rate::from_ps_per_byte(250);
+/// Software overhead per MPI call.
+const SW_OVERHEAD: Dur = Dur::from_ns(200);
+
 /// MPI library configuration.
 #[derive(Copy, Clone, Debug)]
 pub struct MpiConfig {
@@ -57,14 +64,6 @@ pub struct MpiConfig {
     pub eager_threshold: u32,
     /// Rendezvous data-movement scheme for larger messages.
     pub rndv_protocol: RndvProtocol,
-    /// Chunk size for the R3 packetized path.
-    pub r3_chunk: u32,
-    /// Memcpy rate for eager bounce-buffer copies.
-    pub copy_rate: Rate,
-    /// Software overhead per MPI call.
-    pub sw_overhead: Dur,
-    /// Transport parameters for the per-peer RC QPs.
-    pub qp: QpConfig,
 }
 
 impl Default for MpiConfig {
@@ -72,10 +71,6 @@ impl Default for MpiConfig {
         MpiConfig {
             eager_threshold: 8192,
             rndv_protocol: RndvProtocol::Rput,
-            r3_chunk: 16384,
-            copy_rate: Rate::from_ps_per_byte(250), // ~4 GB/s memcpy
-            sw_overhead: Dur::from_ns(200),
-            qp: QpConfig::rc(),
         }
     }
 }
@@ -265,7 +260,7 @@ impl P2p {
         self.bytes_to_peer[to] += len as u64;
         if len <= self.cfg.eager_threshold {
             // Eager: copy to bounce buffer, send, complete locally.
-            let work = self.cfg.sw_overhead + self.cfg.copy_rate.tx_time(len as u64);
+            let work = SW_OVERHEAD + COPY_RATE.tx_time(len as u64);
             let (_, fin) = self.cpu.reserve_dur(ctx.now(), work);
             let wr = SendWr::send(0, len + EAGER_HEADER_BYTES, 0)
                 .with_meta(MpiWire::Eager { tag, len }.encode());
@@ -273,7 +268,7 @@ impl P2p {
             self.defer_done(ctx, req, fin);
         } else {
             // Rendezvous: RTS now; data moves after CTS.
-            let (_, fin) = self.cpu.reserve_dur(ctx.now(), self.cfg.sw_overhead);
+            let (_, fin) = self.cpu.reserve_dur(ctx.now(), SW_OVERHEAD);
             let rndv = self.next_rndv;
             self.next_rndv += 1;
             let wr =
@@ -304,7 +299,7 @@ impl P2p {
             let u = self.unexpected.remove(pos).unwrap();
             match u.kind {
                 UnexpectedKind::Eager => {
-                    let work = self.cfg.copy_rate.tx_time(u.len as u64);
+                    let work = COPY_RATE.tx_time(u.len as u64);
                     let (_, fin) = self.cpu.reserve_dur(ctx.now(), work);
                     self.defer_done(ctx, req, fin);
                 }
@@ -359,7 +354,7 @@ impl P2p {
             .position(|p| p.src == src && p.tag == tag)
         {
             let p = self.posted.remove(pos).unwrap();
-            let work = self.cfg.copy_rate.tx_time(len as u64);
+            let work = COPY_RATE.tx_time(len as u64);
             let (_, fin) = self.cpu.reserve_dur(ctx.now(), work);
             self.defer_done(ctx, p.req, fin);
         } else {
@@ -457,12 +452,11 @@ impl P2p {
                     RndvProtocol::R3 => {
                         // Packetized path: chunk the payload through the
                         // send channel, paying the bounce-buffer copies.
-                        let chunk = self.cfg.r3_chunk.max(1);
-                        let chunks = out.len.div_ceil(chunk).max(1);
+                        let chunks = out.len.div_ceil(R3_CHUNK).max(1);
                         let mut fin = ctx.now();
                         for i in 0..chunks {
-                            let this = (out.len - i * chunk).min(chunk);
-                            let work = self.cfg.copy_rate.tx_time(this as u64);
+                            let this = (out.len - i * R3_CHUNK).min(R3_CHUNK);
+                            let work = COPY_RATE.tx_time(this as u64);
                             let (_, f) = self.cpu.reserve_dur(ctx.now(), work);
                             fin = f;
                             let wr = SendWr::send(0, this + EAGER_HEADER_BYTES, 0).with_meta(
@@ -502,7 +496,7 @@ impl P2p {
             MpiWire::R3Data { rndv, len, last } => {
                 // Copy the chunk out of the bounce buffer; the recv
                 // completes at the final chunk's copy.
-                let work = self.cfg.copy_rate.tx_time(len as u64);
+                let work = COPY_RATE.tx_time(len as u64);
                 let (_, fin) = self.cpu.reserve_dur(ctx.now(), work);
                 if last {
                     let req = self

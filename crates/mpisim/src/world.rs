@@ -6,10 +6,14 @@ use crate::script::{Op, ScriptRunner, TOKEN_COMPUTE};
 use ibfabric::fabric::{Fabric, NodeHandle};
 use ibfabric::hca::HcaCore;
 use ibfabric::perftest::rc_qp_pair;
+use ibfabric::qp::QpConfig;
 use ibfabric::ulp::Ulp;
 use ibfabric::verbs::Completion;
 use ibtopo::TopoSpec;
 use simcore::{Ctx, Dur, Time};
+
+/// Transport parameters for the per-peer RC QPs.
+const PEER_QP: QpConfig = QpConfig::rc();
 
 /// One MPI rank: protocol engine + script interpreter, running as a ULP.
 pub struct MpiProcess {
@@ -156,7 +160,7 @@ impl MpiJob {
         // Full RC mesh: one connected QP pair per rank pair.
         for i in 0..n {
             for j in (i + 1)..n {
-                let (qi, qj) = rc_qp_pair(&mut fabric, nodes[i], nodes[j], mpi.qp);
+                let (qi, qj) = rc_qp_pair(&mut fabric, nodes[i], nodes[j], PEER_QP);
                 fabric
                     .hca_mut(nodes[i])
                     .ulp_mut::<MpiProcess>()

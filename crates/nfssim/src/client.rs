@@ -1,6 +1,6 @@
 //! The NFS client ULP: IOzone-style multi-threaded sequential reads.
 
-use crate::rpc::{RpcMsg, RPC_CALL_BYTES, RPC_REPLY_BYTES};
+use crate::rpc::{RpcMsg, RECORD_SIZE, RPC_CALL_BYTES, RPC_REPLY_BYTES};
 use ibfabric::hca::HcaCore;
 use ibfabric::qp::Qpn;
 use ibfabric::ulp::Ulp;
@@ -15,8 +15,6 @@ pub struct NfsClientConfig {
     pub threads: usize,
     /// Total records to read (file size / record size).
     pub records: u64,
-    /// Record size (256 KB in the paper).
-    pub record_size: u32,
     /// True to WRITE the file instead of reading it.
     pub write: bool,
 }
@@ -95,7 +93,7 @@ impl NfsClient {
         if d.is_zero() {
             return 0.0;
         }
-        (self.completed as f64 * self.cfg.record_size as f64) / d.as_secs_f64() / 1e6
+        (self.completed as f64 * RECORD_SIZE as f64) / d.as_secs_f64() / 1e6
     }
 
     fn issue_one(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>) {
@@ -113,7 +111,7 @@ impl NfsClient {
                 let call = SendWr::send(0, RPC_CALL_BYTES, 0).with_meta(
                     RpcMsg::Call {
                         xid,
-                        len: self.cfg.record_size,
+                        len: RECORD_SIZE,
                         write: self.cfg.write,
                     }
                     .encode(),
@@ -123,7 +121,7 @@ impl NfsClient {
             Transport::Tcp(port) => {
                 let bytes = RPC_CALL_BYTES as u64
                     + if self.cfg.write {
-                        self.cfg.record_size as u64
+                        RECORD_SIZE as u64
                     } else {
                         0
                     };
@@ -188,7 +186,7 @@ impl Ulp for NfsClient {
             let reply_size = if self.cfg.write {
                 RPC_REPLY_BYTES as u64
             } else {
-                self.cfg.record_size as u64 + RPC_REPLY_BYTES as u64
+                RECORD_SIZE as u64 + RPC_REPLY_BYTES as u64
             };
             while self.reply_acc >= reply_size {
                 self.reply_acc -= reply_size;

@@ -1,7 +1,8 @@
 //! End-to-end NFS experiment assembly: server + client topology, LAN or WAN.
 
 use crate::client::{NfsClient, NfsClientConfig};
-use crate::server::{NfsServer, NfsServerConfig};
+use crate::rpc::RECORD_SIZE;
+use crate::server::NfsServer;
 use ibfabric::qp::QpConfig;
 use ibtopo::TopoSpec;
 use ipoib::node::IpoibConfig;
@@ -43,8 +44,6 @@ pub struct NfsSetup {
     pub threads: usize,
     /// File size in bytes (paper: 512 MB; scale down for quick runs).
     pub file_size: u64,
-    /// Record size (paper: 256 KB).
-    pub record_size: u32,
     /// One-way WAN delay; `None` runs on the DDR LAN with no Longbows.
     pub delay: Option<Dur>,
     /// True to run the IOzone write test instead of read (the paper omits
@@ -63,7 +62,6 @@ impl NfsSetup {
             transport,
             threads,
             file_size: 512 << 20,
-            record_size: 256 << 10,
             delay,
             write: false,
             coalescing: true,
@@ -78,7 +76,6 @@ impl NfsSetup {
             transport,
             threads,
             file_size: 48 << 20,
-            record_size: 256 << 10,
             delay,
             write: false,
             coalescing: true,
@@ -106,22 +103,16 @@ fn ipoib_config(t: Transport) -> IpoibConfig {
 
 /// Run one read experiment and return the client-observed throughput.
 pub fn run_read_experiment(setup: NfsSetup) -> NfsThroughput {
-    let records = setup.file_size / setup.record_size as u64;
-    let server_cfg = NfsServerConfig {
-        record_size: setup.record_size,
-        write_mode: setup.write,
-        ..NfsServerConfig::default()
-    };
+    let records = setup.file_size / RECORD_SIZE as u64;
     let client_cfg = NfsClientConfig {
         threads: setup.threads,
         records,
-        record_size: setup.record_size,
         write: setup.write,
     };
 
     let (server_ulp, client_ulp): (Box<NfsServer>, Box<NfsClient>) = match setup.transport {
         Transport::Rdma => (
-            Box::new(NfsServer::rdma(server_cfg)),
+            Box::new(NfsServer::rdma(setup.write)),
             Box::new(NfsClient::rdma(client_cfg)),
         ),
         Transport::IpoibRc | Transport::IpoibUd => {
@@ -130,7 +121,7 @@ pub fn run_read_experiment(setup: NfsSetup) -> NfsThroughput {
             let mut tcp = TcpConfig::for_mtu(cfg.mtu);
             tcp.init_cwnd_segments = 1 << 20;
             (
-                Box::new(NfsServer::tcp(server_cfg, IpoibPort::new(cfg, tcp, 1))),
+                Box::new(NfsServer::tcp(setup.write, IpoibPort::new(cfg, tcp, 1))),
                 Box::new(NfsClient::tcp(client_cfg, IpoibPort::new(cfg, tcp, 1))),
             )
         }

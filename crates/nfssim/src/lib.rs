@@ -37,5 +37,5 @@ pub mod server;
 
 pub use client::{NfsClient, NfsClientConfig};
 pub use experiment::{run_read_experiment, NfsSetup, NfsThroughput, Transport};
-pub use rpc::{RpcMsg, NFS_RDMA_CHUNK, RPC_CALL_BYTES, RPC_REPLY_BYTES};
-pub use server::{NfsServer, NfsServerConfig};
+pub use rpc::{RpcMsg, NFS_RDMA_CHUNK, RECORD_SIZE, RPC_CALL_BYTES, RPC_REPLY_BYTES};
+pub use server::NfsServer;

@@ -9,6 +9,9 @@ pub const RPC_REPLY_BYTES: u32 = 128;
 /// NFS/RDMA fragments record data into chunks of this size (the paper:
 /// "data is fragmented into 4K packets for transferring").
 pub const NFS_RDMA_CHUNK: u32 = 4096;
+/// Record size every client reads or writes: the paper's IOzone record,
+/// 256 KB.
+pub const RECORD_SIZE: u32 = 256 << 10;
 
 /// RPC messages on the RDMA transport (rides as IB message metadata).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

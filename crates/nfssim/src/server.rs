@@ -1,7 +1,7 @@
 //! The NFS server ULP: single server, multiple in-flight RPCs, either
 //! transport.
 
-use crate::rpc::{RpcMsg, NFS_RDMA_CHUNK, RPC_REPLY_BYTES};
+use crate::rpc::{RpcMsg, NFS_RDMA_CHUNK, RECORD_SIZE, RPC_REPLY_BYTES};
 use ibfabric::hca::HcaCore;
 use ibfabric::qp::Qpn;
 use ibfabric::ulp::Ulp;
@@ -13,31 +13,12 @@ use std::collections::{HashMap, VecDeque};
 /// Timer token for deferred (CPU-cost) RPC service completion.
 pub const TOKEN_NFS_SERVICE: u64 = 6;
 
-/// Server cost model.
-#[derive(Copy, Clone, Debug)]
-pub struct NfsServerConfig {
-    /// Fixed CPU cost per RPC (lookup, attributes, scheduling).
-    pub op_cpu: Dur,
-    /// Per-byte server-side copy cost on the TCP path (NFS/RDMA avoids this
-    /// — the paper's "absence of additional copy overheads").
-    pub tcp_copy_rate: Rate,
-    /// Record size the clients read (IOzone record, 256 KB in the paper).
-    pub record_size: u32,
-    /// True when clients issue WRITEs: the TCP path then expects
-    /// `call + record` bytes per RPC and replies with a bare header.
-    pub write_mode: bool,
-}
-
-impl Default for NfsServerConfig {
-    fn default() -> Self {
-        NfsServerConfig {
-            op_cpu: Dur::from_us(30),
-            tcp_copy_rate: Rate::from_ps_per_byte(2000), // ~500 MB/s copy path
-            record_size: 262_144,
-            write_mode: false,
-        }
-    }
-}
+/// Fixed CPU cost per RPC (lookup, attributes, scheduling).
+const OP_CPU: Dur = Dur::from_us(30);
+/// Per-byte server-side copy cost on the TCP path (NFS/RDMA avoids this
+/// — the paper's "absence of additional copy overheads"): a ~500 MB/s
+/// copy path.
+const TCP_COPY_RATE: Rate = Rate::from_ps_per_byte(2000);
 
 enum Transport {
     Rdma,
@@ -46,7 +27,9 @@ enum Transport {
 
 /// The NFS server ULP.
 pub struct NfsServer {
-    cfg: NfsServerConfig,
+    /// True when clients issue WRITEs: the TCP path then expects
+    /// `call + record` bytes per RPC and replies with a bare header.
+    write: bool,
     transport: Transport,
     /// RDMA transport QP (set after QP creation).
     pub qpn: Qpn,
@@ -64,10 +47,10 @@ pub struct NfsServer {
 }
 
 impl NfsServer {
-    /// An NFS/RDMA server.
-    pub fn rdma(cfg: NfsServerConfig) -> Self {
+    /// An NFS/RDMA server; `write` when its clients issue WRITEs.
+    pub fn rdma(write: bool) -> Self {
         NfsServer {
-            cfg,
+            write,
             transport: Transport::Rdma,
             qpn: Qpn(0),
             cpu: SerialResource::new(Rate::INFINITE),
@@ -80,11 +63,12 @@ impl NfsServer {
         }
     }
 
-    /// An NFS/IPoIB server on the given port (one TCP stream per mount).
-    pub fn tcp(cfg: NfsServerConfig, port: IpoibPort) -> Self {
+    /// An NFS/IPoIB server on the given port (one TCP stream per mount);
+    /// `write` when its clients issue WRITEs.
+    pub fn tcp(write: bool, port: IpoibPort) -> Self {
         let n = port.n_streams();
         NfsServer {
-            cfg,
+            write,
             transport: Transport::Tcp(port),
             qpn: Qpn(0),
             cpu: SerialResource::new(Rate::INFINITE),
@@ -118,7 +102,7 @@ impl NfsServer {
         len: u32,
         write: bool,
     ) {
-        let (_, ready) = self.cpu.reserve_dur(ctx.now(), self.cfg.op_cpu);
+        let (_, ready) = self.cpu.reserve_dur(ctx.now(), OP_CPU);
         let chunks = len.div_ceil(NFS_RDMA_CHUNK);
         self.rpcs_served += 1;
         if write {
@@ -160,19 +144,14 @@ impl NfsServer {
 
     fn serve_tcp_calls(&mut self, ctx: &mut Ctx<'_>, stream: u32, newly: u64) {
         // WRITE requests carry the record inline on the stream.
-        let request_bytes = crate::rpc::RPC_CALL_BYTES as u64
-            + if self.cfg.write_mode {
-                self.cfg.record_size as u64
-            } else {
-                0
-            };
+        let request_bytes =
+            crate::rpc::RPC_CALL_BYTES as u64 + if self.write { RECORD_SIZE as u64 } else { 0 };
         self.call_acc[stream as usize] += newly;
         while self.call_acc[stream as usize] >= request_bytes {
             self.call_acc[stream as usize] -= request_bytes;
             // Service cost includes the server-side data copy through the
             // socket path.
-            let work =
-                self.cfg.op_cpu + self.cfg.tcp_copy_rate.tx_time(self.cfg.record_size as u64);
+            let work = OP_CPU + TCP_COPY_RATE.tx_time(RECORD_SIZE as u64);
             let (_, fin) = self.cpu.reserve_dur(ctx.now(), work);
             self.service_done.push_back(stream);
             ctx.timer_at(fin, TOKEN_NFS_SERVICE);
@@ -185,10 +164,10 @@ impl NfsServer {
             .service_done
             .pop_front()
             .expect("service timer with empty queue");
-        let reply_bytes = if self.cfg.write_mode {
+        let reply_bytes = if self.write {
             RPC_REPLY_BYTES as u64
         } else {
-            self.cfg.record_size as u64 + RPC_REPLY_BYTES as u64
+            RECORD_SIZE as u64 + RPC_REPLY_BYTES as u64
         };
         match &mut self.transport {
             Transport::Tcp(port) => port.app_send(hca, ctx, stream as usize, reply_bytes),

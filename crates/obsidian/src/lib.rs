@@ -41,12 +41,14 @@ pub fn km_for_wire_delay(delay: Dur) -> u64 {
     delay.as_ns() / 5_000
 }
 
-/// Static parameters of one Longbow XR unit.
-#[derive(Copy, Clone, Debug)]
+/// Transit latency through one unit (the pair adds ~5 µs total to
+/// small-message latency, per Section 3.2.1).
+const TRANSIT_LATENCY: Dur = Dur::from_ns(2500);
+
+/// Static parameters of one Longbow XR unit. The default injects no delay
+/// and drops nothing.
+#[derive(Copy, Clone, Debug, Default)]
 pub struct LongbowConfig {
-    /// Transit latency through one unit (the pair adds ~5 µs total to
-    /// small-message latency, per Section 3.2.1).
-    pub transit_latency: Dur,
     /// Additional delay this unit injects per forwarded packet. For a pair
     /// emulating one-way wire delay `D`, each unit is configured with `D/2`
     /// so a full crossing accumulates `D` in each direction.
@@ -57,25 +59,14 @@ pub struct LongbowConfig {
     pub loss_per_million: u32,
 }
 
-impl Default for LongbowConfig {
-    fn default() -> Self {
-        LongbowConfig {
-            transit_latency: Dur::from_ns(2500),
-            injected_delay: Dur::ZERO,
-            loss_per_million: 0,
-        }
-    }
-}
-
 impl LongbowConfig {
     /// One unit as the subnet sees it: a two-port store-and-forward
-    /// [`Switch`] whose forwarding latency is the transit latency plus the
-    /// injected delay, and which drops packets at `loss_per_million`.
+    /// [`Switch`] whose forwarding latency is the 2.5 µs transit latency plus
+    /// the injected delay, and which drops packets at `loss_per_million`.
     /// Serialization rates are carried by the attached links (the WAN cable
     /// runs at SDR).
     pub fn unit(self) -> Switch {
-        Switch::with_latency(self.transit_latency + self.injected_delay)
-            .with_loss(self.loss_per_million)
+        Switch::with_latency(TRANSIT_LATENCY + self.injected_delay).with_loss(self.loss_per_million)
     }
 }
 
@@ -145,7 +136,7 @@ impl LongbowPair {
     }
 
     /// Insert a Longbow pair with full control over the unit configuration
-    /// (delay, transit latency, and injected WAN packet loss).
+    /// (delay and injected WAN packet loss).
     pub fn insert_with(
         builder: &mut FabricBuilder,
         switch_a: ActorId,
@@ -352,7 +343,6 @@ mod tests {
             LongbowConfig {
                 injected_delay: Dur::from_us(50),
                 loss_per_million: 20_000, // 2% WAN loss
-                ..LongbowConfig::default()
             },
         );
         let mut f = builder.finish();

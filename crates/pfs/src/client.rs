@@ -1,6 +1,6 @@
 //! The PFS client: open at the MDS, then stripe reads across the OSSes.
 
-use crate::wire::{PfsMsg, MDS_RPC_BYTES, OSS_RPC_BYTES};
+use crate::wire::{PfsMsg, MDS_RPC_BYTES, OSS_RPC_BYTES, STRIPE_SIZE};
 use ibfabric::hca::HcaCore;
 use ibfabric::qp::Qpn;
 use ibfabric::ulp::Ulp;
@@ -10,8 +10,6 @@ use simcore::{Ctx, Time};
 /// Client workload parameters.
 #[derive(Copy, Clone, Debug)]
 pub struct PfsClientConfig {
-    /// Bytes per stripe-read RPC (Lustre default transfer: 1 MB).
-    pub stripe_size: u32,
     /// Total stripes to read (file size / stripe size).
     pub stripes: u64,
     /// Concurrent read RPCs kept in flight per OSS (Lustre's
@@ -69,7 +67,7 @@ impl PfsClient {
         if d.is_zero() {
             return 0.0;
         }
-        (self.completed as f64 * self.cfg.stripe_size as f64) / d.as_secs_f64() / 1e6
+        (self.completed as f64 * STRIPE_SIZE as f64) / d.as_secs_f64() / 1e6
     }
 
     fn issue_read(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>, qpn: Qpn) {
@@ -82,7 +80,7 @@ impl PfsClient {
         let call = SendWr::send(0, OSS_RPC_BYTES, 0).with_meta(
             PfsMsg::Read {
                 xid,
-                len: self.cfg.stripe_size,
+                len: STRIPE_SIZE,
             }
             .encode(),
         );

@@ -2,7 +2,8 @@
 //! side of the WAN, client on the other.
 
 use crate::client::{PfsClient, PfsClientConfig};
-use crate::server::{MdsServer, OssServer, OssServerConfig};
+use crate::server::{MdsServer, OssServer};
+use crate::wire::STRIPE_SIZE;
 use ibfabric::perftest::rc_qp_pair;
 use ibfabric::qp::QpConfig;
 use ibfabric::ulp::Ulp;
@@ -17,8 +18,6 @@ pub const PFS_QP_WINDOW: usize = 32;
 pub struct PfsSetup {
     /// Number of object storage servers the file stripes over.
     pub stripe_count: usize,
-    /// Stripe/RPC size in bytes (Lustre default 1 MB).
-    pub stripe_size: u32,
     /// File size in bytes.
     pub file_size: u64,
     /// Concurrent RPCs per OSS.
@@ -36,7 +35,6 @@ impl PfsSetup {
     pub fn quick(stripe_count: usize, delay: Option<Dur>) -> Self {
         PfsSetup {
             stripe_count,
-            stripe_size: 1 << 20,
             file_size: 64 << 20,
             rpcs_in_flight: 2,
             delay,
@@ -60,9 +58,8 @@ pub struct PfsThroughput {
 /// Run one striped read and return the client-observed throughput.
 pub fn run_striped_read(setup: PfsSetup) -> PfsThroughput {
     assert!(setup.stripe_count >= 1);
-    let stripes = setup.file_size / setup.stripe_size as u64;
+    let stripes = setup.file_size / STRIPE_SIZE as u64;
     let client_cfg = PfsClientConfig {
-        stripe_size: setup.stripe_size,
         stripes,
         rpcs_in_flight: setup.rpcs_in_flight,
     };
@@ -82,7 +79,7 @@ pub fn run_striped_read(setup: PfsSetup) -> PfsThroughput {
     let (mut f, nodes) = spec.build(setup.seed, setup.coalescing, |host| match host {
         0 => Box::new(PfsClient::new(client_cfg)) as Box<dyn Ulp>,
         1 => Box::new(MdsServer::new(setup.stripe_count as u32)),
-        _ => Box::new(OssServer::new(OssServerConfig::default())),
+        _ => Box::new(OssServer::new()),
     });
     let (client, mds) = (nodes[0], nodes[1]);
     let osses = &nodes[2..];

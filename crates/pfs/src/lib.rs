@@ -30,5 +30,7 @@ pub mod wire;
 
 pub use client::{PfsClient, PfsClientConfig};
 pub use experiment::{run_striped_read, PfsSetup, PfsThroughput};
-pub use server::{MdsServer, OssServer, OssServerConfig};
-pub use wire::{PfsMsg, MDS_RPC_BYTES, OSS_RPC_BYTES, PFS_RDMA_CHUNK, PFS_REPLY_BYTES};
+pub use server::{MdsServer, OssServer};
+pub use wire::{
+    PfsMsg, MDS_RPC_BYTES, OSS_RPC_BYTES, PFS_RDMA_CHUNK, PFS_REPLY_BYTES, STRIPE_SIZE,
+};

@@ -7,13 +7,20 @@ use ibfabric::ulp::Ulp;
 use ibfabric::verbs::{Completion, RecvWr, SendWr};
 use simcore::{Ctx, Dur, Rate, SerialResource};
 
+/// MDS CPU per open RPC.
+const MDS_OP_CPU: Dur = Dur::from_us(20);
+/// OSS fixed CPU per read RPC (lock service, extent lookup).
+const OSS_OP_CPU: Dur = Dur::from_us(40);
+/// OSS backend storage streaming rate (cached/striped spindles or flash;
+/// generous so the WAN stays the story).
+const STORAGE_RATE: Rate = Rate::from_mbytes_per_sec(2000);
+
 /// The metadata server: answers `open` with the file layout. One QP per
 /// client (register with [`MdsServer::add_client_qp`]).
 pub struct MdsServer {
     qpns: Vec<Qpn>,
     stripe_count: u32,
     cpu: SerialResource,
-    op_cpu: Dur,
     opens_served: u64,
 }
 
@@ -24,7 +31,6 @@ impl MdsServer {
             qpns: Vec::new(),
             stripe_count,
             cpu: SerialResource::new(Rate::INFINITE),
-            op_cpu: Dur::from_us(20),
             opens_served: 0,
         }
     }
@@ -55,7 +61,7 @@ impl Ulp for MdsServer {
             match PfsMsg::decode(&data.expect("PFS RPC without header")) {
                 PfsMsg::Open { xid } => {
                     self.opens_served += 1;
-                    let (_, ready) = self.cpu.reserve_dur(ctx.now(), self.op_cpu);
+                    let (_, ready) = self.cpu.reserve_dur(ctx.now(), MDS_OP_CPU);
                     let reply = SendWr::send(0, PFS_REPLY_BYTES, 0).with_meta(
                         PfsMsg::OpenReply {
                             xid,
@@ -71,43 +77,28 @@ impl Ulp for MdsServer {
     }
 }
 
-/// OSS cost model.
-#[derive(Copy, Clone, Debug)]
-pub struct OssServerConfig {
-    /// Fixed CPU per read RPC (lock service, extent lookup).
-    pub op_cpu: Dur,
-    /// Backend storage streaming rate (cached/striped spindles or flash;
-    /// generous so the WAN stays the story).
-    pub storage_rate: Rate,
-}
-
-impl Default for OssServerConfig {
-    fn default() -> Self {
-        OssServerConfig {
-            op_cpu: Dur::from_us(40),
-            storage_rate: Rate::from_mbytes_per_sec(2000),
-        }
-    }
-}
-
 /// One object storage server: serves extent reads with chunked RDMA writes
 /// plus an ordered reply, per client QP.
 pub struct OssServer {
-    cfg: OssServerConfig,
     qpns: Vec<Qpn>,
     cpu: SerialResource,
     storage: SerialResource,
     bytes_served: u64,
 }
 
+impl Default for OssServer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl OssServer {
     /// A fresh OSS.
-    pub fn new(cfg: OssServerConfig) -> Self {
+    pub fn new() -> Self {
         OssServer {
-            cfg,
             qpns: Vec::new(),
             cpu: SerialResource::new(Rate::INFINITE),
-            storage: SerialResource::new(cfg.storage_rate),
+            storage: SerialResource::new(STORAGE_RATE),
             bytes_served: 0,
         }
     }
@@ -139,7 +130,7 @@ impl Ulp for OssServer {
                 PfsMsg::Read { xid, len } => {
                     self.bytes_served += len as u64;
                     // RPC service + backend streaming, then RDMA push.
-                    let (_, cpu_done) = self.cpu.reserve_dur(ctx.now(), self.cfg.op_cpu);
+                    let (_, cpu_done) = self.cpu.reserve_dur(ctx.now(), OSS_OP_CPU);
                     let (_, ready) = self.storage.reserve(cpu_done, len as u64);
                     let chunks = len.div_ceil(PFS_RDMA_CHUNK);
                     for i in 0..chunks {

@@ -11,6 +11,9 @@ pub const PFS_REPLY_BYTES: u32 = 128;
 /// OSS bulk data moves in RDMA chunks of this size (Lustre's 1 MB bulk
 /// window is carried as LNET fragments; we model the RDMA transfer unit).
 pub const PFS_RDMA_CHUNK: u32 = 65536;
+/// Bytes per stripe-read RPC, the stripe size every file uses (Lustre's
+/// default transfer: 1 MB).
+pub const STRIPE_SIZE: u32 = 1 << 20;
 
 /// PFS protocol messages.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

@@ -27,5 +27,5 @@ pub mod socket;
 pub mod wire;
 
 pub use node::SdpNode;
-pub use socket::{SdpConfig, SdpEvent, SdpSocket};
+pub use socket::{SdpEvent, SdpSocket};
 pub use wire::SdpWire;

@@ -1,6 +1,6 @@
 //! TTCP-style SDP streaming endpoint (the reference-\[19\] workload).
 
-use crate::socket::{SdpConfig, SdpEvent, SdpSocket};
+use crate::socket::{SdpEvent, SdpSocket};
 use ibfabric::hca::HcaCore;
 use ibfabric::ulp::Ulp;
 use ibfabric::verbs::Completion;
@@ -19,9 +19,9 @@ pub struct SdpNode {
 
 impl SdpNode {
     /// A sender of `count` messages of `msg_size` bytes.
-    pub fn sender(cfg: SdpConfig, msg_size: u32, count: u64) -> Self {
+    pub fn sender(msg_size: u32, count: u64) -> Self {
         SdpNode {
-            socket: SdpSocket::new(cfg),
+            socket: SdpSocket::new(),
             msg_size,
             to_send: count,
             first_byte_at: None,
@@ -30,9 +30,9 @@ impl SdpNode {
     }
 
     /// A pure receiver.
-    pub fn receiver(cfg: SdpConfig) -> Self {
+    pub fn receiver() -> Self {
         SdpNode {
-            socket: SdpSocket::new(cfg),
+            socket: SdpSocket::new(),
             msg_size: 0,
             to_send: 0,
             first_byte_at: None,
@@ -100,8 +100,8 @@ mod tests {
     fn run_stream(delay: Dur, msg_size: u32, count: u64) -> f64 {
         let (mut f, _a, c) = wan_pair(
             delay,
-            Box::new(SdpNode::sender(SdpConfig::default(), msg_size, count)),
-            Box::new(SdpNode::receiver(SdpConfig::default())),
+            Box::new(SdpNode::sender(msg_size, count)),
+            Box::new(SdpNode::receiver()),
         );
         f.run();
         let rx = f.hca(c).ulp::<SdpNode>();

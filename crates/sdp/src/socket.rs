@@ -8,32 +8,16 @@ use ibfabric::verbs::{Completion, RecvWr, SendKind, SendWr};
 use simcore::{Ctx, Rate, SerialResource};
 use std::collections::{HashMap, VecDeque};
 
-/// SDP socket parameters.
-#[derive(Copy, Clone, Debug)]
-pub struct SdpConfig {
-    /// Private receive-buffer size (BCopy granularity).
-    pub buf_size: u32,
-    /// Private-buffer credits granted by the receiver.
-    pub send_credits: u32,
-    /// Application sends at or above this size use the ZCopy path.
-    pub zcopy_threshold: u32,
-    /// Memcpy rate for BCopy copies (both sides).
-    pub copy_rate: Rate,
-    /// Return credits after this many drained buffers.
-    pub credit_batch: u32,
-}
-
-impl Default for SdpConfig {
-    fn default() -> Self {
-        SdpConfig {
-            buf_size: 8192,
-            send_credits: 16,
-            zcopy_threshold: 65536,
-            copy_rate: Rate::from_ps_per_byte(250),
-            credit_batch: 4,
-        }
-    }
-}
+/// Private receive-buffer size (BCopy granularity).
+const BUF_SIZE: u32 = 8192;
+/// Private-buffer credits granted by the receiver.
+const SEND_CREDITS: u32 = 16;
+/// Application sends at or above this size use the ZCopy path.
+const ZCOPY_THRESHOLD: u32 = 65536;
+/// Memcpy rate for BCopy copies (both sides).
+const COPY_RATE: Rate = Rate::from_ps_per_byte(250);
+/// Return credits after this many drained buffers.
+const CREDIT_BATCH: u32 = 4;
 
 /// Events surfaced to the owning application.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -46,7 +30,6 @@ pub enum SdpEvent {
 
 /// One SDP socket endpoint (embed in a ULP; forward completions here).
 pub struct SdpSocket {
-    cfg: SdpConfig,
     /// The RC QP carrying this socket (set after QP creation).
     pub qpn: Qpn,
     // --- send side ---
@@ -62,13 +45,18 @@ pub struct SdpSocket {
     delivered: u64,
 }
 
+impl Default for SdpSocket {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SdpSocket {
     /// A fresh socket.
-    pub fn new(cfg: SdpConfig) -> Self {
+    pub fn new() -> Self {
         SdpSocket {
-            cfg,
             qpn: Qpn(0),
-            credits: cfg.send_credits,
+            credits: SEND_CREDITS,
             bcopy_queue: VecDeque::new(),
             cpu: SerialResource::new(Rate::INFINITE),
             next_srcavail: 1,
@@ -95,7 +83,7 @@ impl SdpSocket {
     /// Application `send()` of one message of `len` bytes: BCopy below the
     /// threshold, ZCopy (SrcAvail) at or above it.
     pub fn app_send(&mut self, hca: &mut HcaCore, ctx: &mut Ctx<'_>, len: u32) {
-        if len >= self.cfg.zcopy_threshold {
+        if len >= ZCOPY_THRESHOLD {
             let id = self.next_srcavail;
             self.next_srcavail += 1;
             self.zcopy_outstanding.insert(id, len as u64);
@@ -106,7 +94,7 @@ impl SdpSocket {
             // Chunk into private buffers and push through the credit gate.
             let mut remaining = len;
             while remaining > 0 {
-                let piece = remaining.min(self.cfg.buf_size);
+                let piece = remaining.min(BUF_SIZE);
                 self.bcopy_queue.push_back(piece);
                 remaining -= piece;
             }
@@ -123,7 +111,7 @@ impl SdpSocket {
             // Copy into the private buffer, then send.
             let (_, ready) = self
                 .cpu
-                .reserve_dur(ctx.now(), self.cfg.copy_rate.tx_time(piece as u64));
+                .reserve_dur(ctx.now(), COPY_RATE.tx_time(piece as u64));
             let wr = SendWr::send(0, piece + BSDH_BYTES, 0)
                 .with_meta(SdpWire::Data { len: piece }.encode());
             hca.post_send_after(ctx, self.qpn, wr, ready);
@@ -135,10 +123,10 @@ impl SdpSocket {
         // once the copy is done (batched).
         let (_, fin) = self
             .cpu
-            .reserve_dur(ctx.now(), self.cfg.copy_rate.tx_time(len as u64));
+            .reserve_dur(ctx.now(), COPY_RATE.tx_time(len as u64));
         self.delivered += len as u64;
         self.drained_since_credit += 1;
-        if self.drained_since_credit >= self.cfg.credit_batch {
+        if self.drained_since_credit >= CREDIT_BATCH {
             let n = self.drained_since_credit;
             self.drained_since_credit = 0;
             let wr =

@@ -793,7 +793,6 @@ mod tests {
             offset: 0,
             imm: 0,
             count: 1,
-            stride: 0,
             gap_ns: 0,
             msgs: 1,
             msg_gap_ns: 0,

@@ -28,7 +28,7 @@ impl Rate {
     }
 
     /// From megabytes (10^6 bytes) per second.
-    pub fn from_mbytes_per_sec(mb: u64) -> Self {
+    pub const fn from_mbytes_per_sec(mb: u64) -> Self {
         assert!(mb > 0, "rate must be positive");
         Rate {
             ps_per_byte: 1_000_000 / mb,

@@ -8,6 +8,10 @@ pub const TCP_IP_HEADER: u32 = 52;
 /// it performing well in most cases.
 pub const DEFAULT_WINDOW: u64 = 1 << 20;
 
+/// Send a pure ACK after this many data segments (2 = standard
+/// delayed-ACK-off behaviour).
+const ACK_EVERY: u32 = 2;
+
 /// Connection parameters.
 #[derive(Copy, Clone, Debug)]
 pub struct TcpConfig {
@@ -24,9 +28,6 @@ pub struct TcpConfig {
     /// flow-control window, like a fresh Linux connection bounded by its
     /// socket buffer.
     pub ssthresh: u64,
-    /// Send a pure ACK after this many data segments (2 = standard
-    /// delayed-ACK-off behaviour).
-    pub ack_every: u32,
 }
 
 impl TcpConfig {
@@ -38,7 +39,6 @@ impl TcpConfig {
             window: DEFAULT_WINDOW,
             init_cwnd_segments: 10,
             ssthresh: DEFAULT_WINDOW / 2,
-            ack_every: 2,
         }
     }
 
@@ -209,7 +209,7 @@ impl TcpConn {
             self.delivered += seg.len as u64;
             newly = seg.len as u64;
             self.segs_since_ack += 1;
-            if self.segs_since_ack >= self.cfg.ack_every {
+            if self.segs_since_ack >= ACK_EVERY {
                 self.ack_pending = true;
             }
         }

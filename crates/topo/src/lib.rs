@@ -7,7 +7,7 @@
 //! This crate replaces the hand wiring with a small IR:
 //!
 //! * [`TopoSpec`] — sites (host counts + intra-site wiring) plus WAN cables
-//!   (delay / loss / credit / path-MTU attributes), fully declarative and
+//!   (delay / loss / credit attributes), fully declarative and
 //!   digestable;
 //! * generators — [`TopoSpec::two_site`], [`TopoSpec::clusters`],
 //!   [`TopoSpec::multi_site`], [`TopoSpec::star`], [`TopoSpec::fat_tree`] —
@@ -127,11 +127,6 @@ pub struct WanSpec {
     pub delay: Dur,
     /// Cable style: Longbow pair, shallow-buffered, or bare.
     pub style: WanStyle,
-    /// Declared path MTU clamp for flows crossing this cable, bytes.
-    /// `None` = no clamp. The fabric model carries MTU per QP, so this is
-    /// advisory IR metadata: experiment wiring reads it back through
-    /// [`TopoSpec::path_mtu`] when configuring QPs.
-    pub mtu: Option<u32>,
 }
 
 impl WanSpec {
@@ -142,7 +137,6 @@ impl WanSpec {
             to,
             delay,
             style: WanStyle::Longbow { loss_ppm: 0 },
-            mtu: None,
         }
     }
 }
@@ -175,7 +169,6 @@ impl TopoSpec {
                 to: 1,
                 delay,
                 style: WanStyle::Longbow { loss_ppm },
-                mtu: None,
             }],
         }
     }
@@ -195,7 +188,6 @@ impl TopoSpec {
                 to: 1,
                 delay,
                 style,
-                mtu: None,
             }],
         }
     }
@@ -288,16 +280,6 @@ impl TopoSpec {
         panic!("host {host} out of range ({} hosts)", self.total_hosts());
     }
 
-    /// The tightest declared path-MTU clamp on any direct WAN cable between
-    /// the two sites (`None` = unclamped).
-    pub fn path_mtu(&self, site_a: usize, site_b: usize) -> Option<u32> {
-        self.wans
-            .iter()
-            .filter(|w| (w.from, w.to) == (site_a, site_b) || (w.from, w.to) == (site_b, site_a))
-            .filter_map(|w| w.mtu)
-            .min()
-    }
-
     /// Structural validation: every WAN endpoint exists, is switched (a
     /// Direct site has no attachment point), and no cable loops a site to
     /// itself; Direct sites have exactly two hosts; fat-tree stages are
@@ -347,11 +329,6 @@ impl TopoSpec {
             if w.from == w.to {
                 return Err(format!("wan {i}: loops site {} to itself", w.from));
             }
-            if let Some(mtu) = w.mtu {
-                if mtu < 256 {
-                    return Err(format!("wan {i}: path MTU {mtu} below the IB minimum"));
-                }
-            }
         }
         // Breadth-first search over the WAN cables from site 0.
         let mut reached = vec![false; self.sites.len()];
@@ -376,8 +353,8 @@ impl TopoSpec {
     }
 
     /// Canonical human-readable description — the digest preimage. Stable
-    /// across runs: every attribute that affects the lowered fabric (and the
-    /// advisory MTU clamp) is included, in declaration order.
+    /// across runs: every attribute that affects the lowered fabric is
+    /// included, in declaration order.
     pub fn describe(&self) -> String {
         use std::fmt::Write;
         let mut out = String::from("topo{sites=[");
@@ -411,11 +388,10 @@ impl TopoSpec {
             };
             let _ = write!(
                 out,
-                "{}->{}:{style}:delay={}ns:mtu={:?}",
+                "{}->{}:{style}:delay={}ns",
                 w.from,
                 w.to,
-                w.delay.as_ns(),
-                w.mtu
+                w.delay.as_ns()
             );
         }
         out.push_str("]}");
@@ -509,7 +485,6 @@ impl TopoSpec {
                         LongbowConfig {
                             injected_delay: w.delay / 2,
                             loss_per_million: loss_ppm,
-                            ..LongbowConfig::default()
                         },
                     );
                 }
@@ -635,10 +610,6 @@ mod tests {
             wans: vec![],
         };
         assert!(t.validate().is_err());
-        // Tiny path MTU.
-        let mut t = TopoSpec::two_site(Dur::ZERO);
-        t.wans[0].mtu = Some(64);
-        assert!(t.validate().is_err());
         // Two switched sites and no WAN cable between them.
         let t = TopoSpec {
             sites: vec![SiteSpec::switched(1), SiteSpec::switched(1)],
@@ -667,18 +638,6 @@ mod tests {
             a.digest(),
             TopoSpec::two_site_credits(Dur::from_us(100), Some(16)).digest()
         );
-        let mut m = TopoSpec::two_site(Dur::from_us(100));
-        m.wans[0].mtu = Some(2048);
-        assert_ne!(a.digest(), m.digest());
-    }
-
-    #[test]
-    fn path_mtu_reads_the_tightest_clamp() {
-        let mut t = TopoSpec::multi_site(3, 1, Dur::ZERO);
-        t.wans[0].mtu = Some(2048);
-        assert_eq!(t.path_mtu(0, 1), Some(2048));
-        assert_eq!(t.path_mtu(1, 0), Some(2048));
-        assert_eq!(t.path_mtu(1, 2), None);
     }
 
     #[test]

@@ -324,7 +324,7 @@ fn random_tree_topologies_route_all_pairs() {
 /// straddling the BCopy/ZCopy threshold, at any delay.
 #[test]
 fn sdp_delivers_exact_bytes() {
-    use ibwan_repro::sdp::{SdpConfig, SdpNode};
+    use ibwan_repro::sdp::SdpNode;
     let cases: &[(u32, u64, u64)] = &[
         // (msg_size, count, delay_us)
         (1, 39, 0),
@@ -335,8 +335,8 @@ fn sdp_delivers_exact_bytes() {
         (262_144, 1, 500),
     ];
     for &(msg_size, count, delay_us) in cases {
-        let tx = Box::new(SdpNode::sender(SdpConfig::default(), msg_size, count));
-        let rx = Box::new(SdpNode::receiver(SdpConfig::default()));
+        let tx = Box::new(SdpNode::sender(msg_size, count));
+        let rx = Box::new(SdpNode::receiver());
         let (mut f, a, b) = build_pair(
             &RunConfig::default(),
             21,
